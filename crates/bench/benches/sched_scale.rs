@@ -4,7 +4,7 @@
 //!
 //! Not a Criterion target: it times fixed workloads in both admission
 //! modes, writes `BENCH_sched_scale.json` at the repository root, and
-//! enforces three gates so CI catches scaling regressions. Two regimes,
+//! enforces gates so CI catches scaling regressions. Two regimes,
 //! because the engines differ in *what* their per-admission cost scales
 //! with:
 //!
@@ -21,7 +21,11 @@
 //!   drifts with memory-subsystem contention, just less), the 10^4 rung
 //!   is re-measured right after the 10^6 rung, and the floors sit far
 //!   below any honest measurement — a superlinear solver regression
-//!   lands orders of magnitude under them.
+//!   lands orders of magnitude under them. A memory gate bounds the
+//!   process's peak resident set after the 10^6 rung: the engine
+//!   retires finished flows, so its storage follows the live flows,
+//!   and a session that kept every flow it ever started would blow
+//!   through the bound several times over.
 //! * **Contended burst** (1-node 2 GiB applications at 3/s, offered
 //!   load past capacity so the node-limit gate keeps the maximum
 //!   allowed population in flight): 10^4 arrivals in both modes. This
@@ -43,12 +47,10 @@ use simcore::rng::RngFactory;
 use simcore::units::MIB;
 use std::time::Instant;
 
-/// Process CPU seconds (user + system) via `getrusage`, falling back to
-/// wall time off Linux. The workload is deterministic and
-/// single-threaded, so CPU time per admission is a stable quantity on
-/// shared CI hosts where wall-clock throughput swings by 2-3x with
-/// neighbour load — gating on it measures the engine, not the host.
-fn cpu_seconds(wall_anchor: Instant) -> f64 {
+/// `getrusage(RUSAGE_SELF)`: process CPU seconds (user + system) and
+/// peak resident set size in KiB (`ru_maxrss`). `None` off Linux or on
+/// failure.
+fn rusage() -> Option<(f64, i64)> {
     #[cfg(target_os = "linux")]
     {
         #[repr(C)]
@@ -73,17 +75,30 @@ fn cpu_seconds(wall_anchor: Instant) -> f64 {
         };
         // SAFETY: RUSAGE_SELF (0) with a properly sized, writable struct.
         if unsafe { getrusage(0, &mut r) } == 0 {
-            return (r.utime.sec + r.stime.sec) as f64
-                + (r.utime.usec + r.stime.usec) as f64 * 1e-6;
+            let cpu =
+                (r.utime.sec + r.stime.sec) as f64 + (r.utime.usec + r.stime.usec) as f64 * 1e-6;
+            return Some((cpu, r.rest[0]));
         }
     }
-    wall_anchor.elapsed().as_secs_f64()
+    None
+}
+
+/// Process CPU seconds, falling back to wall time off Linux. The
+/// workload is deterministic and single-threaded, so CPU time per
+/// admission is a stable quantity on shared CI hosts where wall-clock
+/// throughput swings by 2-3x with neighbour load — gating on it
+/// measures the engine, not the host.
+fn cpu_seconds(wall_anchor: Instant) -> f64 {
+    rusage().map_or_else(|| wall_anchor.elapsed().as_secs_f64(), |(cpu, _)| cpu)
 }
 
 /// Stationary sweep: light applications, a couple in flight at a time.
 const RATE_PER_S: f64 = 2.0;
 const APP_MIB: u64 = 256;
 const ONLINE_SWEEP: [usize; 4] = [1_000, 10_000, 100_000, 1_000_000];
+
+/// Peak resident set allowed after the 10^6 rung, in MiB.
+const MAX_PEAK_RSS_MIB: f64 = 1024.0;
 
 /// Contended burst: offered load past capacity, population pinned at
 /// the scheduler's node-limit gate — the frozen oracle's worst regime.
@@ -150,10 +165,9 @@ fn extract_f64(json: &str, key: &str) -> Option<f64> {
 }
 
 fn main() {
-    // Large sessions are allocator-bound under default glibc tuning —
-    // the engine's buffers grow through hundreds of MB and the kernel
-    // time for mapping churn swamps the simulation (see
-    // `simcore::alloc_tuning`).
+    // Large sessions grow per-arrival records through hundreds of MB;
+    // under default glibc tuning every growth step churns mappings in
+    // the kernel (see `simcore::alloc_tuning`).
     simcore::alloc_tuning::tune_for_long_sessions();
     // Warm caches and the allocator before timing anything.
     serve(1_000, RATE_PER_S, APP_MIB, AdmissionMode::Online);
@@ -167,6 +181,12 @@ fn main() {
         );
         online_aps.push(aps);
         online_epa.push(epa);
+    }
+    // The 10^6 rung is the largest session the process runs, so the
+    // high-water mark read here is its peak.
+    let peak_rss_mib = rusage().map(|(_, kib)| kib as f64 / 1024.0);
+    if let Some(mib) = peak_rss_mib {
+        println!("peak resident set after the 1e6 rung: {mib:.0} MiB");
     }
     // Re-measure the 1e4 rung immediately after the 1e6 rung: the
     // scaling ratio must compare measurements taken under the same host
@@ -235,8 +255,15 @@ fn main() {
          \"speedup_1e4\": {speedup:.2},\n  \"scaling_1e6_vs_1e4\": {scaling:.2},\n  \
          \"events_per_admission_1e4\": {:.1},\n  \
          \"events_per_admission_1e6\": {:.1},\n  \
-         \"work_ratio_1e6_vs_1e4\": {work_ratio:.3}\n}}\n",
-        online_aps[0], online_aps[1], online_aps[2], online_aps[3], online_epa[1], online_epa[3],
+         \"work_ratio_1e6_vs_1e4\": {work_ratio:.3},\n  \
+         \"peak_rss_mib\": {}\n}}\n",
+        online_aps[0],
+        online_aps[1],
+        online_aps[2],
+        online_aps[3],
+        online_epa[1],
+        online_epa[3],
+        peak_rss_mib.map_or_else(|| "null".to_string(), |m| format!("{m:.0}")),
     );
     std::fs::write(out, &json).expect("write bench json");
     println!("online vs frozen on the contended burst at 1e4: {speedup:.1}x");
@@ -298,6 +325,18 @@ fn main() {
              events must stay proportional to the calendar, not explode it)"
         );
         std::process::exit(1);
+    }
+    match peak_rss_mib {
+        Some(mib) if mib > MAX_PEAK_RSS_MIB => {
+            eprintln!(
+                "FAIL: peak resident set {mib:.0} MiB after the 1e6 rung exceeds \
+                 {MAX_PEAK_RSS_MIB:.0} MiB: session storage must follow the live \
+                 flows, not every flow the session started"
+            );
+            std::process::exit(1);
+        }
+        Some(_) => {}
+        None => println!("note: peak RSS unavailable on this platform; memory gate skipped"),
     }
     if let Some(base) = baseline {
         if online_1e4 < 0.25 * base {

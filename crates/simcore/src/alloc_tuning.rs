@@ -1,13 +1,17 @@
 //! Allocator tuning for session-long simulations.
 //!
-//! A continuous online session registers millions of flows, so the
-//! engine's backing vectors (flow registry, path arena, event calendar)
-//! grow through the hundreds of megabytes. Under glibc's default malloc
-//! tuning every growth step of a large vector cycles through
+//! A continuous online session registers millions of flows, but its
+//! flow storage does not grow with session length: the fluid network
+//! retires finished and cancelled flows and compacts their records and
+//! path ranges, so the flow registry, path arena and event calendar
+//! follow the live and pending flows. What still grows with the session
+//! is its per-arrival bookkeeping — the arrival stream and one outcome
+//! and decision record per application — which reaches hundreds of
+//! megabytes at the million-arrival scale. Under glibc's default malloc
+//! tuning every growth step of a vector that large cycles through
 //! `mmap`/`munmap` (blocks above the 128 KiB mmap threshold are returned
-//! to the kernel on free), and heap-top churn triggers repeated trims —
-//! at the million-arrival scale the kernel time from page faults and
-//! mapping churn exceeds the simulation's own CPU time several-fold.
+//! to the kernel on free), and heap-top churn triggers repeated trims,
+//! each costing kernel time in page faults and mapping churn.
 //!
 //! [`tune_for_long_sessions`] raises both thresholds so large blocks stay
 //! in the allocator's arena and get reused across growth steps. It is a
@@ -16,9 +20,9 @@
 //! process start from binaries that drive large sessions (the `repro`
 //! CLI, the scale benches); libraries should not call it.
 
-/// Raise glibc's malloc mmap/trim thresholds so the multi-hundred-MB
-/// engine buffers are recycled inside the arena instead of being
-/// returned to the kernel on every growth step. No-op off glibc.
+/// Raise glibc's malloc mmap/trim thresholds so large session buffers
+/// are recycled inside the arena instead of being returned to the
+/// kernel on every growth step. No-op off glibc.
 pub fn tune_for_long_sessions() {
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     {

@@ -7,7 +7,10 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct ResourceId(pub(crate) u32);
 
-/// Identifies a flow within one [`FlowNetwork`].
+/// Identifies a flow within one [`FlowNetwork`]: its registration
+/// number. Ids are handed out 0, 1, 2, … in registration order and are
+/// never reused, so an id stays meaningful (in completions, traces and
+/// caller-side maps) after the network has reclaimed the flow's storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct FlowId(pub(crate) u32);
 
@@ -25,11 +28,22 @@ impl ResourceId {
 }
 
 impl FlowId {
-    /// The raw index of this flow.
+    /// The registration number of this flow.
     pub fn index(self) -> usize {
         self.0 as usize
     }
 }
+
+/// Retired records a network tolerates before it compacts: compaction
+/// runs once retired records outnumber both this floor and the
+/// unretired ones, so storage stays within twice the unretired flows
+/// plus this constant, and each retirement pays O(1) amortized
+/// compaction work. The floor is sized to short-lived networks: a
+/// campaign repetition registers up to ~2,000 flows and is discarded
+/// after its run, so compacting it is pure overhead, and with this
+/// floor most repetitions never compact, while a session-long network
+/// holds at most ~100 KiB of retired records.
+pub(crate) const COMPACT_MIN_RETIRED: usize = 1024;
 
 /// How a resource's usable capacity depends on its load.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -85,21 +99,28 @@ struct Resource {
     busy_secs: f64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Flow {
     /// This flow's path lives in `FlowNetwork::path_arena` at
     /// `[path_off, path_off + path_len)`, with `pos_arena` parallel.
     /// Arena storage instead of per-flow vectors: a session-long
     /// simulation registers millions of flows, and two heap blocks per
-    /// flow (allocated at admission, all freed at teardown) dominated
-    /// the profile before rates or events cost anything.
+    /// flow (allocated at admission, freed at retirement) dominated the
+    /// profile before rates or events cost anything. Compaction moves
+    /// a record's range down and rewrites `path_off`; ranges stay in
+    /// slot order.
     path_off: u32,
     path_len: u32,
+    /// The public id (registration number) of the flow in this slot.
+    id: FlowId,
+    active: bool,
+    /// Finished or cancelled for good: inactive, never re-activated,
+    /// and reclaimed by the next compaction.
+    retired: bool,
     /// Remaining bytes to transfer (fluid: fractional during simulation).
     remaining: f64,
     /// Current max–min rate in bytes/second.
     rate: f64,
-    active: bool,
     /// Opaque caller tag (e.g. encodes (process, target)).
     tag: u64,
     /// Contribution to the queue depth of `Saturating` resources. Network
@@ -128,8 +149,9 @@ pub(crate) struct SolverScratch {
     touched: Vec<bool>,
     /// Worklist of resource indices for the dirty-component walk.
     stack: Vec<u32>,
-    /// Flows collected into the dirty components, sorted before solving.
-    comp_flows: Vec<FlowId>,
+    /// Slots of the flows collected into the dirty components, sorted
+    /// before solving.
+    comp_flows: Vec<u32>,
     /// Resources collected into the dirty components, sorted before
     /// solving.
     comp_res: Vec<u32>,
@@ -161,32 +183,50 @@ pub(crate) struct SolverScratch {
 /// verbatim, as [`FlowNetwork::reference_recompute_rates`] — the
 /// executable specification the property/differential tests compare
 /// against.
+///
+/// Flow records live in dense *slots* in ascending id order. A flow
+/// the simulator retires (finished or cancelled) keeps its slot until
+/// retired records outnumber the rest, when an order-preserving
+/// compaction reclaims them; storage therefore follows the live and
+/// pending flows, not session length. The hot loops (solver, drain,
+/// completion scans) index slots directly; [`FlowId`]s are translated
+/// only at the public API.
 #[derive(Debug, Clone, Default)]
 pub struct FlowNetwork {
     resources: Vec<Resource>,
+    /// Stored flow records, indexed by slot, in ascending id order.
     flows: Vec<Flow>,
-    /// Every flow's path, back to back in registration order (see
-    /// [`Flow::path_off`]). Never shrinks; two arena frees replace
-    /// millions of per-flow frees at session teardown.
+    /// The id the next registered flow receives.
+    next_id: u32,
+    /// Retired records still stored (reclaimed by `compact`).
+    retired: usize,
+    /// Every stored flow's path, back to back in slot order (see
+    /// [`Flow::path_off`]). Compaction truncates it in place, so its
+    /// capacity follows the peak of stored flows.
     path_arena: Vec<ResourceId>,
     /// Parallel to `path_arena`. While a flow is active, entry
     /// `path_off + k` is its position inside `incident[path[k]]`, so
     /// deactivation swap-removes in O(path).
     pos_arena: Vec<u32>,
-    /// Ids of active flows, kept sorted ascending. This is the solver's
-    /// iteration order, and must match `flows.iter().filter(active)` so
-    /// floating-point accumulation order — and therefore every rate —
-    /// is bit-identical to the reference solver.
-    active: Vec<FlowId>,
+    /// Slots of active flows, kept sorted ascending. This is the
+    /// solver's iteration order, and must match
+    /// `flows.iter().filter(active)` so floating-point accumulation
+    /// order — and therefore every rate — is bit-identical to the
+    /// reference solver. Compaction preserves slot order, so ascending
+    /// slot is ascending id.
+    active: Vec<u32>,
     /// Per-resource count of active flows crossing it.
     active_count: Vec<u32>,
-    /// Per-resource list of the *active* flows crossing it — the
-    /// incidence index the dirty-component walk traverses. Capacity is
-    /// reserved at flow registration (see `add_flow_weighted`) so
-    /// activation in the steady state never allocates.
-    incident: Vec<Vec<FlowId>>,
-    /// Per-resource count of *registered* flows crossing it (active or
-    /// not) — the capacity bound reserved in `incident`.
+    /// Per-resource list of the slots of the *active* flows crossing it
+    /// — the incidence index the dirty-component walk traverses.
+    /// Capacity is reserved at flow registration (see
+    /// `add_flow_weighted`) so activation in the steady state never
+    /// allocates.
+    incident: Vec<Vec<u32>>,
+    /// Per-resource count of *unretired* flows crossing it (active,
+    /// pending, or deactivated by a direct caller) — the capacity bound
+    /// reserved in `incident`. Retirement decrements it, so the
+    /// reservation follows the concurrent peak, not session length.
     registered: Vec<u32>,
     /// All resource indices, ascending — the full solve's resource list,
     /// so the sharded and unsharded paths share one solver.
@@ -372,7 +412,8 @@ impl FlowNetwork {
                 v.reserve(need - v.len());
             }
         }
-        let id = FlowId(u32::try_from(self.flows.len()).expect("too many flows"));
+        let id = FlowId(self.next_id);
+        self.next_id = self.next_id.checked_add(1).expect("too many flows");
         let path_off = u32::try_from(self.path_arena.len()).expect("path arena fits u32");
         let path_len = u32::try_from(path.len()).expect("path length fits u32");
         self.path_arena.extend_from_slice(&path);
@@ -380,16 +421,45 @@ impl FlowNetwork {
         self.flows.push(Flow {
             path_off,
             path_len,
+            id,
+            active: false,
+            retired: false,
             remaining: bytes,
             rate: 0.0,
-            active: false,
             tag,
             depth_weight,
         });
         id
     }
 
-    /// The path of flow `i` (by index), resolved from the arena.
+    /// The slot storing flow `f`, or `None` once the flow has been
+    /// retired and its record reclaimed. This is the only id→slot
+    /// translation; hot loops never call it.
+    ///
+    /// # Panics
+    /// Panics if `f` was never registered with this network.
+    pub(crate) fn slot_of(&self, f: FlowId) -> Option<u32> {
+        assert!(f.0 < self.next_id, "unknown flow {f:?}");
+        // Compaction preserves order and only removes records, so `f`
+        // sits at most `f` slots in, and at most `reclaimed` slots
+        // before its id. The lower bound is exact whenever every
+        // reclaimed record was older than `f` — the common case.
+        let reclaimed = self.next_id as usize - self.flows.len();
+        let lo = f.index().saturating_sub(reclaimed);
+        let hi = (f.index() + 1).min(self.flows.len());
+        if lo >= hi {
+            return None;
+        }
+        if self.flows[lo].id == f {
+            return Some(lo as u32);
+        }
+        self.flows[lo..hi]
+            .binary_search_by_key(&f, |fl| fl.id)
+            .ok()
+            .map(|k| (lo + k) as u32)
+    }
+
+    /// The path of the flow in slot `i`, resolved from the arena.
     #[inline]
     fn path_of(&self, i: usize) -> &[ResourceId] {
         let f = &self.flows[i];
@@ -403,96 +473,252 @@ impl FlowNetwork {
     /// analytic capacity model and tests).
     ///
     /// # Panics
-    /// Panics if the flow is already active.
+    /// Panics if the flow is already active or has been retired.
     pub fn activate(&mut self, f: FlowId) {
-        assert!(!self.flows[f.index()].active, "flow {f:?} already active");
-        self.flows[f.index()].active = true;
+        let s = self
+            .slot_of(f)
+            .filter(|&s| !self.flows[s as usize].retired)
+            .unwrap_or_else(|| panic!("flow {f:?} is retired"));
+        self.activate_slot(s);
+    }
+
+    /// [`FlowNetwork::activate`] by slot.
+    pub(crate) fn activate_slot(&mut self, s: u32) {
+        let i = s as usize;
+        assert!(
+            !self.flows[i].active,
+            "flow {:?} already active",
+            self.flows[i].id
+        );
+        debug_assert!(!self.flows[i].retired, "retired flows never re-activate");
+        self.flows[i].active = true;
         let pos = self
             .active
-            .binary_search(&f)
+            .binary_search(&s)
             .expect_err("inactive flow already in active list");
-        self.active.insert(pos, f);
-        let off = self.flows[f.index()].path_off as usize;
-        let len = self.flows[f.index()].path_len as usize;
+        self.active.insert(pos, s);
+        let off = self.flows[i].path_off as usize;
+        let len = self.flows[i].path_len as usize;
         for k in 0..len {
             let r = self.path_arena[off + k].index();
             self.active_count[r] += 1;
             self.mark_dirty(r);
             let at = u32::try_from(self.incident[r].len()).expect("incidence fits u32");
-            self.incident[r].push(f);
+            self.incident[r].push(s);
             self.pos_arena[off + k] = at;
         }
     }
 
     /// Mark a flow inactive, zeroing its rate and remaining bytes.
     ///
-    /// [`super::FluidSim`] does this automatically when a flow finishes;
-    /// direct use is for standalone solver invocations (e.g. the
-    /// property/differential test harness driving flapping timelines).
-    /// Deactivating an already-inactive flow is a no-op.
+    /// [`super::FluidSim`] does this automatically when a flow finishes
+    /// (and then retires it); direct use is for standalone solver
+    /// invocations (e.g. the property/differential test harness driving
+    /// flapping timelines), where the flow stays registered and may be
+    /// activated again. Deactivating an already-inactive or retired flow
+    /// is a no-op.
     pub fn deactivate(&mut self, f: FlowId) {
-        let was_active = self.flows[f.index()].active;
-        self.flows[f.index()].active = false;
-        self.flows[f.index()].rate = 0.0;
-        self.flows[f.index()].remaining = 0.0;
+        if let Some(s) = self.slot_of(f) {
+            self.deactivate_slot(s);
+        }
+    }
+
+    /// [`FlowNetwork::deactivate`] by slot.
+    pub(crate) fn deactivate_slot(&mut self, s: u32) {
+        let i = s as usize;
+        let was_active = self.flows[i].active;
+        self.flows[i].active = false;
+        self.flows[i].rate = 0.0;
+        self.flows[i].remaining = 0.0;
         if !was_active {
             return;
         }
-        if let Ok(pos) = self.active.binary_search(&f) {
+        if let Ok(pos) = self.active.binary_search(&s) {
             self.active.remove(pos);
         }
-        let off = self.flows[f.index()].path_off as usize;
-        let len = self.flows[f.index()].path_len as usize;
+        let off = self.flows[i].path_off as usize;
+        let len = self.flows[i].path_len as usize;
         for k in 0..len {
             let r = self.path_arena[off + k].index();
             self.active_count[r] -= 1;
             self.mark_dirty(r);
             let at = self.pos_arena[off + k] as usize;
-            debug_assert_eq!(self.incident[r][at], f, "incidence index out of sync");
+            debug_assert_eq!(self.incident[r][at], s, "incidence index out of sync");
             self.incident[r].swap_remove(at);
             if at < self.incident[r].len() {
                 // Fix up the displaced flow's position entry for `r`.
-                let moved = self.incident[r][at];
-                let moved_off = self.flows[moved.index()].path_off as usize;
-                let slot = self
-                    .path_of(moved.index())
+                let moved = self.incident[r][at] as usize;
+                let moved_off = self.flows[moved].path_off as usize;
+                let k_moved = self
+                    .path_of(moved)
                     .iter()
                     .position(|x| x.index() == r)
                     .expect("incident flow crosses the resource");
-                self.pos_arena[moved_off + slot] = at as u32;
+                self.pos_arena[moved_off + k_moved] = at as u32;
             }
         }
     }
 
-    /// Current rate of a flow in bytes/second (0 while inactive).
+    /// Deactivate the flow in slot `s` and retire it for good: it stops
+    /// counting towards the `incident` reservations and its record is
+    /// reclaimed by a later [`FlowNetwork::compact_if_due`]. Slots stay
+    /// valid until that call, so a caller can retire a whole batch
+    /// first.
+    pub(crate) fn retire(&mut self, s: u32) {
+        self.deactivate_slot(s);
+        let i = s as usize;
+        debug_assert!(!self.flows[i].retired, "flow retired twice");
+        self.flows[i].retired = true;
+        self.retired += 1;
+        let off = self.flows[i].path_off as usize;
+        for r in &self.path_arena[off..off + self.flows[i].path_len as usize] {
+            self.registered[r.index()] -= 1;
+        }
+    }
+
+    /// Reclaim retired records once they outnumber both the unretired
+    /// ones and [`COMPACT_MIN_RETIRED`]. When it compacts, every slot
+    /// held by the caller is stale.
+    pub(crate) fn compact_if_due(&mut self) {
+        if self.retired >= COMPACT_MIN_RETIRED && 2 * self.retired > self.flows.len() {
+            self.compact();
+        }
+    }
+
+    /// Order-preserving, in-place compaction: every unretired record
+    /// and its path/pos range move down over the retired ones. Active
+    /// flows' entries in `incident` are rewritten to their new slots
+    /// (their positions there are unchanged), and `active` is rebuilt
+    /// in ascending slot order — the same flows in the same order, so
+    /// every later solve is bit-identical. Allocates nothing.
+    fn compact(&mut self) {
+        let mut kept = 0usize;
+        let mut arena_len = 0usize;
+        self.active.clear();
+        for i in 0..self.flows.len() {
+            let mut flow = self.flows[i];
+            if flow.retired {
+                continue;
+            }
+            let off = flow.path_off as usize;
+            flow.path_off = arena_len as u32;
+            // Copying forward is safe: ranges only move down.
+            for k in 0..flow.path_len as usize {
+                let r = self.path_arena[off + k];
+                let pos = self.pos_arena[off + k];
+                self.path_arena[arena_len + k] = r;
+                self.pos_arena[arena_len + k] = pos;
+                if flow.active {
+                    self.incident[r.index()][pos as usize] = kept as u32;
+                }
+            }
+            if flow.active {
+                self.active.push(kept as u32);
+            }
+            arena_len += flow.path_len as usize;
+            self.flows[kept] = flow;
+            kept += 1;
+        }
+        self.flows.truncate(kept);
+        self.path_arena.truncate(arena_len);
+        self.pos_arena.truncate(arena_len);
+        self.retired = 0;
+        // The last solve's component list names pre-compaction slots.
+        self.scratch.comp_flows.clear();
+        self.touched_valid = false;
+    }
+
+    /// Current rate of a flow in bytes/second: `0.0` while inactive,
+    /// including once the flow has finished, been cancelled, or been
+    /// retired (its record reclaimed).
+    ///
+    /// # Panics
+    /// Panics if the flow was never registered with this network.
     pub fn rate(&self, f: FlowId) -> f64 {
-        self.flows[f.index()].rate
+        self.slot_of(f).map_or(0.0, |s| self.flows[s as usize].rate)
     }
 
-    /// Remaining bytes of a flow.
+    /// Remaining bytes of a flow: `0.0` once it has finished, been
+    /// cancelled, or been retired — a caller may still hold the id of a
+    /// flow whose completion it has not processed yet.
+    ///
+    /// # Panics
+    /// Panics if the flow was never registered with this network.
     pub fn remaining(&self, f: FlowId) -> f64 {
-        self.flows[f.index()].remaining
+        self.slot_of(f)
+            .map_or(0.0, |s| self.flows[s as usize].remaining)
     }
 
-    /// Whether the flow is currently active.
+    /// Whether the flow is currently active: `false` before its start,
+    /// after it finishes or is cancelled, and after retirement.
+    ///
+    /// # Panics
+    /// Panics if the flow was never registered with this network.
     pub fn is_active(&self, f: FlowId) -> bool {
-        self.flows[f.index()].active
+        self.slot_of(f)
+            .is_some_and(|s| self.flows[s as usize].active)
     }
 
-    /// The caller-provided tag of a flow.
+    /// The caller-provided tag of a flow. Valid only until the flow is
+    /// retired (when [`super::FluidSim`] reports its completion or
+    /// cancels it); the tag travels on the
+    /// [`Completion`](super::Completion) instead.
+    ///
+    /// # Panics
+    /// Panics if the flow was never registered or has been retired.
     pub fn tag(&self, f: FlowId) -> u64 {
-        self.flows[f.index()].tag
+        let s = self
+            .slot_of(f)
+            .filter(|&s| !self.flows[s as usize].retired)
+            .unwrap_or_else(|| panic!("flow {f:?} is retired"));
+        self.flows[s as usize].tag
     }
 
     /// Ids of all currently active flows, ascending, without allocating.
     pub fn active_flows(&self) -> impl Iterator<Item = FlowId> + '_ {
-        self.active.iter().copied()
+        self.active.iter().map(|&s| self.flows[s as usize].id)
     }
 
-    /// The sorted active-flow ids as a slice (hot-path form of
+    /// The sorted active-flow slots (hot-path form of
     /// [`FlowNetwork::active_flows`]).
-    pub(crate) fn active_ids(&self) -> &[FlowId] {
+    pub(crate) fn active_slots(&self) -> &[u32] {
         &self.active
+    }
+
+    /// The id of the flow in slot `s`.
+    #[inline]
+    pub(crate) fn id_at(&self, s: u32) -> FlowId {
+        self.flows[s as usize].id
+    }
+
+    /// The rate of the flow in slot `s`.
+    #[inline]
+    pub(crate) fn rate_at(&self, s: u32) -> f64 {
+        self.flows[s as usize].rate
+    }
+
+    /// The remaining bytes of the flow in slot `s`.
+    #[inline]
+    pub(crate) fn remaining_at(&self, s: u32) -> f64 {
+        self.flows[s as usize].remaining
+    }
+
+    /// The tag of the flow in slot `s`.
+    #[inline]
+    pub(crate) fn tag_at(&self, s: u32) -> u64 {
+        self.flows[s as usize].tag
+    }
+
+    /// Whether the flow in slot `s` is active.
+    #[inline]
+    pub(crate) fn is_active_at(&self, s: u32) -> bool {
+        self.flows[s as usize].active
+    }
+
+    /// Stored flow records, retired ones awaiting compaction included.
+    #[cfg(test)]
+    pub(crate) fn stored_flows(&self) -> usize {
+        self.flows.len()
     }
 
     pub(crate) fn drain(&mut self, dt_secs: f64) {
@@ -501,7 +727,7 @@ impl FlowNetwork {
         self.scratch.touched.clear();
         self.scratch.touched.resize(n_res, false);
         for pos in 0..self.active.len() {
-            let i = self.active[pos].index();
+            let i = self.active[pos] as usize;
             let moved = self.flows[i].rate * dt_secs;
             self.flows[i].remaining = (self.flows[i].remaining - moved).max(0.0);
             let off = self.flows[i].path_off as usize;
@@ -735,12 +961,12 @@ impl FlowNetwork {
             let flows_before = scratch.comp_flows.len();
             while let Some(r) = scratch.stack.pop() {
                 for &f in &self.incident[r as usize] {
-                    if scratch.flow_seen[f.index()] {
+                    if scratch.flow_seen[f as usize] {
                         continue;
                     }
-                    scratch.flow_seen[f.index()] = true;
+                    scratch.flow_seen[f as usize] = true;
                     scratch.comp_flows.push(f);
-                    for pr in self.path_of(f.index()) {
+                    for pr in self.path_of(f as usize) {
                         let pri = pr.index();
                         if !scratch.res_seen[pri] {
                             scratch.res_seen[pri] = true;
@@ -770,8 +996,8 @@ impl FlowNetwork {
         self.clear_dirty();
         // Ascending order: the solver's iteration order is its
         // floating-point accumulation order, and must match the
-        // reference solver's (flow registration / resource creation
-        // order) within the collected components.
+        // reference solver's (slot = registration order, resource
+        // creation order) within the collected components.
         scratch.comp_flows.sort_unstable();
         scratch.comp_res.sort_unstable();
         let comp_flows = std::mem::take(&mut scratch.comp_flows);
@@ -780,7 +1006,7 @@ impl FlowNetwork {
         // Clear membership marks by walking only what was collected, so
         // steady-state cost stays proportional to the dirty components.
         for &f in &comp_flows {
-            scratch.flow_seen[f.index()] = false;
+            scratch.flow_seen[f as usize] = false;
         }
         for &r in &comp_res {
             scratch.res_seen[r as usize] = false;
@@ -801,7 +1027,7 @@ impl FlowNetwork {
     /// lists instead of filtering every registered flow. Per-resource
     /// scratch entries are initialized for listed resources only; stale
     /// entries for unlisted resources are never read.
-    fn solve_subset(&mut self, flows: &[FlowId], resources: &[u32], scratch: &mut SolverScratch) {
+    fn solve_subset(&mut self, flows: &[u32], resources: &[u32], scratch: &mut SolverScratch) {
         let n_res = self.resources.len();
         if scratch.depth.len() < n_res {
             scratch.depth.resize(n_res, 0.0);
@@ -819,8 +1045,8 @@ impl FlowNetwork {
             scratch.unfrozen[r as usize] = 0;
         }
         for &f in flows {
-            let w = self.flows[f.index()].depth_weight;
-            for r in self.path_of(f.index()) {
+            let w = self.flows[f as usize].depth_weight;
+            for r in self.path_of(f as usize) {
                 scratch.depth[r.index()] += w;
                 scratch.unfrozen[r.index()] += 1;
             }
@@ -836,7 +1062,7 @@ impl FlowNetwork {
         let mut n_unfrozen = flows.len();
 
         for &f in flows {
-            self.flows[f.index()].rate = 0.0;
+            self.flows[f as usize].rate = 0.0;
         }
 
         while n_unfrozen > 0 {
@@ -865,7 +1091,7 @@ impl FlowNetwork {
                 if scratch.frozen[pos] {
                     continue;
                 }
-                let i = f.index();
+                let i = *f as usize;
                 if self.path_of(i).iter().any(|r| r.index() == bottleneck) {
                     scratch.frozen[pos] = true;
                     froze_any = true;
@@ -888,7 +1114,9 @@ impl FlowNetwork {
 
     /// The pre-incremental solver, kept verbatim as the executable
     /// specification: a full progressive-filling solve that allocates its
-    /// work buffers fresh and scans every registered flow. The property
+    /// work buffers fresh and scans every stored flow record (retired
+    /// records awaiting compaction are inactive and filtered out, like
+    /// any other inactive flow). The property
     /// and differential suites (`tests/solver_properties.rs`) and the
     /// `flow_hotpath` bench compare [`FlowNetwork::recompute_rates`]
     /// against this on randomized networks and event sequences; it is
@@ -972,8 +1200,8 @@ impl FlowNetwork {
         for v in out.iter_mut() {
             *v = 0.0;
         }
-        for &id in &self.active {
-            let f = &self.flows[id.index()];
+        for &s in &self.active {
+            let f = &self.flows[s as usize];
             let off = f.path_off as usize;
             for r in &self.path_arena[off..off + f.path_len as usize] {
                 out[r.index()] += f.rate;
@@ -994,8 +1222,8 @@ impl FlowNetwork {
         for &r in touched {
             out[r as usize] = 0.0;
         }
-        for &id in &self.scratch.comp_flows {
-            let f = &self.flows[id.index()];
+        for &s in &self.scratch.comp_flows {
+            let f = &self.flows[s as usize];
             let off = f.path_off as usize;
             for r in &self.path_arena[off..off + f.path_len as usize] {
                 out[r.index()] += f.rate;
@@ -1009,9 +1237,7 @@ impl FlowNetwork {
     /// would otherwise re-grow from empty in every rep. The network must
     /// not be solved again after this.
     #[allow(clippy::type_complexity)]
-    pub(crate) fn take_recycled(
-        &mut self,
-    ) -> (SolverScratch, Vec<FlowId>, Vec<u32>, Vec<Vec<FlowId>>) {
+    pub(crate) fn take_recycled(&mut self) -> (SolverScratch, Vec<u32>, Vec<u32>, Vec<Vec<u32>>) {
         (
             std::mem::take(&mut self.scratch),
             std::mem::take(&mut self.active),
@@ -1027,9 +1253,9 @@ impl FlowNetwork {
     pub(crate) fn install_recycled(
         &mut self,
         scratch: SolverScratch,
-        mut active: Vec<FlowId>,
+        mut active: Vec<u32>,
         mut dirty: Vec<u32>,
-        mut incident: Vec<Vec<FlowId>>,
+        mut incident: Vec<Vec<u32>>,
     ) {
         self.scratch = scratch;
         active.clear();
@@ -1055,16 +1281,15 @@ impl FlowNetwork {
 
     /// Sum of active-flow rates through a resource (diagnostics/tests).
     ///
-    /// Walks the sorted active set, not the whole flow arena: long
-    /// sessions retire flows by the hundred thousand, and a per-eval
-    /// read that scanned them all would turn the adaptive feedback loop
-    /// quadratic in session length. Ascending-id iteration keeps the
-    /// summation order (hence the float result) bit-identical to the
-    /// full scan it replaces.
+    /// Walks the sorted active set, not every stored record: the
+    /// adaptive feedback loop reads this per evaluation, and must stay
+    /// O(active flows). Ascending-slot (= ascending-id) iteration keeps
+    /// the summation order (hence the float result) bit-identical to a
+    /// full scan.
     pub fn resource_load(&self, r: ResourceId) -> f64 {
         self.active
             .iter()
-            .map(|f| f.index())
+            .map(|&s| s as usize)
             .filter(|&i| self.path_of(i).contains(&r))
             .map(|i| self.flows[i].rate)
             .sum()
@@ -1076,7 +1301,7 @@ impl FlowNetwork {
         let q: f64 = self
             .active
             .iter()
-            .map(|f| f.index())
+            .map(|&s| s as usize)
             .filter(|&i| self.path_of(i).contains(&r))
             .map(|i| self.flows[i].depth_weight)
             .sum();
@@ -1458,6 +1683,189 @@ mod weight_tests {
         let mut net = FlowNetwork::new();
         let l = net.add_resource("link", CapacityModel::Fixed(100.0));
         let _ = net.add_flow_weighted(vec![l], 1.0, 0, 0.0);
+    }
+}
+
+#[cfg(test)]
+mod retirement_tests {
+    use super::*;
+
+    fn link(net: &mut FlowNetwork, c: f64) -> ResourceId {
+        net.add_resource("link", CapacityModel::Fixed(c))
+    }
+
+    /// Register, activate and retire `n` one-resource flows.
+    fn churn(net: &mut FlowNetwork, r: ResourceId, n: usize) {
+        for i in 0..n {
+            let f = net.add_flow(vec![r], 1.0, 1000 + i as u64);
+            net.activate(f);
+            net.retire(net.slot_of(f).unwrap());
+        }
+    }
+
+    #[test]
+    fn retired_ids_read_as_finished_before_and_after_compaction() {
+        let mut net = FlowNetwork::new();
+        let r = link(&mut net, 100.0);
+        let keep = net.add_flow(vec![r], 1000.0, 7);
+        let gone = net.add_flow(vec![r], 1000.0, 8);
+        net.activate(keep);
+        net.activate(gone);
+        net.recompute_rates();
+        assert_eq!(net.rate(gone), 50.0);
+
+        net.retire(net.slot_of(gone).unwrap());
+        net.compact_if_due();
+        assert_eq!(
+            net.stored_flows(),
+            2,
+            "one retirement is not worth a compaction"
+        );
+        assert!(!net.is_active(gone));
+        assert_eq!(net.remaining(gone), 0.0);
+        assert_eq!(net.rate(gone), 0.0);
+
+        churn(&mut net, r, COMPACT_MIN_RETIRED);
+        net.compact_if_due();
+        assert_eq!(net.stored_flows(), 1, "every retired record is reclaimed");
+        assert_eq!(net.slot_of(gone), None);
+        assert!(!net.is_active(gone));
+        assert_eq!(net.remaining(gone), 0.0);
+        assert_eq!(net.rate(gone), 0.0);
+        net.deactivate(gone); // a no-op, like any inactive flow
+
+        // The survivor keeps its id, tag and solver membership.
+        assert_eq!(net.tag(keep), 7);
+        assert_eq!(net.active_flows().collect::<Vec<_>>(), vec![keep]);
+        net.recompute_rates();
+        assert_eq!(net.rate(keep), 100.0);
+        assert_eq!(net.remaining(keep), 1000.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "is retired")]
+    fn tag_of_a_retired_flow_panics() {
+        let mut net = FlowNetwork::new();
+        let r = link(&mut net, 100.0);
+        let f = net.add_flow(vec![r], 1.0, 3);
+        net.activate(f);
+        net.retire(net.slot_of(f).unwrap());
+        let _ = net.tag(f);
+    }
+
+    #[test]
+    #[should_panic(expected = "is retired")]
+    fn activating_a_retired_flow_panics() {
+        let mut net = FlowNetwork::new();
+        let r = link(&mut net, 100.0);
+        let f = net.add_flow(vec![r], 1.0, 3);
+        net.activate(f);
+        net.retire(net.slot_of(f).unwrap());
+        churn(&mut net, r, COMPACT_MIN_RETIRED);
+        net.compact_if_due();
+        net.activate(f);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown flow")]
+    fn an_unregistered_id_panics() {
+        let mut net = FlowNetwork::new();
+        let r = link(&mut net, 100.0);
+        let _ = net.add_flow(vec![r], 1.0, 0);
+        let _ = net.is_active(FlowId(1));
+    }
+
+    #[test]
+    fn registered_counts_only_unretired_flows() {
+        let mut net = FlowNetwork::new();
+        let a = link(&mut net, 100.0);
+        let b = link(&mut net, 100.0);
+        let f = net.add_flow(vec![a, b], 1.0, 0);
+        let _pending = net.add_flow(vec![b], 1.0, 1);
+        assert_eq!(net.registered, vec![1, 2]);
+        net.activate(f);
+        net.retire(net.slot_of(f).unwrap());
+        assert_eq!(net.registered, vec![0, 1]);
+    }
+
+    /// Compaction in the middle of a session — retired records before,
+    /// between and after live ones, active flows on shared resources —
+    /// leaves every later solve bit-identical to a twin network whose
+    /// flows are only deactivated, never retired.
+    #[test]
+    fn compaction_keeps_rates_bit_identical_to_an_uncompacted_twin() {
+        let mut compacted = FlowNetwork::new();
+        let res: Vec<ResourceId> = (0..5)
+            .map(|i| {
+                let model = if i % 2 == 0 {
+                    CapacityModel::Fixed(50.0 + 17.0 * i as f64)
+                } else {
+                    CapacityModel::Saturating {
+                        peak: 300.0,
+                        q_half: 1.5,
+                    }
+                };
+                compacted.add_resource(format!("r{i}"), model)
+            })
+            .collect();
+        let mut twin = compacted.clone();
+        let mut ids = Vec::new();
+        let mut compactions = 0;
+        for step in 0..3000usize {
+            let path = vec![res[step % 5], res[(step * 3 + 1) % 5]];
+            let path = if path[0] == path[1] {
+                vec![path[0]]
+            } else {
+                path
+            };
+            let w = 0.5 + (step % 3) as f64;
+            let bytes = 10.0 + step as f64;
+            let f = compacted.add_flow_weighted(path.clone(), bytes, step as u64, w);
+            assert_eq!(f, twin.add_flow_weighted(path, bytes, step as u64, w));
+            ids.push(f);
+            compacted.activate(f);
+            twin.activate(f);
+            // Long-lived flows (every 61st) stay; the rest retire a few
+            // steps after they start, neighbours in swapped order.
+            if step >= 4 {
+                let old = ids[if step % 2 == 0 { step - 2 } else { step - 4 }];
+                if old.index() % 61 != 0 {
+                    let stored = compacted.stored_flows();
+                    compacted.retire(compacted.slot_of(old).unwrap());
+                    compacted.compact_if_due();
+                    if compacted.stored_flows() < stored {
+                        compactions += 1;
+                    }
+                    twin.deactivate(old);
+                }
+            }
+            if step % 5 == 0 {
+                let r = res[step % 5];
+                let factor = 0.25 + (step % 4) as f64 * 0.3;
+                compacted.set_factor(r, factor);
+                twin.set_factor(r, factor);
+            }
+            compacted.recompute_rates();
+            twin.recompute_rates();
+            assert!(compacted.active_flows().eq(twin.active_flows()));
+            // Every id, retired ones included, now and then; the
+            // active ones after every step.
+            let check: Vec<FlowId> = if step % 97 == 0 {
+                ids.clone()
+            } else {
+                twin.active_flows().collect()
+            };
+            for f in check {
+                assert_eq!(
+                    compacted.rate(f).to_bits(),
+                    twin.rate(f).to_bits(),
+                    "step {step}: flow {f:?} diverged"
+                );
+                assert_eq!(compacted.is_active(f), twin.is_active(f));
+            }
+        }
+        assert!(compactions >= 2, "only {compactions} compactions ran");
+        assert!(compacted.stored_flows() < 2 * compacted.active.len() + COMPACT_MIN_RETIRED);
     }
 }
 

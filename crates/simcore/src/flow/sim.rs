@@ -75,10 +75,10 @@ pub struct SimArena {
     ready: VecDeque<Completion>,
     last_loads: Vec<f64>,
     scratch_loads: Vec<f64>,
-    finished: Vec<FlowId>,
-    net_active: Vec<FlowId>,
+    finished: Vec<u32>,
+    net_active: Vec<u32>,
     net_dirty: Vec<u32>,
-    net_incident: Vec<Vec<FlowId>>,
+    net_incident: Vec<Vec<u32>>,
     /// Times this arena has seeded a sim ([`FluidSim::with_arena`]).
     uses: u64,
 }
@@ -150,9 +150,10 @@ pub struct FluidSim<'r> {
     last_loads: Vec<f64>,
     /// Scratch buffer for the per-recompute load snapshot.
     scratch_loads: Vec<f64>,
-    /// Scratch list of flows that drained this step, so finishing them
-    /// (which edits the network's active list) never iterates it.
-    scratch_finished: Vec<FlowId>,
+    /// Scratch list of the slots of flows that drained this step, so
+    /// finishing them (which edits the network's active list) never
+    /// iterates it.
+    scratch_finished: Vec<u32>,
     /// Solve through [`FlowNetwork::reference_recompute_rates`] instead
     /// of the incremental solver (differential tests and benches).
     use_reference_solver: bool,
@@ -516,40 +517,19 @@ impl<'r> FluidSim<'r> {
                 return Ok(Some(c));
             }
 
-            if self.net.active_ids().is_empty() && self.queue.is_empty() {
+            if self.net.active_slots().is_empty() && self.queue.is_empty() {
                 return Ok(None);
             }
 
             self.ensure_rates();
 
-            // Zero-size flows that are already due. Collect first:
-            // finishing a flow edits the active list being scanned.
-            let mut finished = std::mem::take(&mut self.scratch_finished);
-            finished.clear();
-            for &f in self.net.active_ids() {
-                if self.net.remaining(f) <= EPS_BYTES {
-                    finished.push(f);
-                }
-            }
-            let completed_now = !finished.is_empty();
-            for &f in &finished {
-                self.finish(f);
-            }
-            finished.clear();
-            self.scratch_finished = finished;
-            if completed_now {
+            // Zero-size flows that are already due.
+            if self.finish_drained(false) {
                 continue;
             }
 
             // Earliest completion among active flows.
-            let mut min_dt = f64::INFINITY;
-            for &f in self.net.active_ids() {
-                let rate = self.net.rate(f);
-                if rate > 0.0 {
-                    min_dt = min_dt.min(self.net.remaining(f) / rate);
-                }
-            }
-
+            let min_dt = self.min_time_to_completion();
             let next_start = self.queue.peek_time();
 
             if min_dt.is_infinite() {
@@ -563,12 +543,13 @@ impl<'r> FluidSim<'r> {
                         continue;
                     }
                     None => {
-                        if self.net.active_ids().is_empty() {
+                        if self.net.active_slots().is_empty() {
                             continue; // only start events existed; loop re-checks
                         }
                         // Cold path: allocating the error payload is fine.
-                        let flows = self.net.active_ids().to_vec();
-                        let tags = flows.iter().map(|&f| self.net.tag(f)).collect();
+                        let slots = self.net.active_slots();
+                        let flows = slots.iter().map(|&s| self.net.id_at(s)).collect();
+                        let tags = slots.iter().map(|&s| self.net.tag_at(s)).collect();
                         return Err(StallError {
                             at: self.now,
                             flows,
@@ -590,24 +571,7 @@ impl<'r> FluidSim<'r> {
                 }
                 _ => {
                     self.advance_to(completion_time);
-                    // Collect everything that drained. Ties must complete
-                    // together: the nanosecond quantization of the event
-                    // time leaves residues of up to rate x 1ns on flows
-                    // that finish at the same true instant, so the
-                    // completion tolerance scales with the flow's rate.
-                    let mut finished = std::mem::take(&mut self.scratch_finished);
-                    finished.clear();
-                    for &f in self.net.active_ids() {
-                        let tolerance = self.net.rate(f) * 4e-9 + EPS_BYTES;
-                        if self.net.remaining(f) <= tolerance {
-                            finished.push(f);
-                        }
-                    }
-                    for &f in &finished {
-                        self.finish(f);
-                    }
-                    finished.clear();
-                    self.scratch_finished = finished;
+                    self.finish_drained(true);
                     debug_assert!(
                         !self.ready.is_empty(),
                         "advanced to completion time but nothing finished"
@@ -665,34 +629,14 @@ impl<'r> FluidSim<'r> {
 
             self.ensure_rates();
 
-            // Zero-size flows that are already due (see
-            // `try_next_completion` for why we collect first).
-            let mut finished = std::mem::take(&mut self.scratch_finished);
-            finished.clear();
-            for &f in self.net.active_ids() {
-                if self.net.remaining(f) <= EPS_BYTES {
-                    finished.push(f);
-                }
-            }
-            let completed_now = !finished.is_empty();
-            for &f in &finished {
-                self.finish(f);
-            }
-            finished.clear();
-            self.scratch_finished = finished;
-            if completed_now {
+            // Zero-size flows that are already due.
+            if self.finish_drained(false) {
                 continue;
             }
 
             // Earliest completion among active flows, nanosecond-quantized
             // upward exactly as in `try_next_completion`.
-            let mut min_dt = f64::INFINITY;
-            for &f in self.net.active_ids() {
-                let rate = self.net.rate(f);
-                if rate > 0.0 {
-                    min_dt = min_dt.min(self.net.remaining(f) / rate);
-                }
-            }
+            let min_dt = self.min_time_to_completion();
             let completion_time = if min_dt.is_finite() {
                 Some(self.now + SimDuration::from_nanos((min_dt * 1e9).ceil().max(1.0) as u64))
             } else {
@@ -712,19 +656,7 @@ impl<'r> FluidSim<'r> {
                 // finish every flow within the quantization tolerance.
                 (_, Some(c)) if c <= t => {
                     self.advance_to(c);
-                    let mut finished = std::mem::take(&mut self.scratch_finished);
-                    finished.clear();
-                    for &f in self.net.active_ids() {
-                        let tolerance = self.net.rate(f) * 4e-9 + EPS_BYTES;
-                        if self.net.remaining(f) <= tolerance {
-                            finished.push(f);
-                        }
-                    }
-                    for &f in &finished {
-                        self.finish(f);
-                    }
-                    finished.clear();
-                    self.scratch_finished = finished;
+                    self.finish_drained(true);
                     debug_assert!(
                         !self.ready.is_empty(),
                         "advanced to completion time but nothing finished"
@@ -755,16 +687,21 @@ impl<'r> FluidSim<'r> {
     /// stalled flows of an evicted target, then start replacement flows
     /// for the remaining bytes on the new placement.
     ///
+    /// The flow is retired, like a finished one: afterwards the
+    /// network reports it inactive with zero rate and remaining bytes.
+    ///
     /// # Panics
     /// Panics if the flow is not currently active (finished, cancelled,
     /// or not yet started).
     pub fn cancel_flow(&mut self, f: FlowId) -> f64 {
-        assert!(
-            self.net.is_active(f),
-            "cancel_flow: flow {f:?} is not active"
-        );
-        let left = self.net.remaining(f);
-        self.net.deactivate(f);
+        let s = self
+            .net
+            .slot_of(f)
+            .filter(|&s| self.net.is_active_at(s))
+            .unwrap_or_else(|| panic!("cancel_flow: flow {f:?} is not active"));
+        let left = self.net.remaining_at(s);
+        self.net.retire(s);
+        self.net.compact_if_due();
         self.rates_dirty = true;
         self.events_processed.inc();
         left
@@ -784,15 +721,18 @@ impl<'r> FluidSim<'r> {
             self.events_processed.inc();
             match ev {
                 Event::Start(f) => {
+                    // Pending flows are never retired (only active ones
+                    // finish or are cancelled), so the record is stored.
+                    let s = self.net.slot_of(f).expect("pending flow is stored");
                     if let Some(rec) = self.recorder.as_deref_mut() {
                         rec.record(ObsEvent::FlowStart {
                             at: t.as_nanos(),
                             flow: f.index() as u32,
-                            tag: self.net.tag(f),
-                            bytes: self.net.remaining(f),
+                            tag: self.net.tag_at(s),
+                            bytes: self.net.remaining_at(s),
                         });
                     }
-                    self.net.activate(f);
+                    self.net.activate_slot(s);
                 }
                 Event::SetFactor(r, factor) => {
                     self.net.set_factor(r, factor);
@@ -809,20 +749,73 @@ impl<'r> FluidSim<'r> {
         }
     }
 
-    fn finish(&mut self, f: FlowId) {
-        let tag = self.net.tag(f);
-        self.net.deactivate(f);
+    /// Earliest time (seconds from now) at which an active flow drains
+    /// at its current rate; infinite when no active flow is moving.
+    fn min_time_to_completion(&self) -> f64 {
+        let mut min_dt = f64::INFINITY;
+        for &s in self.net.active_slots() {
+            let rate = self.net.rate_at(s);
+            if rate > 0.0 {
+                min_dt = min_dt.min(self.net.remaining_at(s) / rate);
+            }
+        }
+        min_dt
+    }
+
+    /// Finish every active flow that has drained and return whether any
+    /// did. Without `quantized`, a flow has drained at `EPS_BYTES`.
+    /// With it — right after advancing to a computed completion instant
+    /// — ties must complete together: the nanosecond quantization of
+    /// the event time leaves residues of up to rate x 1ns on flows that
+    /// finish at the same true instant, so the tolerance scales with
+    /// the flow's rate.
+    ///
+    /// Slots are collected first (finishing edits the active list being
+    /// scanned) and retired as a batch; compaction, which moves slots,
+    /// runs only once the batch is done.
+    fn finish_drained(&mut self, quantized: bool) -> bool {
+        let mut finished = std::mem::take(&mut self.scratch_finished);
+        finished.clear();
+        for &s in self.net.active_slots() {
+            let tolerance = if quantized {
+                self.net.rate_at(s) * 4e-9 + EPS_BYTES
+            } else {
+                EPS_BYTES
+            };
+            if self.net.remaining_at(s) <= tolerance {
+                finished.push(s);
+            }
+        }
+        let any = !finished.is_empty();
+        for &s in &finished {
+            self.finish(s);
+        }
+        finished.clear();
+        self.scratch_finished = finished;
+        if any {
+            self.net.compact_if_due();
+        }
+        any
+    }
+
+    /// Complete the flow in slot `s`: retire it, trace it, and queue
+    /// its [`Completion`]. The slot stays valid until the caller's
+    /// [`FlowNetwork::compact_if_due`].
+    fn finish(&mut self, s: u32) {
+        let flow = self.net.id_at(s);
+        let tag = self.net.tag_at(s);
+        self.net.retire(s);
         self.rates_dirty = true;
         self.events_processed.inc();
         if let Some(rec) = self.recorder.as_deref_mut() {
             rec.record(ObsEvent::FlowEnd {
                 at: self.now.as_nanos(),
-                flow: f.index() as u32,
+                flow: flow.index() as u32,
                 tag,
             });
         }
         let done = Completion {
-            flow: f,
+            flow,
             time: self.now,
             tag,
         };
@@ -891,7 +884,7 @@ impl<'r> FluidSim<'r> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::network::CapacityModel;
+    use crate::flow::network::{CapacityModel, COMPACT_MIN_RETIRED};
 
     fn fixed(c: f64) -> CapacityModel {
         CapacityModel::Fixed(c)
@@ -1185,7 +1178,7 @@ mod tests {
         assert!(!sim.run_until(SimTime::from_secs_f64(4.0)));
         assert_eq!(sim.now(), SimTime::from_secs_f64(4.0));
         // 400 of 1000 bytes drained by t=4.
-        let f = sim.network().active_ids()[0];
+        let f = sim.network().active_flows().next().unwrap();
         assert!((sim.network().remaining(f) - 600.0).abs() < 1e-6);
         // The rest completes at t=10 as if we had never paused.
         assert!(sim.run_until(SimTime::from_secs_f64(30.0)));
@@ -1231,7 +1224,7 @@ mod tests {
         sim.schedule_factor_change(SimTime::from_secs_f64(2.0), r, 0.5);
         // By t=6: 2s at 100 B/s + 4s at 50 B/s = 400 B drained.
         assert!(!sim.run_until(SimTime::from_secs_f64(6.0)));
-        let f = sim.network().active_ids()[0];
+        let f = sim.network().active_flows().next().unwrap();
         assert!((sim.network().remaining(f) - 600.0).abs() < 1e-6);
         // Remaining 600 B at 50 B/s finish at t = 6 + 12 = 18.
         assert!(sim.run_until(SimTime::from_secs_f64(100.0)));
@@ -1255,6 +1248,66 @@ mod tests {
         assert_eq!(c.tag, 2);
         assert_eq!(c.time, SimTime::from_secs_f64(12.0));
         assert!(sim.next_completion().is_none());
+    }
+
+    #[test]
+    fn finished_and_cancelled_ids_stay_readable_after_retirement() {
+        // The online engine reads flows whose completion is still
+        // queued: a retired id must read as finished, before and after
+        // compaction has reclaimed its record.
+        let mut net = FlowNetwork::new();
+        let r = net.add_resource("link", fixed(100.0));
+        let mut sim = FluidSim::new(net);
+        let done = sim.start_flow_at(SimTime::ZERO, vec![r], 100.0, 1);
+        let cancelled = sim.start_flow_at(SimTime::ZERO, vec![r], 1e9, 2);
+        assert!(sim.run_until(SimTime::from_secs_f64(10.0)));
+        assert_eq!(sim.network().tag(cancelled), 2);
+        sim.cancel_flow(cancelled);
+        let check = |sim: &mut FluidSim<'_>| {
+            for f in [done, cancelled] {
+                assert!(!sim.network().is_active(f));
+                assert_eq!(sim.network().remaining(f), 0.0);
+                assert_eq!(sim.network().rate(f), 0.0);
+                assert_eq!(sim.flow_rate(f), 0.0);
+            }
+        };
+        check(&mut sim);
+        assert_eq!(sim.pop_ready().map(|c| (c.flow, c.tag)), Some((done, 1)));
+        for i in 0..4 * COMPACT_MIN_RETIRED as u64 {
+            let now = sim.now();
+            sim.start_flow_at(now, vec![r], 1.0, 10 + i);
+            assert!(sim.run_until(SimTime::MAX));
+            assert_eq!(sim.pop_ready().unwrap().tag, 10 + i);
+        }
+        assert!(sim.network().stored_flows() < COMPACT_MIN_RETIRED);
+        check(&mut sim);
+    }
+
+    #[test]
+    fn a_long_lived_flow_does_not_pin_storage() {
+        // One flow stays active while 10^5 short flows come and go on
+        // another resource. Storage must follow the live and pending
+        // flows: the long flow is the oldest record, so reclaiming only
+        // a prefix of the retired records would keep all of them.
+        let mut net = FlowNetwork::new();
+        let slow = net.add_resource("slow", fixed(1.0));
+        let fast = net.add_resource("fast", fixed(1e6));
+        let mut sim = FluidSim::new(net);
+        let long = sim.start_flow_at(SimTime::ZERO, vec![slow], 1e6, 0);
+        let bound = 2 * 2 + COMPACT_MIN_RETIRED;
+        for i in 1..=100_000u64 {
+            let now = sim.now();
+            sim.start_flow_at(now, vec![fast], 10.0, i);
+            assert!(sim.run_until(SimTime::MAX));
+            let c = sim.pop_ready().unwrap();
+            assert_eq!((c.tag, c.flow.index() as u64), (i, i));
+            // Live: the long flow; pending: the next short one.
+            let stored = sim.network().stored_flows();
+            assert!(stored <= bound, "{stored} records stored after {i} flows");
+        }
+        assert!(sim.network().is_active(long));
+        assert_eq!(sim.network().tag(long), 0);
+        assert!(sim.network().remaining(long) < 1e6);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! [`SimArena`]. The first wave warms every buffer (event heap, solver
 //! scratch, active list, dirty set, completion queue); the second wave's
 //! event loop — solves, drains, activations, completions, scheduled
-//! factor changes — must perform **zero** heap allocations.
+//! factor changes, and the compaction that reclaims retired flow
+//! records — must perform **zero** heap allocations.
 //!
 //! Network *construction* (resources, flow registration, path vectors)
 //! allocates by design and sits outside the measured window; the claim
@@ -66,10 +67,10 @@ fn allocations() -> u64 {
     THREAD_ALLOCATIONS.with(Cell::get)
 }
 
-/// Build the workload, then run its event loop to completion, returning
-/// the number of heap allocations performed *by the loop* (setup and
-/// registration excluded).
-fn run_wave(arena: &mut SimArena) -> u64 {
+/// Build a workload of `flows` flows, then run its event loop to
+/// completion, returning the number of heap allocations performed *by
+/// the loop* (setup and registration excluded).
+fn run_wave(arena: &mut SimArena, flows: u64) -> u64 {
     // A small cluster: two shared links feeding four saturating targets,
     // with staggered flow arrivals and a mid-run factor dip + restore so
     // the measured window covers every steady-state code path — solver,
@@ -93,7 +94,7 @@ fn run_wave(arena: &mut SimArena) -> u64 {
         .collect();
 
     let mut sim = FluidSim::with_arena(net, arena);
-    for i in 0..64u64 {
+    for i in 0..flows {
         let path = vec![links[(i % 2) as usize], targets[(i % 4) as usize]];
         let start = SimTime::from_secs_f64((i % 7) as f64 * 0.25);
         sim.start_flow_at(start, path, 500.0 + (i * 37 % 211) as f64, i);
@@ -114,8 +115,8 @@ fn run_wave(arena: &mut SimArena) -> u64 {
 fn second_wave_event_loop_is_allocation_free() {
     let mut arena = SimArena::new();
 
-    let cold = run_wave(&mut arena);
-    let warm = run_wave(&mut arena);
+    let cold = run_wave(&mut arena, 64);
+    let warm = run_wave(&mut arena, 64);
 
     assert!(
         cold > 0,
@@ -124,5 +125,21 @@ fn second_wave_event_loop_is_allocation_free() {
     assert_eq!(
         warm, 0,
         "steady-state event loop allocated {warm} times with warm buffers"
+    );
+}
+
+#[test]
+fn compaction_inside_the_event_loop_is_allocation_free() {
+    // 2,560 flows, all registered before the measured window, finishing
+    // in small batches: retired records outnumber the unretired ones
+    // (and the 1,024-record compaction floor) once about 1,281 have
+    // finished, so the network compacts its flow records and path
+    // arena inside the window — by moving records down in place.
+    let mut arena = SimArena::new();
+    run_wave(&mut arena, 2560);
+    let warm = run_wave(&mut arena, 2560);
+    assert_eq!(
+        warm, 0,
+        "event loop with retired-flow compaction allocated {warm} times"
     );
 }

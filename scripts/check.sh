@@ -44,7 +44,7 @@ cargo bench --locked -p bench --bench flow_hotpath
 echo "==> fleet-scale solver bench (writes BENCH_flow_scale.json; fails on <5x sharded speedup at 200k flows or >30% regression vs committed baseline)"
 cargo bench --locked -p bench --bench flow_scale
 
-echo "==> online-engine scaling bench (writes BENCH_sched_scale.json; fails on <10x online-vs-frozen speedup at 1e4 arrivals, >2x work-per-admission growth to 1e6, >1.5x adaptive-feedback overhead, or throughput collapse)"
+echo "==> online-engine scaling bench (writes BENCH_sched_scale.json; fails on <10x online-vs-frozen speedup at 1e4 arrivals, >2x work-per-admission growth to 1e6, >1.5x adaptive-feedback overhead, peak RSS above 1024 MiB after the 1e6 rung, or throughput collapse)"
 cargo bench --locked -p bench --bench sched_scale
 
 echo "==> interference smoke cell (1 rep, 50 apps on the 100x10 FleetSpec fleet: packed vs spread vs random)"

@@ -507,3 +507,170 @@ proptest! {
         }
     }
 }
+
+/// One step of a [`FluidSim`]-level session (resource indices and the
+/// cancel pick are taken modulo the actual counts at drive time).
+#[derive(Debug, Clone)]
+enum SimOp {
+    /// Register a flow over `path`, starting `delay_s` from now.
+    Start {
+        delay_s: f64,
+        path: Vec<usize>,
+        bytes: f64,
+        weight: f64,
+    },
+    /// Schedule a speed-factor change `delay_s` from now — 0.0 kills
+    /// the resource until a later change restores it.
+    Factor { delay_s: f64, r: usize, factor: f64 },
+    /// Cancel the `k`-th active flow (no-op when none is active).
+    Cancel(usize),
+    /// Run `dt_s` past now, collecting every completion on the way.
+    Advance(f64),
+}
+
+fn sim_start_strategy() -> impl Strategy<Value = SimOp> {
+    (
+        prop_oneof![Just(0.0f64), Just(0.0f64), Just(0.0f64), 0.0f64..2.0],
+        prop::collection::vec(0usize..8, 1..4),
+        // Mostly short flows, some long-lived ones that stay active
+        // while the short ones around them retire.
+        prop_oneof![
+            1.0f64..500.0,
+            1.0f64..500.0,
+            1.0f64..500.0,
+            1.0f64..500.0,
+            1e5f64..1e6
+        ],
+        prop_oneof![Just(1.0f64), 0.25f64..4.0],
+    )
+        .prop_map(|(delay_s, path, bytes, weight)| SimOp::Start {
+            delay_s,
+            path,
+            bytes,
+            weight,
+        })
+}
+
+fn sim_advance_strategy() -> impl Strategy<Value = SimOp> {
+    (0.0f64..30.0).prop_map(SimOp::Advance)
+}
+
+/// Starts, advances, factor changes and cancels in a 6:3:1:1 mix (the
+/// vendored `prop_oneof!` is uniform, so weights are repetitions).
+fn sim_op_strategy() -> impl Strategy<Value = SimOp> {
+    prop_oneof![
+        sim_start_strategy(),
+        sim_start_strategy(),
+        sim_start_strategy(),
+        sim_start_strategy(),
+        sim_start_strategy(),
+        sim_start_strategy(),
+        sim_advance_strategy(),
+        sim_advance_strategy(),
+        sim_advance_strategy(),
+        (
+            0.0f64..3.0,
+            0usize..8,
+            prop_oneof![Just(0.0f64), Just(1.0f64), 0.05f64..2.0]
+        )
+            .prop_map(|(delay_s, r, factor)| SimOp::Factor { delay_s, r, factor }),
+        (0usize..64).prop_map(SimOp::Cancel),
+    ]
+}
+
+/// Everything a driven session exposes, as exact bit patterns: the
+/// completion stream `(flow, time ns, tag)`, then the bytes each cancel
+/// returned and every active flow's remaining bytes after each advance.
+type SimTrace = (Vec<(usize, u64, u64)>, Vec<(usize, u64)>);
+
+/// Run `ops` through a fresh [`FluidSim`] on `resources`, optionally
+/// routing every solve through the reference solver.
+fn drive_sim(resources: &[(f64, Option<f64>, f64)], ops: &[SimOp], reference: bool) -> SimTrace {
+    use beegfs_repro::simcore::flow::FluidSim;
+    use beegfs_repro::simcore::{SimDuration, SimTime};
+
+    fn run_to(sim: &mut FluidSim<'_>, horizon: SimTime, done: &mut Vec<(usize, u64, u64)>) {
+        while sim.run_until(horizon) {
+            while let Some(c) = sim.pop_ready() {
+                done.push((c.flow.index(), c.time.as_nanos(), c.tag));
+            }
+        }
+    }
+
+    let scn = Scenario {
+        resources: resources.to_vec(),
+        flows: Vec::new(),
+    };
+    let (net, rids) = build(&scn);
+    let mut sim = FluidSim::new(net);
+    sim.set_reference_solver(reference);
+    let (mut done, mut bytes) = (Vec::new(), Vec::new());
+    for (i, op) in ops.iter().enumerate() {
+        let now = sim.now();
+        match op {
+            SimOp::Start {
+                delay_s,
+                path,
+                bytes: size,
+                weight,
+            } => {
+                let distinct: std::collections::BTreeSet<usize> =
+                    path.iter().map(|&r| r % rids.len()).collect();
+                sim.start_weighted_flow_at(
+                    now + SimDuration::from_secs_f64(*delay_s),
+                    distinct.into_iter().map(|r| rids[r]).collect(),
+                    *size,
+                    i as u64,
+                    *weight,
+                );
+            }
+            SimOp::Factor { delay_s, r, factor } => sim.schedule_factor_change(
+                now + SimDuration::from_secs_f64(*delay_s),
+                rids[r % rids.len()],
+                *factor,
+            ),
+            SimOp::Cancel(k) => {
+                let active: Vec<_> = sim.network().active_flows().collect();
+                if !active.is_empty() {
+                    let f = active[k % active.len()];
+                    bytes.push((f.index(), sim.cancel_flow(f).to_bits()));
+                }
+            }
+            SimOp::Advance(dt_s) => {
+                run_to(&mut sim, now + SimDuration::from_secs_f64(*dt_s), &mut done);
+                for f in sim.network().active_flows() {
+                    bytes.push((f.index(), sim.network().remaining(f).to_bits()));
+                }
+            }
+        }
+    }
+    // Drain: every flow not held by a dead resource finishes.
+    let end = sim.now() + SimDuration::from_secs_f64(1e7);
+    run_to(&mut sim, end, &mut done);
+    (done, bytes)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Differential test through the event loop: random flow starts,
+    /// scheduled factor changes (including dead-then-restored
+    /// resources) and mid-flight cancels, driven with `run_until` and
+    /// `pop_ready`, must produce bit-identical completion streams and
+    /// remaining bytes under the incremental solver and the reference
+    /// solver. Sessions start 1,400–1,900 flows and retire most of
+    /// them while long-lived flows stay active, so retired-record
+    /// compaction (once more than 1,024 retired records outnumber the
+    /// rest) runs mid-session, moving live flows to new slots between
+    /// solves.
+    #[test]
+    fn fluid_sim_matches_reference_through_completions_and_cancels(
+        resources in prop::collection::vec(resource_strategy(), 1..6),
+        ops in prop::collection::vec(sim_op_strategy(), 2600..3400),
+    ) {
+        let incremental = drive_sim(&resources, &ops, false);
+        let reference = drive_sim(&resources, &ops, true);
+        prop_assert_eq!(&incremental.0, &reference.0, "completion streams diverged");
+        prop_assert_eq!(&incremental.1, &reference.1, "remaining bytes diverged");
+    }
+}
