@@ -295,6 +295,90 @@ fn adaptive_logs_are_byte_identical_to_the_committed_golden() {
 }
 
 #[test]
+fn faulted_online_logs_are_byte_identical_to_the_committed_golden() {
+    // The online engine under a fault plan: the seed-31 stream on the
+    // storage-bound deployment with a link degrade and restore, an
+    // outage the client's retry probes survive (t1: down at 3.3 s,
+    // back at 7.0 s, resumed by the 7.8 s probe), one that never ends
+    // (t4: down at 4.0 s, evicted at the 9.0 s deadline), and a
+    // transient straggler. Pins the timeline compiler's capacity
+    // changes and evictions through both a feedback-free and a
+    // feedback-driven policy.
+    use beegfs_repro::cluster::TargetId;
+    use beegfs_repro::core::FaultPlan;
+    use beegfs_repro::ior::RetryPolicy;
+    use beegfs_repro::sched::{AdaptiveStriping, AdmissionMode, PlacementPolicy};
+    let factory = RngFactory::new(31);
+    let stream = ArrivalStream::poisson(
+        0.3,
+        6,
+        IorConfig::paper_default(4).with_total_bytes(4 * GIB),
+        4,
+        &mut factory.stream("arrivals", 0),
+    );
+    let plan = FaultPlan::new()
+        .link_degraded(0.5, 0, 0.5)
+        .unwrap()
+        .link_restored(1.0, 0)
+        .unwrap()
+        .target_offline(3.3, TargetId(1))
+        .unwrap()
+        .target_recovers(7.0, TargetId(1))
+        .unwrap()
+        .target_offline(4.0, TargetId(4))
+        .unwrap()
+        .target_transient_straggler(18.8, TargetId(0), 0.2, 1.0)
+        .unwrap();
+    let policies: [(&str, Box<dyn PlacementPolicy>); 2] = [
+        ("lls", Box::new(LeastLoadedServer)),
+        ("adaptive", Box::<AdaptiveStriping>::default()),
+    ];
+    for (name, policy) in policies {
+        let mut fs = BeeGfs::new(
+            presets::plafrim_omnipath(),
+            DirConfig::plafrim_default(),
+            plafrim_registration_order(),
+        );
+        let out = Scheduler::new(&mut fs, policy)
+            .mode(AdmissionMode::Online)
+            .faults(plan.clone())
+            .retry(RetryPolicy {
+                deadline_s: 5.0,
+                ..RetryPolicy::default()
+            })
+            .serve(&stream, &factory)
+            .unwrap();
+        // The pin is only meaningful if the dead target forced a move.
+        assert!(
+            out.restripes.iter().any(|r| r.kind == "evict"),
+            "{name}: the unrecovered outage must evict"
+        );
+        assert!(
+            out.decisions.iter().any(|d| d.replaced),
+            "{name}: the eviction must commit a replaced decision"
+        );
+        check_golden(
+            &format!("tests/golden/online_faulted_{name}_decisions_seed31.json"),
+            out.decision_log_json().as_bytes(),
+        );
+        check_golden(
+            &format!("tests/golden/online_faulted_{name}_restripes_seed31.json"),
+            out.restripe_log_json().as_bytes(),
+        );
+        let ends = out
+            .apps
+            .iter()
+            .map(|a| format!("{:016x}", a.end_s.to_bits()))
+            .collect::<Vec<_>>()
+            .join("\n");
+        check_golden(
+            &format!("tests/golden/online_faulted_{name}_ends_seed31.txt"),
+            ends.as_bytes(),
+        );
+    }
+}
+
+#[test]
 fn campaign_cache_record_is_byte_identical_to_the_pre_rework_golden() {
     // One small campaign persisted through the content-addressed store:
     // both the cell key (cache identity) and the serialized record bytes
