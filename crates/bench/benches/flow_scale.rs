@@ -1,14 +1,14 @@
 //! Fleet-scale solver benchmark: the sharded connected-component solver
-//! vs. the unsharded full-active solve on a datacenter fleet.
+//! vs. the reference full solve on a datacenter fleet.
 //!
 //! Not a Criterion target: it drains staggered flow waves over a
 //! 100-server × 10-target [`cluster::FleetSpec`] fleet (non-blocking
 //! switch, so each server group is its own connected component) at
-//! 2 000, 20 000 and 200 000 total flows, in both solver modes, writes
+//! 2 000, 20 000 and 200 000 total flows, with both solvers, writes
 //! `BENCH_flow_scale.json` at the repository root, and enforces two
 //! gates so CI catches scaling regressions:
 //!
-//! * sharded must be at least 5x the unsharded events/sec at 200 000
+//! * sharded must be at least 5x the reference events/sec at 200 000
 //!   flows (the speedup the sharding claims at datacenter scale);
 //! * the sharded 200 000-flow events/sec must not drop below 70% of the
 //!   committed `BENCH_flow_scale.json` baseline.
@@ -17,12 +17,14 @@
 //! with heterogeneous depth weights so every component saturates at its
 //! own bottleneck level. Each completion dirties one component: the
 //! sharded solver re-solves that ~8-flow component in a handful of
-//! progressive-filling rounds, while the unsharded one re-freezes the
-//! whole ~800-flow active set across ~100 distinct bottleneck levels —
-//! a full resource scan per level. The unsharded mode is timed over a truncated completion prefix
-//! at the larger scales (draining 200 000 completions through full
-//! active-set solves would dominate the whole bench suite); events/sec
-//! over the drained prefix is the common currency.
+//! progressive-filling rounds, while the reference
+//! ([`simcore::flow::FlowNetwork::reference_recompute_rates`]) scans
+//! every stored flow and re-freezes the whole ~800-flow active set
+//! across ~100 distinct bottleneck levels — a full resource scan per
+//! level. The reference is timed over a truncated completion prefix at
+//! the larger scales (draining 200 000 completions through full solves
+//! would dominate the whole bench suite); events/sec over the drained
+//! prefix is the common currency.
 
 use cluster::{Fabric, FabricNoise, FleetSpec, SwitchPolicy, TargetId};
 use simcore::flow::{FluidSim, SimArena};
@@ -34,9 +36,9 @@ const SERVERS: u32 = 100;
 const TARGETS_PER_SERVER: u32 = 10;
 const NODES: usize = 100;
 const SCALES: [u64; 3] = [2_000, 20_000, 200_000];
-/// Completion-prefix cap for the unsharded mode (full drain at or below,
-/// truncated above).
-const UNSHARDED_CAP: u64 = 20_000;
+/// Completion-prefix cap for the reference solver (full drain at or
+/// below, truncated above).
+const REFERENCE_CAP: u64 = 20_000;
 
 fn fleet() -> cluster::Platform {
     FleetSpec::new("bench-100x10")
@@ -61,15 +63,15 @@ fn fleet() -> cluster::Platform {
 /// server `k`, and the non-blocking switch stays out of every path), so
 /// the fleet is 100 disjoint components of ~8 active flows each while
 /// waves arrive slower than they drain. Depth weights vary per flow, so
-/// no two components share a fair-share level and the unsharded solver
+/// no two components share a fair-share level and the reference solver
 /// cannot collapse the fleet into one freeze round.
-fn one_rep(n_flows: u64, cap: u64, sharded: bool, arena: &mut SimArena) -> f64 {
+fn one_rep(n_flows: u64, cap: u64, reference: bool, arena: &mut SimArena) -> f64 {
     let platform = fleet();
     let fabric = Fabric::build(&platform, NODES, 8, &FabricNoise::none(&platform));
     let (net, paths) = fabric.into_parts();
 
     let mut sim = FluidSim::with_arena(net, arena);
-    sim.set_sharded(sharded);
+    sim.set_reference_solver(reference);
     // 8 flows per component per wave, all 100 components in parallel.
     const WAVE: u64 = 800;
     for i in 0..n_flows {
@@ -112,32 +114,32 @@ fn extract_f64(json: &str, key: &str) -> Option<f64> {
 fn main() {
     let mut arena = SimArena::new();
     // Warm caches, allocator, and the arena before timing anything.
-    one_rep(SCALES[0], SCALES[0], true, &mut arena);
     one_rep(SCALES[0], SCALES[0], false, &mut arena);
+    one_rep(SCALES[0], SCALES[0], true, &mut arena);
 
     let mut rows = String::new();
     let mut speedup_200k = 0.0;
     let mut sharded_200k = 0.0;
     for &n in &SCALES {
-        let cap = n.min(UNSHARDED_CAP);
+        let cap = n.min(REFERENCE_CAP);
         let reps = if n >= 200_000 { 3 } else { 5 };
-        // Interleave the modes so environmental drift hits both equally.
+        // Interleave the solvers so environmental drift hits both equally.
         let mut sharded = Vec::with_capacity(reps);
-        let mut unsharded = Vec::with_capacity(reps);
+        let mut reference = Vec::with_capacity(reps);
         for _ in 0..reps {
-            sharded.push(one_rep(n, n, true, &mut arena));
-            unsharded.push(one_rep(n, cap, false, &mut arena));
+            sharded.push(one_rep(n, n, false, &mut arena));
+            reference.push(one_rep(n, cap, true, &mut arena));
         }
         let s_eps = median(sharded);
-        let u_eps = median(unsharded);
-        let speedup = s_eps / u_eps;
+        let r_eps = median(reference);
+        let speedup = s_eps / r_eps;
         println!(
-            "{n:>7} flows: sharded {s_eps:>10.0} ev/s, unsharded {u_eps:>10.0} ev/s \
-             ({speedup:.1}x, unsharded prefix {cap})"
+            "{n:>7} flows: sharded {s_eps:>10.0} ev/s, reference {r_eps:>10.0} ev/s \
+             ({speedup:.1}x, reference prefix {cap})"
         );
         rows.push_str(&format!(
             "  \"sharded_{n}_events_per_sec\": {s_eps:.0},\n  \
-             \"unsharded_{n}_events_per_sec\": {u_eps:.0},\n  \
+             \"reference_{n}_events_per_sec\": {r_eps:.0},\n  \
              \"speedup_{n}\": {speedup:.2},\n"
         ));
         if n == 200_000 {
@@ -153,7 +155,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \"servers\": {SERVERS},\n  \"targets_per_server\": {TARGETS_PER_SERVER},\n\
-         {rows}  \"unsharded_prefix_cap\": {UNSHARDED_CAP}\n}}\n"
+         {rows}  \"reference_prefix_cap\": {REFERENCE_CAP}\n}}\n"
     );
     std::fs::write(out, &json).expect("write bench json");
     println!("wrote {out}");

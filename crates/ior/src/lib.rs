@@ -51,12 +51,16 @@
 
 pub mod config;
 pub mod error;
+pub mod faults;
 pub mod protocol;
 pub mod runner;
 pub mod telemetry;
 
 pub use config::{FileLayout, IorConfig};
 pub use error::{ConfigError, HedgeError, PolicyError, RunError};
+pub use faults::{
+    compound_target_states, CapacityChange, FaultResource, FaultTimeline, NoiseBaseline, Outage,
+};
 pub use protocol::{Schedule, ScheduledRun};
 pub use runner::{
     AppResult, AppSpec, HedgeConfig, HedgeReport, RetryPolicy, Run, RunOutcome, TargetChoice,

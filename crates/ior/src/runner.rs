@@ -42,9 +42,9 @@
 
 use crate::config::{FileLayout, IorConfig};
 use crate::error::{HedgeError, PolicyError, RunError};
+use crate::faults::{compound_target_states, FaultTimeline};
 use crate::telemetry::UtilizationReport;
-use beegfs_core::faults::FaultKind;
-use beegfs_core::{Allocation, BeeGfs, FaultPlan, FileHandle, TargetState};
+use beegfs_core::{Allocation, BeeGfs, FaultPlan, FileHandle};
 use cluster::{Fabric, FabricNoise, TargetId};
 use iostats::agg::{aggregate_bandwidth, AppInterval};
 use serde::{Deserialize, Serialize};
@@ -491,23 +491,9 @@ impl RunOutcome {
 /// behaviour governed by `policy` and the detection delay by the
 /// management service's heartbeat interval.
 ///
-/// The plan's events are compiled into scheduled capacity changes before
-/// the simulation drains:
-///
-/// * a target going `Offline` at `T` zeroes its device capacity at `T`
-///   — flows crossing it stall physically;
-/// * its recovery restores the noise-sampled capacity at the first
-///   client retry probe that finds the target physically serving
-///   (probes start one heartbeat after the outage, then back off
-///   exponentially; a target that goes down again at or before a probe
-///   swallows it, and the client keeps probing through the flap);
-/// * if no probe succeeds within `policy.deadline_s` of the outage's
-///   start — or the plan never brings the target back — the stalled
-///   writes are abandoned and the run fails with
-///   [`RunError::TargetUnavailable`];
-/// * `Degraded(f)` states and server-link faults are physical slowdowns:
-///   they scale capacities at their event time without any client
-///   involvement.
+/// The plan is compiled by [`FaultTimeline::compile`] into scheduled
+/// capacity changes before the simulation drains; a write stalled on an
+/// abandoned outage fails the run with [`RunError::TargetUnavailable`].
 ///
 /// The deployment's *pre-run* target states (set via
 /// [`BeeGfs::set_target_state`]) still apply from `t = 0`; the plan only
@@ -543,7 +529,6 @@ fn execute_run(
             });
         }
     }
-    policy.validate()?;
     if let Some(cfg) = &hedge {
         cfg.validate()?;
     }
@@ -564,23 +549,7 @@ fn execute_run(
             available: platform.compute.max_nodes,
         });
     }
-    for ev in plan.events() {
-        match ev.kind {
-            FaultKind::SetTargetState { target, .. }
-            | FaultKind::SlowDrift { target, .. }
-            | FaultKind::TransientStraggler { target, .. } => {
-                if target.index() >= platform.total_targets() {
-                    return Err(RunError::UnknownFaultTarget(target));
-                }
-            }
-            FaultKind::DegradeServerLink { server, .. }
-            | FaultKind::RestoreServerLink { server } => {
-                if server as usize >= platform.server_count() {
-                    return Err(RunError::UnknownFaultServer(server));
-                }
-            }
-        }
-    }
+    let timeline = FaultTimeline::compile(fs, plan, policy)?;
     // Model the unknown interleaving with other tenants between runs.
     fs.randomize_selection_state(rng);
 
@@ -635,25 +604,7 @@ fn execute_run(
     // --- build the fabric and emit flows --------------------------------
     let fabric = Fabric::build_for(&platform, total_nodes, ppn, &noise, mode);
     let (mut net, paths) = fabric.into_parts();
-    // Noise-only baselines, recorded before pre-run states compound in:
-    // a mid-run recovery restores these, not the state-scaled factors.
-    let base_ost: Vec<f64> = platform
-        .all_targets()
-        .into_iter()
-        .map(|t| net.factor(paths.ost_resource(t)))
-        .collect();
-    let base_link: Vec<f64> = (0..platform.server_count())
-        .map(|s| net.factor(paths.server_link_resource(s)))
-        .collect();
-    // Degraded/offline target states compound with the sampled noise.
-    for t in platform.all_targets() {
-        let state_factor = fs.target_speed_factor(t);
-        if state_factor != 1.0 {
-            let r = paths.ost_resource(t);
-            let combined = net.factor(r) * state_factor;
-            net.set_factor(r, combined);
-        }
-    }
+    let base = compound_target_states(fs, &mut net, &paths);
 
     let mut sim = match arena.as_deref_mut() {
         Some(a) => FluidSim::with_arena(net, a),
@@ -671,183 +622,51 @@ fn execute_run(
         target_chunks = vec![0; platform.total_targets()];
     }
 
-    // The plan's physical timeline goes into the trace as-is; the
-    // client-visible stall/retry events are emitted below as the
-    // compiler discovers them.
+    // The plan's physical timeline goes into the trace as-is, followed by
+    // the client-visible side of every outage: the stall observed one
+    // heartbeat in, each failed probe, then the resume or the abandon.
     if let Some(rec) = recorder.as_deref_mut() {
         plan.record_into(rec);
     }
-
-    // --- compile the fault timeline --------------------------------------
-    // Link faults are pure physical slowdowns and compile directly.
-    // Target-state events need the client's view (detection delay plus
-    // retry probes), and whether a probe succeeds depends on the target's
-    // *whole* timeline — a later outage can swallow a probe — so they are
-    // expanded per target (drift ramps become their `Degraded` staircase,
-    // transient stragglers their onset/recovery pair) and compiled
-    // against that merged timeline.
-    let mut target_events: Vec<Vec<(f64, TargetState)>> =
-        vec![Vec::new(); platform.total_targets()];
-    for t in plan.touched_targets() {
-        target_events[t.index()] = plan.target_state_curve(t);
-    }
-    for ev in plan.events() {
-        let at = SimTime::from_secs_f64(ev.at_s);
-        match ev.kind {
-            FaultKind::DegradeServerLink { server, factor } => {
-                let r = paths.server_link_resource(server as usize);
-                sim.schedule_factor_change(at, r, base_link[server as usize] * factor);
+    timeline.schedule(&mut sim, &paths, &base);
+    for o in &timeline.outages {
+        // A resumed outage's last probe is the successful one.
+        let probes = policy.probe_times(o.observe_s, o.end_s);
+        let failed = probes.len() - usize::from(o.resumed && !probes.is_empty());
+        if let Some(reg) = metrics.as_deref_mut() {
+            reg.inc("ior.stalls_observed");
+            if !o.resumed {
+                reg.inc("ior.retries_abandoned");
             }
-            FaultKind::RestoreServerLink { server } => {
-                let r = paths.server_link_resource(server as usize);
-                sim.schedule_factor_change(at, r, base_link[server as usize]);
+            reg.add("ior.retry_probes", failed as u64);
+            let mut prev = o.observe_s;
+            for &p in &probes {
+                reg.observe("ior.backoff_wait_s", p - prev);
+                prev = p;
             }
-            FaultKind::SetTargetState { .. }
-            | FaultKind::SlowDrift { .. }
-            | FaultKind::TransientStraggler { .. } => {}
         }
-    }
-
-    // Targets whose stalled writes were abandoned (no retry probe found
-    // them serving again within the deadline) stay at zero capacity;
-    // their outage start is kept for the stall report.
-    let mut dead_targets: HashMap<usize, f64> = HashMap::new();
-    for (idx, evs) in target_events.iter().enumerate() {
-        if evs.is_empty() {
-            continue;
-        }
-        let r = paths.ost_resource(TargetId(idx as u32));
-        let base = base_ost[idx];
-        // The target's physical state at `t`, once the plan has touched it.
-        let state_at = |t: f64| {
-            evs.iter()
-                .take_while(|(at_s, _)| *at_s <= t)
-                .last()
-                .map(|&(_, state)| state)
-        };
-        let mut i = 0;
-        while i < evs.len() {
-            let (at_s, state) = evs[i];
-            if !matches!(state, TargetState::Offline) {
-                // Straggler onset / rebuild / un-degrade: a physical
-                // slowdown, applied at the event time.
-                sim.schedule_factor_change(
-                    SimTime::from_secs_f64(at_s),
-                    r,
-                    base * state.speed_factor(),
-                );
-                i += 1;
-                continue;
+        if let Some(rec) = recorder.as_deref_mut() {
+            let (at, target) = (ns(o.end_s), o.target.0);
+            rec.record(obs::Event::StallObserved {
+                at: ns(o.observe_s),
+                target,
+            });
+            for (k, &p) in probes[..failed].iter().enumerate() {
+                rec.record(obs::Event::RetryProbe {
+                    at: ns(p),
+                    target,
+                    attempt: (k + 1) as u32,
+                });
             }
-            // Outage: capacity drops to zero now; clients notice one
-            // heartbeat later and probe with backoff. The writes resume
-            // at the first probe that finds the target physically
-            // serving — each candidate recovery is checked against the
-            // timeline at its probe instant, because the target may have
-            // gone down again at or before that probe.
-            sim.schedule_factor_change(SimTime::from_secs_f64(at_s), r, 0.0);
-            let observe = fs.mgmt().observation_time_s(at_s);
-            let mut resume: Option<(f64, TargetState)> = None;
-            for &(rec_s, _) in evs[i + 1..]
-                .iter()
-                .filter(|(_, s)| !matches!(s, TargetState::Offline))
-            {
-                let probe = policy.resume_time_s(observe, rec_s);
-                match state_at(probe) {
-                    Some(TargetState::Offline) | None => continue,
-                    Some(found) => {
-                        resume = Some((probe, found));
-                        break;
-                    }
+            rec.record(if o.resumed {
+                obs::Event::RetryResumed {
+                    at,
+                    target,
+                    attempts: failed as u32,
                 }
-            }
-            match resume {
-                Some((probe_s, found)) if probe_s - at_s <= policy.deadline_s => {
-                    sim.schedule_factor_change(
-                        SimTime::from_secs_f64(probe_s),
-                        r,
-                        base * found.speed_factor(),
-                    );
-                    // The client-visible side of this outage: a stall is
-                    // only observed if recovery did not beat the
-                    // heartbeat (probe_s > observe); every probe before
-                    // the successful one failed.
-                    if probe_s > observe && (recorder.is_some() || metrics.is_some()) {
-                        let probes = policy.probe_times(observe, probe_s);
-                        let failed = probes.len().saturating_sub(1);
-                        if let Some(reg) = metrics.as_deref_mut() {
-                            reg.inc("ior.stalls_observed");
-                            reg.add("ior.retry_probes", failed as u64);
-                            let mut prev = observe;
-                            for &p in &probes {
-                                reg.observe("ior.backoff_wait_s", p - prev);
-                                prev = p;
-                            }
-                        }
-                        if let Some(rec) = recorder.as_deref_mut() {
-                            let target = idx as u32;
-                            rec.record(obs::Event::StallObserved {
-                                at: ns(observe),
-                                target,
-                            });
-                            for (k, &p) in probes[..failed].iter().enumerate() {
-                                rec.record(obs::Event::RetryProbe {
-                                    at: ns(p),
-                                    target,
-                                    attempt: (k + 1) as u32,
-                                });
-                            }
-                            rec.record(obs::Event::RetryResumed {
-                                at: ns(probe_s),
-                                target,
-                                attempts: failed as u32,
-                            });
-                        }
-                    }
-                    // Everything up to the successful probe belonged to
-                    // this one client-visible outage.
-                    i += 1;
-                    while i < evs.len() && evs[i].0 <= probe_s {
-                        i += 1;
-                    }
-                }
-                _ => {
-                    // Never survivably resolved: the writes are abandoned
-                    // and the target stays dead for the rest of the run.
-                    let give_up = at_s + policy.deadline_s;
-                    if let Some(reg) = metrics.as_deref_mut() {
-                        let probes = policy.probe_times(observe, give_up);
-                        reg.inc("ior.stalls_observed");
-                        reg.inc("ior.retries_abandoned");
-                        reg.add("ior.retry_probes", probes.len() as u64);
-                        let mut prev = observe;
-                        for &p in &probes {
-                            reg.observe("ior.backoff_wait_s", p - prev);
-                            prev = p;
-                        }
-                    }
-                    if let Some(rec) = recorder.as_deref_mut() {
-                        let target = idx as u32;
-                        rec.record(obs::Event::StallObserved {
-                            at: ns(observe),
-                            target,
-                        });
-                        for (k, &p) in policy.probe_times(observe, give_up).iter().enumerate() {
-                            rec.record(obs::Event::RetryProbe {
-                                at: ns(p),
-                                target,
-                                attempt: (k + 1) as u32,
-                            });
-                        }
-                        rec.record(obs::Event::RetryAbandoned {
-                            at: ns(give_up),
-                            target,
-                        });
-                    }
-                    dead_targets.insert(idx, at_s);
-                    break;
-                }
-            }
+            } else {
+                obs::Event::RetryAbandoned { at, target }
+            });
         }
     }
 
@@ -1074,7 +893,13 @@ fn execute_run(
                     .flows
                     .iter()
                     .filter_map(|f| flow_targets.get(f).copied())
-                    .filter_map(|t| dead_targets.get(&t.index()).map(|&s| (s, t)))
+                    .filter_map(|t| {
+                        let o = timeline
+                            .outages
+                            .iter()
+                            .find(|o| o.target == t && !o.resumed)?;
+                        Some((o.start_s, t))
+                    })
                     .min_by(|a, b| a.0.total_cmp(&b.0));
                 return Err(match dead {
                     Some((outage_start_s, target)) => RunError::TargetUnavailable {
@@ -1489,6 +1314,13 @@ mod tests {
             .execute(&mut rng(13))
             .unwrap_err();
         assert_eq!(err, RunError::UnknownFaultTarget(TargetId(99)));
+        let plan = FaultPlan::new().link_restored(1.0, 7).unwrap();
+        let err = Run::new(&mut fs)
+            .app(IorConfig::paper_default(4))
+            .faults(plan)
+            .execute(&mut rng(13))
+            .unwrap_err();
+        assert_eq!(err, RunError::UnknownFaultServer(7));
     }
 
     #[test]

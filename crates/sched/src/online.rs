@@ -18,10 +18,13 @@
 //! The frozen path is retained verbatim as the *reference oracle*
 //! (mirroring the solver's `reference_recompute_rates` pattern), and a
 //! differential test pins the two modes against each other on small
-//! traces. The online engine simulates the exact fluid dynamics — a
-//! running application *is* slowed by later arrivals, which the frozen
-//! approximation deliberately cannot see — so the two agree tightly on
-//! light or serial workloads and diverge by exactly that retroactive
+//! traces. Both modes compile the session's fault plan with the same
+//! [`FaultTimeline::compile`]: one validation, one set of capacity
+//! changes, one abandon instant per dead target. The online engine
+//! simulates the exact fluid dynamics — a running application *is*
+//! slowed by later arrivals, which the frozen approximation
+//! deliberately cannot see — so the two agree tightly on light or
+//! serial workloads and diverge by exactly that retroactive
 //! interference as load grows. Three further, deliberate modeling
 //! differences:
 //!
@@ -34,8 +37,8 @@
 //!   the same machine instead of re-sampling a different one per solo
 //!   run. The admission's sampled startup overhead is shared by both
 //!   numerator and denominator.
-//! * **Fault re-placement** cannot rewind history: when the retry
-//!   deadline expires on a dead target, the affected applications' live
+//! * **Fault re-placement** cannot rewind history: at an abandoned
+//!   outage's give-up instant, the affected applications' live
 //!   flows are cancelled ([`FluidSim::cancel_flow`]), their pooled
 //!   remaining bytes are re-striped evenly over a fresh placement, and
 //!   the decision log gains `replaced` entries — work already done
@@ -45,10 +48,9 @@
 //! Hedged writes remain frozen-only ([`SchedError::OnlineUnsupported`]):
 //! chunked issue-and-redirect belongs to the per-run engine.
 
-use beegfs_core::faults::FaultKind;
-use beegfs_core::{restripe_split, BeeGfs, FaultPlan, FileHandle, TargetState};
+use beegfs_core::{restripe_split, BeeGfs, FileHandle, TargetState};
 use cluster::{Fabric, FabricNoise, FabricPaths, Platform, TargetId};
-use ior::{IorConfig, RetryPolicy, RunError};
+use ior::{compound_target_states, FaultTimeline, IorConfig, RunError};
 use iostats::agg::{aggregate_bandwidth, AppInterval};
 use serde::{Deserialize, Serialize};
 use simcore::dist::LogNormal;
@@ -58,12 +60,11 @@ use simcore::time::SimTime;
 use simcore::units::Bandwidth;
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
-use storage::AccessMode;
 
 use crate::arrivals::AppRequest;
 use crate::error::SchedError;
-use crate::policy::{AppObservation, ClusterView, Placement, PlacementPolicy, RestripeDecision};
-use crate::scheduler::{AppOutcome, Decision, RestripeRecord, SchedOutcome, Scheduler};
+use crate::policy::{AppObservation, ClusterLoad, Placement, PlacementPolicy, RestripeDecision};
+use crate::scheduler::{ns, AppOutcome, Decision, RestripeRecord, SchedOutcome, Scheduler};
 
 /// Period of the adaptive feedback loop: how often a feedback-wanting
 /// policy sees each running application's observed throughput. Scheduled
@@ -161,10 +162,6 @@ struct LiveSim {
     /// ideal I/O time.
     shadow: FluidSim<'static>,
     shadow_paths: FabricPaths,
-    /// Noise-only capacity factors, recorded before pre-session target
-    /// states compound in — fault recovery restores these.
-    base_ost: Vec<f64>,
-    base_link: Vec<f64>,
     free_nodes: BTreeSet<usize>,
     /// Windowed per-target utilization feed for
     /// [`ClusterView::busy_fraction`]: busy-seconds snapshots at the
@@ -175,41 +172,29 @@ struct LiveSim {
 }
 
 impl LiveSim {
-    /// Build the session's fabrics: the full compute partition, one
-    /// sampled hardware noise shared by live and shadow, the
-    /// deployment's pre-session target states compounded into both.
-    fn build(fs: &BeeGfs, ppn: u32, mode: AccessMode, noise: &FabricNoise) -> Self {
+    /// Build the session's fabrics for `cfg`'s ppn and access mode: the
+    /// full compute partition, one sampled hardware noise shared by live
+    /// and shadow, the deployment's pre-session target states compounded
+    /// into both, and the fault timeline's capacity changes scheduled on
+    /// the live one only — ideals stay fault-free, as the frozen path's
+    /// solo runs do.
+    fn build(fs: &BeeGfs, cfg: &IorConfig, noise: &FabricNoise, faults: &FaultTimeline) -> Self {
         let platform = fs.platform();
         let max_nodes = platform.compute.max_nodes;
         let (mut net, paths) =
-            Fabric::build_for(platform, max_nodes, ppn, noise, mode).into_parts();
-        let base_ost: Vec<f64> = platform
-            .all_targets()
-            .into_iter()
-            .map(|t| net.factor(paths.ost_resource(t)))
-            .collect();
-        let base_link: Vec<f64> = (0..platform.server_count())
-            .map(|s| net.factor(paths.server_link_resource(s)))
-            .collect();
+            Fabric::build_for(platform, max_nodes, cfg.ppn, noise, cfg.mode).into_parts();
+        let base = compound_target_states(fs, &mut net, &paths);
         let (mut shadow_net, shadow_paths) =
-            Fabric::build_for(platform, max_nodes, ppn, noise, mode).into_parts();
-        for t in platform.all_targets() {
-            let state_factor = fs.target_speed_factor(t);
-            if state_factor != 1.0 {
-                let r = paths.ost_resource(t);
-                net.set_factor(r, net.factor(r) * state_factor);
-                let sr = shadow_paths.ost_resource(t);
-                shadow_net.set_factor(sr, shadow_net.factor(sr) * state_factor);
-            }
-        }
+            Fabric::build_for(platform, max_nodes, cfg.ppn, noise, cfg.mode).into_parts();
+        compound_target_states(fs, &mut shadow_net, &shadow_paths);
+        let mut sim = FluidSim::new(net);
+        faults.schedule(&mut sim, &paths, &base);
         let n_targets = platform.total_targets();
         LiveSim {
-            sim: FluidSim::new(net),
+            sim,
             paths,
             shadow: FluidSim::new(shadow_net),
             shadow_paths,
-            base_ost,
-            base_link,
             free_nodes: (0..max_nodes).collect(),
             busy_snapshot: vec![0.0; n_targets],
             window_start_s: 0.0,
@@ -351,29 +336,11 @@ impl Session<'_, '_, '_> {
         rng: &mut StreamRng,
     ) -> Result<Placement, SchedError> {
         self.live.refresh_busy(&self.platform);
-        let online: Vec<bool> = self
-            .platform
-            .all_targets()
-            .into_iter()
-            .map(|t| self.fs.mgmt().state(t).selectable())
-            .collect();
-        let mut outstanding = vec![0.0f64; self.platform.server_count()];
-        for r in &self.running {
-            if r.targets.is_empty() {
-                continue;
-            }
-            let share = r.bytes as f64 / r.targets.len() as f64;
-            for &t in &r.targets {
-                outstanding[self.platform.server_of(t).index()] += share;
-            }
-        }
-        let view = ClusterView {
-            platform: &self.platform,
-            online: &online,
-            outstanding_bytes: &outstanding,
-            busy_fraction: &self.live.busy_fraction,
-            suspected: &self.suspected,
-        };
+        let load = ClusterLoad::of(
+            self.fs,
+            self.running.iter().map(|r| (&r.targets[..], r.bytes)),
+        );
+        let view = load.view(&self.platform, &self.live.busy_fraction, &self.suspected);
         Ok(self.policy.place(&view, stripe, bytes, rng)?)
     }
 
@@ -682,23 +649,10 @@ impl Session<'_, '_, '_> {
     fn on_eval(&mut self, now_s: f64) -> Result<(), SchedError> {
         self.live.refresh_busy(&self.platform);
         let now_ns = ns(now_s);
-        let online: Vec<bool> = self
-            .platform
-            .all_targets()
-            .into_iter()
-            .map(|t| self.fs.mgmt().state(t).selectable())
-            .collect();
-        let mut outstanding = vec![0.0f64; self.platform.server_count()];
-        for r in &self.running {
-            if r.targets.is_empty() {
-                continue;
-            }
-            let share = r.bytes as f64 / r.targets.len() as f64;
-            for &t in &r.targets {
-                outstanding[self.platform.server_of(t).index()] += share;
-            }
-        }
-        let busy = self.live.busy_fraction.clone();
+        let load = ClusterLoad::of(
+            self.fs,
+            self.running.iter().map(|r| (&r.targets[..], r.bytes)),
+        );
         let mut actions: Vec<(usize, RestripeDecision)> = Vec::new();
         for pos in 0..self.running.len() {
             // Instantaneous per-app rate and the storage-side capacity
@@ -742,13 +696,7 @@ impl Session<'_, '_, '_> {
             } else {
                 bps
             };
-            let view = ClusterView {
-                platform: &self.platform,
-                online: &online,
-                outstanding_bytes: &outstanding,
-                busy_fraction: &busy,
-                suspected: &self.suspected,
-            };
+            let view = load.view(&self.platform, &self.live.busy_fraction, &self.suspected);
             let snapshot = AppObservation {
                 app: a.app,
                 targets: &a.targets,
@@ -948,26 +896,9 @@ pub(crate) fn serve_online(
     let platform = fs.platform().clone();
     let max_nodes = platform.compute.max_nodes;
 
-    // The same fault-plan validation the per-run engine applies: a plan
-    // naming hardware the platform does not have is a typed error, not
-    // a panic in the timeline compiler.
-    for ev in faults.events() {
-        match ev.kind {
-            FaultKind::SetTargetState { target, .. }
-            | FaultKind::SlowDrift { target, .. }
-            | FaultKind::TransientStraggler { target, .. } => {
-                if target.index() >= platform.total_targets() {
-                    return Err(SchedError::Run(RunError::UnknownFaultTarget(target)));
-                }
-            }
-            FaultKind::DegradeServerLink { server, .. }
-            | FaultKind::RestoreServerLink { server } => {
-                if server as usize >= platform.server_count() {
-                    return Err(SchedError::Run(RunError::UnknownFaultServer(server)));
-                }
-            }
-        }
-    }
+    // Validate and compile the fault plan before touching the
+    // deployment: a bad plan or retry policy changes nothing.
+    let timeline = FaultTimeline::compile(fs, &faults, &retry)?;
 
     // One session-wide hardware reality: the selection-state shuffle,
     // one noise sample, the startup-overhead distribution.
@@ -976,8 +907,17 @@ pub(crate) fn serve_online(
     let noise = FabricNoise::sample(&platform, &mut session_rng);
     let overhead_dist = LogNormal::unit_mean(platform.run_overhead_sigma);
 
-    let mut live = LiveSim::build(fs, reqs[0].config.ppn, reqs[0].config.mode, &noise);
-    let evictions = compile_faults(&mut live, fs, &faults, &retry, &platform);
+    // An outage the retry probes never resolve becomes an eviction at
+    // its abandon instant, when the scheduler marks the target offline
+    // and re-places whoever still writes to it.
+    let live = LiveSim::build(fs, &reqs[0].config, &noise, &timeline);
+    let mut evictions: Vec<(f64, TargetId)> = timeline
+        .outages
+        .iter()
+        .filter(|o| !o.resumed)
+        .map(|o| (o.end_s, o.target))
+        .collect();
+    evictions.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
     let n = reqs.len();
     let mut s = Session {
@@ -1145,119 +1085,6 @@ pub(crate) fn serve_online(
     })
 }
 
-/// Compile the session's fault plan into the live simulation's calendar
-/// and return the dead-target eviction instants, time-ordered.
-///
-/// This is the run engine's compiler with the client-observability
-/// emission stripped: link faults and survivable target states become
-/// scheduled capacity-factor changes; an outage no retry probe
-/// survivably resolves within the deadline yields an eviction at
-/// `outage + deadline_s` — the instant the scheduler abandons the
-/// target, marks it offline, and re-places whoever still writes to it.
-/// The shadow fabric sees none of this: ideals stay fault-free, as the
-/// frozen path's solo runs do.
-fn compile_faults(
-    live: &mut LiveSim,
-    fs: &BeeGfs,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    platform: &Platform,
-) -> Vec<(f64, TargetId)> {
-    let mut target_events: Vec<Vec<(f64, TargetState)>> =
-        vec![Vec::new(); platform.total_targets()];
-    for t in plan.touched_targets() {
-        target_events[t.index()] = plan.target_state_curve(t);
-    }
-    for ev in plan.events() {
-        let at = SimTime::from_secs_f64(ev.at_s);
-        match ev.kind {
-            FaultKind::DegradeServerLink { server, factor } => {
-                let r = live.paths.server_link_resource(server as usize);
-                live.sim
-                    .schedule_factor_change(at, r, live.base_link[server as usize] * factor);
-            }
-            FaultKind::RestoreServerLink { server } => {
-                let r = live.paths.server_link_resource(server as usize);
-                live.sim
-                    .schedule_factor_change(at, r, live.base_link[server as usize]);
-            }
-            FaultKind::SetTargetState { .. }
-            | FaultKind::SlowDrift { .. }
-            | FaultKind::TransientStraggler { .. } => {}
-        }
-    }
-    let mut evictions: Vec<(f64, TargetId)> = Vec::new();
-    for (idx, evs) in target_events.iter().enumerate() {
-        if evs.is_empty() {
-            continue;
-        }
-        let r = live.paths.ost_resource(TargetId(idx as u32));
-        let base = live.base_ost[idx];
-        let state_at = |t: f64| {
-            evs.iter()
-                .take_while(|(at_s, _)| *at_s <= t)
-                .last()
-                .map(|&(_, state)| state)
-        };
-        let mut i = 0;
-        while i < evs.len() {
-            let (at_s, state) = evs[i];
-            if !matches!(state, TargetState::Offline) {
-                live.sim.schedule_factor_change(
-                    SimTime::from_secs_f64(at_s),
-                    r,
-                    base * state.speed_factor(),
-                );
-                i += 1;
-                continue;
-            }
-            // Outage: capacity to zero now; writes resume at the first
-            // retry probe that finds the target physically serving.
-            live.sim
-                .schedule_factor_change(SimTime::from_secs_f64(at_s), r, 0.0);
-            let observe = fs.mgmt().observation_time_s(at_s);
-            let mut resume: Option<(f64, TargetState)> = None;
-            for &(rec_s, _) in evs[i + 1..]
-                .iter()
-                .filter(|(_, state)| !matches!(state, TargetState::Offline))
-            {
-                let probe = policy.resume_time_s(observe, rec_s);
-                match state_at(probe) {
-                    Some(TargetState::Offline) | None => continue,
-                    Some(found) => {
-                        resume = Some((probe, found));
-                        break;
-                    }
-                }
-            }
-            match resume {
-                Some((probe_s, found)) if probe_s - at_s <= policy.deadline_s => {
-                    live.sim.schedule_factor_change(
-                        SimTime::from_secs_f64(probe_s),
-                        r,
-                        base * found.speed_factor(),
-                    );
-                    i += 1;
-                    while i < evs.len() && evs[i].0 <= probe_s {
-                        i += 1;
-                    }
-                }
-                _ => {
-                    evictions.push((at_s + policy.deadline_s, TargetId(idx as u32)));
-                    break;
-                }
-            }
-        }
-    }
-    evictions.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    evictions
-}
-
-/// Seconds to the nanosecond timestamps of the event vocabulary.
-fn ns(s: f64) -> u64 {
-    SimTime::from_secs_f64(s).as_nanos()
-}
-
 /// Does an admission fit right now? (The frozen path's gate.)
 fn fits(running: &[LiveApp], nodes: usize, max_concurrent: usize, max_nodes: usize) -> bool {
     let used: usize = running.iter().map(|r| r.cfg.nodes).sum();
@@ -1269,8 +1096,11 @@ mod tests {
     use super::*;
     use crate::arrivals::ArrivalStream;
     use crate::policy::{LeastLoadedServer, Random, UtilizationFeedback};
-    use beegfs_core::{plafrim_registration_order, ChooserKind, DirConfig, StripePattern};
+    use beegfs_core::{
+        plafrim_registration_order, ChooserKind, DirConfig, FaultPlan, StripePattern,
+    };
     use cluster::presets;
+    use ior::RetryPolicy;
     use simcore::units::GIB;
 
     fn deploy(chooser: ChooserKind) -> BeeGfs {

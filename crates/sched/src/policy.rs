@@ -24,7 +24,7 @@
 //!   mid-flight when the observations say the current allocation is
 //!   leaving bandwidth on the table.
 
-use beegfs_core::PolicyError;
+use beegfs_core::{BeeGfs, PolicyError};
 use cluster::{Platform, TargetId};
 use simcore::rng::StreamRng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -65,6 +65,61 @@ impl ClusterView<'_> {
             .into_iter()
             .filter(|t| self.online[t.index()])
             .collect()
+    }
+}
+
+/// The owned state behind a [`ClusterView`], built the same way by both
+/// admission engines: per-target liveness from the management service,
+/// and per-server outstanding bytes — each running application's bytes
+/// split evenly over its targets, summed in running-list order.
+pub(crate) struct ClusterLoad {
+    online: Vec<bool>,
+    outstanding: Vec<f64>,
+}
+
+impl ClusterLoad {
+    /// Snapshot `fs` and the running set, given as each running
+    /// application's `(targets, bytes)`.
+    pub(crate) fn of<'r>(
+        fs: &BeeGfs,
+        running: impl IntoIterator<Item = (&'r [TargetId], u64)>,
+    ) -> Self {
+        let platform = fs.platform();
+        let online = platform
+            .all_targets()
+            .into_iter()
+            .map(|t| fs.mgmt().state(t).selectable())
+            .collect();
+        let mut outstanding = vec![0.0f64; platform.server_count()];
+        for (targets, bytes) in running {
+            if targets.is_empty() {
+                continue;
+            }
+            let share = bytes as f64 / targets.len() as f64;
+            for &t in targets {
+                outstanding[platform.server_of(t).index()] += share;
+            }
+        }
+        ClusterLoad {
+            online,
+            outstanding,
+        }
+    }
+
+    /// The policy-facing view of this snapshot.
+    pub(crate) fn view<'a>(
+        &'a self,
+        platform: &'a Platform,
+        busy_fraction: &'a [f64],
+        suspected: &'a [bool],
+    ) -> ClusterView<'a> {
+        ClusterView {
+            platform,
+            online: &self.online,
+            outstanding_bytes: &self.outstanding,
+            busy_fraction,
+            suspected,
+        }
     }
 }
 

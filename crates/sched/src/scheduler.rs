@@ -52,7 +52,7 @@ use std::collections::VecDeque;
 use crate::arrivals::ArrivalStream;
 use crate::error::SchedError;
 use crate::online::AdmissionMode;
-use crate::policy::{ClusterView, Placement, PlacementPolicy};
+use crate::policy::{ClusterLoad, Placement, PlacementPolicy};
 
 /// One committed placement decision, replayable from the log alone.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -271,10 +271,10 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
     /// targets from per-chunk completion times, and redirect the
     /// remaining chunks of affected streams (see [`ior::HedgeConfig`]).
     /// Targets flagged by any committed run accumulate into
-    /// [`ClusterView::suspected`], which straggler-aware policies use to
-    /// route subsequent placements around suspect hardware. Solo
-    /// baseline runs stay unhedged — the slowdown denominator keeps
-    /// meaning "an idle, healthy system".
+    /// [`ClusterView::suspected`](crate::ClusterView::suspected), which
+    /// straggler-aware policies use to route subsequent placements
+    /// around suspect hardware. Solo baseline runs stay unhedged — the
+    /// slowdown denominator keeps meaning "an idle, healthy system".
     pub fn hedge(mut self, config: HedgeConfig) -> Self {
         self.hedge = Some(config);
         self
@@ -498,9 +498,9 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
             reg.observe("sched.wait_s", now - req.arrival_s);
         }
         let mut place_rng = factory.stream("sched-place", i as u64);
-        let view = cluster_view(self.fs, running, busy_fraction, &self.suspected);
+        let load = ClusterLoad::of(self.fs, running.iter().map(|r| (&r.targets[..], r.bytes)));
         let mut placement = self.policy.place(
-            &to_view(self.fs, &view),
+            &load.view(self.fs.platform(), busy_fraction, &self.suspected),
             req.stripe,
             req.config.total_bytes,
             &mut place_rng,
@@ -654,10 +654,11 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
                     if let Some(reg) = self.metrics.as_deref_mut() {
                         reg.inc("sched.evictions");
                     }
-                    let view = cluster_view(self.fs, running, busy_fraction, &self.suspected);
+                    let load =
+                        ClusterLoad::of(self.fs, running.iter().map(|r| (&r.targets[..], r.bytes)));
                     if placed_on(&placement, target) {
                         placement = self.policy.place(
-                            &to_view(self.fs, &view),
+                            &load.view(self.fs.platform(), busy_fraction, &self.suspected),
                             req.stripe,
                             req.config.total_bytes,
                             &mut place_rng,
@@ -667,7 +668,7 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
                         if r.targets.contains(&target) {
                             let stripe = r.targets.len() as u32;
                             r.placement = self.policy.place(
-                                &to_view(self.fs, &view),
+                                &load.view(self.fs.platform(), busy_fraction, &self.suspected),
                                 stripe,
                                 r.bytes,
                                 &mut place_rng,
@@ -687,7 +688,7 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
 }
 
 /// Seconds to the nanosecond timestamps of the event vocabulary.
-fn ns(s: f64) -> u64 {
+pub(crate) fn ns(s: f64) -> u64 {
     SimTime::from_secs_f64(s).as_nanos()
 }
 
@@ -708,55 +709,6 @@ fn placed_on(placement: &Placement, target: TargetId) -> bool {
     match placement {
         Placement::Deferred => false,
         Placement::Pinned(targets) => targets.contains(&target),
-    }
-}
-
-/// Raw per-admission view state (owned, so the borrow of `fs` inside
-/// [`ClusterView`] can be taken separately).
-struct RawView {
-    online: Vec<bool>,
-    outstanding: Vec<f64>,
-    busy: Vec<f64>,
-    suspected: Vec<bool>,
-}
-
-fn cluster_view(
-    fs: &BeeGfs,
-    running: &[Running],
-    busy_fraction: &[f64],
-    suspected: &[bool],
-) -> RawView {
-    let platform = fs.platform();
-    let online: Vec<bool> = platform
-        .all_targets()
-        .into_iter()
-        .map(|t| fs.mgmt().state(t).selectable())
-        .collect();
-    let mut outstanding = vec![0.0f64; platform.server_count()];
-    for r in running {
-        if r.targets.is_empty() {
-            continue;
-        }
-        let share = r.bytes as f64 / r.targets.len() as f64;
-        for &t in &r.targets {
-            outstanding[platform.server_of(t).index()] += share;
-        }
-    }
-    RawView {
-        online,
-        outstanding,
-        busy: busy_fraction.to_vec(),
-        suspected: suspected.to_vec(),
-    }
-}
-
-fn to_view<'a>(fs: &'a BeeGfs, raw: &'a RawView) -> ClusterView<'a> {
-    ClusterView {
-        platform: fs.platform(),
-        online: &raw.online,
-        outstanding_bytes: &raw.outstanding,
-        busy_fraction: &raw.busy,
-        suspected: &raw.suspected,
     }
 }
 

@@ -228,17 +228,10 @@ pub struct FlowNetwork {
     /// reserved in `incident`. Retirement decrements it, so the
     /// reservation follows the concurrent peak, not session length.
     registered: Vec<u32>,
-    /// All resource indices, ascending — the full solve's resource list,
-    /// so the sharded and unsharded paths share one solver.
-    all_res: Vec<u32>,
     /// Resource indices touched since the last solve (deduplicated).
     dirty: Vec<u32>,
     /// Membership marker for `dirty`.
     dirty_mark: Vec<bool>,
-    /// Escape hatch for the `flow_scale` bench: when set, dirty solves
-    /// run over the whole active set (the pre-sharding incremental
-    /// path) instead of the dirty components only.
-    unsharded: bool,
     /// Telemetry: progressive-filling solves performed so far.
     solves: u64,
     /// Telemetry: total flows handed to the solver across all solves.
@@ -255,8 +248,8 @@ pub struct FlowNetwork {
     /// re-solved components.
     touched_res: Vec<u32>,
     /// Whether `touched_res` describes the last recompute. False after a
-    /// full/unsharded or reference solve (the sampler must scan
-    /// everything) and while tracking is off.
+    /// reference solve (the sampler must scan everything) and while
+    /// tracking is off.
     touched_valid: bool,
     scratch: SolverScratch,
 }
@@ -289,7 +282,6 @@ impl FlowNetwork {
         self.active_count.push(0);
         self.incident.push(Vec::new());
         self.registered.push(0);
-        self.all_res.push(id.0);
         self.dirty_mark.push(false);
         id
     }
@@ -809,30 +801,7 @@ impl FlowNetwork {
             self.clear_dirty();
             return;
         }
-        if self.unsharded {
-            self.touched_valid = false;
-            self.scratch.comp_sizes.clear();
-            self.scratch
-                .comp_sizes
-                .push(u32::try_from(self.active.len()).expect("active count fits u32"));
-            self.clear_dirty();
-            self.solve_all();
-        } else {
-            self.solve_sharded();
-        }
-    }
-
-    /// Toggle component sharding (on by default). When off, every dirty
-    /// solve runs over the whole active set — the pre-sharding
-    /// incremental path, kept as the `flow_scale` bench's comparison
-    /// point. Rates are bit-identical either way.
-    pub fn set_sharded(&mut self, sharded: bool) {
-        self.unsharded = !sharded;
-    }
-
-    /// Whether dirty solves are restricted to the dirty components.
-    pub fn is_sharded(&self) -> bool {
-        !self.unsharded
+        self.solve_sharded();
     }
 
     /// Telemetry: progressive-filling solves performed so far (skipped
@@ -857,8 +826,7 @@ impl FlowNetwork {
 
     /// Flow count of each connected component collected by the last
     /// [`FlowNetwork::recompute_rates`]: one entry per re-solved
-    /// component, a single whole-active-set entry for an unsharded
-    /// solve, empty after a skipped recompute. Feeds the
+    /// component, empty after a skipped recompute. Feeds the
     /// component-size/count introspection histograms.
     pub fn last_component_sizes(&self) -> &[u32] {
         &self.scratch.comp_sizes
@@ -897,17 +865,6 @@ impl FlowNetwork {
                 self.mark_dirty(r);
             }
         }
-    }
-
-    /// The full solve: every active flow over every resource.
-    fn solve_all(&mut self) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let active = std::mem::take(&mut self.active);
-        let all_res = std::mem::take(&mut self.all_res);
-        self.solve_subset(&active, &all_res, &mut scratch);
-        self.all_res = all_res;
-        self.active = active;
-        self.scratch = scratch;
     }
 
     /// Re-solve only the connected components touched by the dirty set.
@@ -1017,7 +974,7 @@ impl FlowNetwork {
     }
 
     /// Progressive filling restricted to `flows` over `resources` — the
-    /// one solver both the full and the sharded paths run.
+    /// solve behind [`FlowNetwork::recompute_rates`].
     ///
     /// Requirements (upheld by the callers): both lists are sorted
     /// ascending; every resource on a listed flow's path is listed; every
@@ -1118,8 +1075,9 @@ impl FlowNetwork {
     /// records awaiting compaction are inactive and filtered out, like
     /// any other inactive flow). The property
     /// and differential suites (`tests/solver_properties.rs`) and the
-    /// `flow_hotpath` bench compare [`FlowNetwork::recompute_rates`]
-    /// against this on randomized networks and event sequences; it is
+    /// `flow_hotpath` and `flow_scale` benches compare
+    /// [`FlowNetwork::recompute_rates`] against this on randomized
+    /// networks and event sequences; it is
     /// compiled unconditionally so integration tests and benches outside
     /// this crate can call it.
     ///
@@ -1543,10 +1501,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_matches_unsharded_across_merge_and_split() {
+    fn sharded_matches_reference_across_merge_and_split() {
         // A bridging flow merges two components; its departure splits
-        // them again. Rates must stay bit-identical to the unsharded
-        // incremental path at every step.
+        // them again. Rates must stay bit-identical to the reference
+        // solver at every step.
         let build = || {
             let mut net = FlowNetwork::new();
             let la = net.add_resource(
@@ -1574,8 +1532,7 @@ mod tests {
             (net, ids)
         };
         let (mut sharded, ids) = build();
-        let (mut plain, _) = build();
-        plain.set_sharded(false);
+        let (mut reference, _) = build();
         let script: &[(usize, bool)] = &[
             (0, true),
             (1, true),
@@ -1586,18 +1543,19 @@ mod tests {
             (2, true),
         ];
         for &(k, on) in script {
-            for net in [&mut sharded, &mut plain] {
+            for net in [&mut sharded, &mut reference] {
                 if on {
                     net.activate(ids[k]);
                 } else {
                     net.deactivate(ids[k]);
                 }
-                net.recompute_rates();
             }
+            sharded.recompute_rates();
+            reference.reference_recompute_rates();
             for &f in &ids {
                 assert_eq!(
                     sharded.rate(f).to_bits(),
-                    plain.rate(f).to_bits(),
+                    reference.rate(f).to_bits(),
                     "rates diverged for flow {f:?}"
                 );
             }

@@ -265,18 +265,10 @@ impl<'r> FluidSim<'r> {
     /// [`FlowNetwork::reference_recompute_rates`] instead of the
     /// incremental solver. Results are bit-identical by construction;
     /// the reference allocates and rescans every registered flow. Used
-    /// by the differential tests and the `flow_hotpath` bench.
+    /// by the differential tests and the `flow_hotpath` and `flow_scale`
+    /// benches.
     pub fn set_reference_solver(&mut self, reference: bool) {
         self.use_reference_solver = reference;
-    }
-
-    /// Toggle the incremental solver's component sharding (on by
-    /// default; see [`FlowNetwork::set_sharded`]). Rates are
-    /// bit-identical either way; turning it off is the `flow_scale`
-    /// bench's comparison point. No effect while the reference solver
-    /// is routed via [`FluidSim::set_reference_solver`].
-    pub fn set_sharded(&mut self, sharded: bool) {
-        self.net.set_sharded(sharded);
     }
 
     /// Attach an event sink for the rest of the simulation.

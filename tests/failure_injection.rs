@@ -505,3 +505,59 @@ fn simultaneous_same_instant_evictions_survive_or_fail_typed() {
         }
     }
 }
+
+/// A retry policy the timeline compiler cannot run — a zero first
+/// backoff never advances the probe clock, a NaN deadline has no
+/// instant — is the same typed error in both admission modes, returned
+/// before the session touches the deployment. (The online engine once
+/// compiled faults without validating the policy: the zero backoff
+/// spun forever and the NaN deadline panicked.)
+#[test]
+fn invalid_retry_policies_fail_typed_in_both_admission_modes() {
+    let plan = FaultPlan::new()
+        .target_offline(0.5, TargetId(0))
+        .unwrap()
+        .target_recovers(4.0, TargetId(0))
+        .unwrap();
+    let stream = ArrivalStream::from_trace(vec![AppRequest {
+        arrival_s: 0.0,
+        config: IorConfig::paper_default(4).with_total_bytes(4 * GIB),
+        stripe: 4,
+    }])
+    .unwrap();
+    let states = |fs: &BeeGfs| -> Vec<TargetState> {
+        fs.platform()
+            .all_targets()
+            .into_iter()
+            .map(|t| fs.mgmt().state(t))
+            .collect()
+    };
+    let bad = [
+        RetryPolicy {
+            initial_backoff_s: 0.0,
+            ..RetryPolicy::default()
+        },
+        RetryPolicy {
+            deadline_s: f64::NAN,
+            ..RetryPolicy::default()
+        },
+    ];
+    for retry in bad {
+        for mode in [AdmissionMode::FrozenOracle, AdmissionMode::Online] {
+            let mut fs = deploy(4);
+            fs.set_target_state(TargetId(3), TargetState::Degraded(0.5))
+                .unwrap();
+            let before = states(&fs);
+            let result = Scheduler::new(&mut fs, Box::new(LeastLoadedServer))
+                .mode(mode)
+                .faults(plan.clone())
+                .retry(retry)
+                .serve(&stream, &RngFactory::new(3));
+            assert!(
+                matches!(result, Err(SchedError::Run(RunError::Policy(_)))),
+                "{mode:?} with {retry:?}: got {result:?}"
+            );
+            assert_eq!(states(&fs), before, "{mode:?} with {retry:?}");
+        }
+    }
+}
