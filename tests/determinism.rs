@@ -379,6 +379,129 @@ fn faulted_online_logs_are_byte_identical_to_the_committed_golden() {
 }
 
 #[test]
+fn scheduler_lifecycle_traces_and_metrics_are_byte_identical_to_the_committed_golden() {
+    // The admission lifecycle itself — arrival, queueing, admission,
+    // placement, re-placement, restripe and release events, and the
+    // `sched.*` metrics — pinned in both admission modes. The stream is
+    // the faulted pin's plan under a concurrency cap of two, so every
+    // session queues, evicts and re-places; the adaptive one restripes.
+    use beegfs_repro::cluster::TargetId;
+    use beegfs_repro::core::FaultPlan;
+    use beegfs_repro::ior::{HedgeConfig, RetryPolicy};
+    use beegfs_repro::obs::metrics::MetricsRegistry;
+    use beegfs_repro::obs::{EventKind, Timeline};
+    use beegfs_repro::sched::{AdaptiveStriping, AdmissionMode, StragglerAware};
+    let factory = RngFactory::new(31);
+    let stream = ArrivalStream::poisson(
+        0.3,
+        8,
+        IorConfig::paper_default(4).with_total_bytes(4 * GIB),
+        4,
+        &mut factory.stream("arrivals", 0),
+    );
+    let plan = FaultPlan::new()
+        .link_degraded(0.5, 0, 0.5)
+        .unwrap()
+        .link_restored(1.0, 0)
+        .unwrap()
+        .target_offline(3.3, TargetId(1))
+        .unwrap()
+        .target_recovers(7.0, TargetId(1))
+        .unwrap()
+        .target_offline(4.0, TargetId(4))
+        .unwrap()
+        .target_transient_straggler(18.8, TargetId(0), 0.2, 1.0)
+        .unwrap();
+    for name in [
+        "frozen_lls",
+        "frozen_hedged",
+        "online_lls",
+        "online_adaptive",
+    ] {
+        let mut fs = BeeGfs::new(
+            presets::plafrim_omnipath(),
+            DirConfig::plafrim_default(),
+            plafrim_registration_order(),
+        );
+        let mut timeline = Timeline::new();
+        let mut reg = MetricsRegistry::new();
+        let sched = match name {
+            "frozen_lls" => Scheduler::new(&mut fs, Box::new(LeastLoadedServer)),
+            "frozen_hedged" => {
+                Scheduler::new(&mut fs, Box::new(StragglerAware)).hedge(HedgeConfig::default())
+            }
+            "online_lls" => {
+                Scheduler::new(&mut fs, Box::new(LeastLoadedServer)).mode(AdmissionMode::Online)
+            }
+            _ => Scheduler::new(&mut fs, Box::<AdaptiveStriping>::default())
+                .mode(AdmissionMode::Online),
+        };
+        let out = sched
+            .max_concurrent(2)
+            .faults(plan.clone())
+            .retry(RetryPolicy {
+                deadline_s: 5.0,
+                ..RetryPolicy::default()
+            })
+            .trace(&mut timeline)
+            .metrics(&mut reg)
+            .serve(&stream, &factory)
+            .unwrap();
+        // The pin is only meaningful if the session exercised the queue,
+        // a fault re-placement and, adaptively, a restripe.
+        assert!(
+            timeline.count(EventKind::SchedQueued) >= 1,
+            "{name}: no arrival queued"
+        );
+        assert!(
+            out.decisions.iter().any(|d| d.replaced),
+            "{name}: no replaced decision"
+        );
+        if name == "online_adaptive" {
+            assert!(
+                timeline.count(EventKind::SchedRestriped) >= 1,
+                "{name}: no restripe"
+            );
+        }
+        let events = serde_json::to_string(timeline.events()).unwrap();
+        check_golden(
+            &format!("tests/golden/lifecycle_{name}_trace_seed31.json"),
+            events.as_bytes(),
+        );
+        check_golden(
+            &format!("tests/golden/lifecycle_{name}_metrics_seed31.json"),
+            reg.to_json().as_bytes(),
+        );
+        check_golden(
+            &format!("tests/golden/lifecycle_{name}_decisions_seed31.json"),
+            out.decision_log_json().as_bytes(),
+        );
+        check_golden(
+            &format!("tests/golden/lifecycle_{name}_restripes_seed31.json"),
+            out.restripe_log_json().as_bytes(),
+        );
+        let apps = out
+            .apps
+            .iter()
+            .map(|a| {
+                format!(
+                    "{:016x} {:016x} {:016x} {:016x}",
+                    a.end_s.to_bits(),
+                    a.admit_s.to_bits(),
+                    a.slowdown.to_bits(),
+                    a.duration_s.to_bits()
+                )
+            })
+            .collect::<Vec<_>>()
+            .join("\n");
+        check_golden(
+            &format!("tests/golden/lifecycle_{name}_apps_seed31.txt"),
+            apps.as_bytes(),
+        );
+    }
+}
+
+#[test]
 fn campaign_cache_record_is_byte_identical_to_the_pre_rework_golden() {
     // One small campaign persisted through the content-addressed store:
     // both the cell key (cache identity) and the serialized record bytes
