@@ -17,76 +17,13 @@
 //! work vectors per solve; the incremental solver walks the active list
 //! with warm scratch buffers and skips no-op solves outright.
 
-use simcore::flow::{CapacityModel, FlowNetwork, FluidSim, SimArena};
-use simcore::SimTime;
-use std::time::Instant;
+use bench::{extract_f64, hotpath_rep, median, HOTPATH_FLOWS};
+use simcore::flow::SimArena;
 
 const REPS: usize = 15;
-const FLOWS_PER_REP: u64 = 2000;
-
-fn build_net() -> FlowNetwork {
-    let mut net = FlowNetwork::new();
-    net.add_resource("link0", CapacityModel::Fixed(4000.0));
-    net.add_resource("link1", CapacityModel::Fixed(5000.0));
-    for i in 0..8 {
-        net.add_resource(
-            format!("ost{i}"),
-            CapacityModel::Saturating {
-                peak: 900.0,
-                q_half: 1.5,
-            },
-        );
-    }
-    net
-}
 
 fn one_rep(reference: bool, arena: &mut SimArena) -> f64 {
-    let net = build_net();
-    let links: Vec<_> = (0..2).map(simcore::flow::ResourceId::from_index).collect();
-    let targets: Vec<_> = (2..10).map(simcore::flow::ResourceId::from_index).collect();
-
-    let mut sim = FluidSim::with_arena(net, arena);
-    sim.set_reference_solver(reference);
-    for i in 0..FLOWS_PER_REP {
-        let path = vec![
-            links[(i % 2) as usize],
-            targets[(i % targets.len() as u64) as usize],
-        ];
-        // Small flows in staggered batches, arriving slower than they
-        // drain: the *registered* flow count grows into the thousands
-        // while the *active* set stays around batch size, which is the
-        // regime the incremental solver targets (the reference rescans
-        // every registered flow on every solve).
-        let start = SimTime::from_secs_f64((i / 8) as f64 * 0.25);
-        sim.start_flow_at(start, path, 10.0 + (i * 13 % 17) as f64, i);
-    }
-    let flap = targets[3];
-    sim.schedule_factor_change(SimTime::from_secs_f64(0.4), flap, 0.2);
-    sim.schedule_factor_change(SimTime::from_secs_f64(1.2), flap, 1.0);
-
-    let t0 = Instant::now();
-    let mut done = 0u64;
-    while sim.next_completion().is_some() {
-        done += 1;
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
-    assert_eq!(done, FLOWS_PER_REP, "every flow must complete");
-    sim.recycle_into(arena);
-    elapsed
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
-/// Pull `"key": <float>` out of the committed baseline without a JSON
-/// dependency; returns `None` when the key is absent or malformed.
-fn extract_f64(json: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let rest = &json[json.find(&pat)? + pat.len()..];
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+    hotpath_rep(arena, |sim| sim.set_reference_solver(reference), |_| {})
 }
 
 fn main() {
@@ -113,7 +50,7 @@ fn main() {
         .and_then(|s| extract_f64(&s, "incremental_reps_per_sec"));
 
     let json = format!(
-        "{{\n  \"reps\": {REPS},\n  \"flows_per_rep\": {FLOWS_PER_REP},\n  \
+        "{{\n  \"reps\": {REPS},\n  \"flows_per_rep\": {HOTPATH_FLOWS},\n  \
          \"incremental_reps_per_sec\": {inc_rps:.2},\n  \
          \"reference_reps_per_sec\": {ref_rps:.2},\n  \"speedup\": {speedup:.2}\n}}\n"
     );

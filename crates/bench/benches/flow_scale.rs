@@ -26,6 +26,7 @@
 //! would dominate the whole bench suite); events/sec over the drained
 //! prefix is the common currency.
 
+use bench::{extract_f64, median};
 use cluster::{Fabric, FabricNoise, FleetSpec, SwitchPolicy, TargetId};
 use simcore::flow::{FluidSim, SimArena};
 use simcore::units::Bandwidth;
@@ -95,20 +96,6 @@ fn one_rep(n_flows: u64, cap: u64, reference: bool, arena: &mut SimArena) -> f64
     assert_eq!(done, cap, "drained fewer completions than requested");
     sim.recycle_into(arena);
     done as f64 / elapsed
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
-/// Pull `"key": <float>` out of the committed baseline without a JSON
-/// dependency; returns `None` when the key is absent or malformed.
-fn extract_f64(json: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let rest = &json[json.find(&pat)? + pat.len()..];
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
 }
 
 fn main() {

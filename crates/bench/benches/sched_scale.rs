@@ -40,6 +40,7 @@
 //! admission *throughput* only. Mode agreement is pinned separately, on
 //! small traces, by `tests/online_oracle.rs`.
 
+use bench::extract_f64;
 use experiments::campaign::SchedPolicyKind;
 use experiments::context::{deploy, Scenario};
 use sched::{AdmissionMode, ArrivalStream, Scheduler};
@@ -153,15 +154,6 @@ fn serve_policy(
         arrivals as f64 / elapsed,
         out.sim_events as f64 / arrivals as f64,
     )
-}
-
-/// Pull `"key": <float>` out of the committed baseline without a JSON
-/// dependency; returns `None` when the key is absent or malformed.
-fn extract_f64(json: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let rest = &json[json.find(&pat)? + pat.len()..];
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
 }
 
 fn main() {

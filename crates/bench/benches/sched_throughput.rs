@@ -7,6 +7,7 @@
 //! `BENCH_sched_throughput.json` at the repository root so CI can keep
 //! an eye on placement staying microseconds-cheap.
 
+use bench::median;
 use cluster::presets;
 use sched::{
     ClusterView, LeastLoadedServer, PlacementPolicy, Random, RoundRobinServer, StragglerAware,
@@ -66,11 +67,6 @@ fn one_round(policy: &mut dyn PlacementPolicy) -> f64 {
     let secs = start.elapsed().as_secs_f64();
     assert!(picked >= ARRIVALS, "decisions went missing");
     ARRIVALS as f64 / secs
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
 }
 
 fn main() {

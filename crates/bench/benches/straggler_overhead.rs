@@ -21,63 +21,23 @@
 use beegfs_core::{
     plafrim_registration_order, BeeGfs, ChooserKind, DirConfig, FaultPlan, StripePattern,
 };
+use bench::{extract_f64, hotpath_rep, median, HOTPATH_FLOWS};
 use cluster::{presets, TargetId};
 use ior::{HedgeConfig, IorConfig, Run};
-use simcore::flow::{CapacityModel, FlowNetwork, FluidSim, SimArena};
+use simcore::flow::SimArena;
 use simcore::rng::RngFactory;
-use simcore::SimTime;
 use std::time::Instant;
 
 /// Timed repetitions per leg (interleaved; the median is reported).
 const REPS: usize = 15;
-/// Flows per detector-off rep — matches `flow_hotpath` exactly so the
-/// committed baseline is comparable.
-const FLOWS_PER_REP: u64 = 2000;
 /// IOR runs per detector-on rep.
 const RUNS_PER_REP: usize = 8;
 
-/// The `flow_hotpath` workload, incremental solver only: small flows in
-/// staggered batches over two links and eight targets, with one target
-/// flapping mid-stream. No fault plan, no hedging — this is the path
-/// every healthy simulation takes, and it must not have slowed down.
+/// The `flow_hotpath` workload, incremental solver only. No fault
+/// plan, no hedging — this is the path every healthy simulation takes,
+/// and it must not have slowed down.
 fn detector_off_rep(arena: &mut SimArena) -> f64 {
-    let mut net = FlowNetwork::new();
-    net.add_resource("link0", CapacityModel::Fixed(4000.0));
-    net.add_resource("link1", CapacityModel::Fixed(5000.0));
-    for i in 0..8 {
-        net.add_resource(
-            format!("ost{i}"),
-            CapacityModel::Saturating {
-                peak: 900.0,
-                q_half: 1.5,
-            },
-        );
-    }
-    let links: Vec<_> = (0..2).map(simcore::flow::ResourceId::from_index).collect();
-    let targets: Vec<_> = (2..10).map(simcore::flow::ResourceId::from_index).collect();
-
-    let mut sim = FluidSim::with_arena(net, arena);
-    for i in 0..FLOWS_PER_REP {
-        let path = vec![
-            links[(i % 2) as usize],
-            targets[(i % targets.len() as u64) as usize],
-        ];
-        let start = SimTime::from_secs_f64((i / 8) as f64 * 0.25);
-        sim.start_flow_at(start, path, 10.0 + (i * 13 % 17) as f64, i);
-    }
-    let flap = targets[3];
-    sim.schedule_factor_change(SimTime::from_secs_f64(0.4), flap, 0.2);
-    sim.schedule_factor_change(SimTime::from_secs_f64(1.2), flap, 1.0);
-
-    let t0 = Instant::now();
-    let mut done = 0u64;
-    while sim.next_completion().is_some() {
-        done += 1;
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
-    assert_eq!(done, FLOWS_PER_REP, "every flow must complete");
-    sim.recycle_into(arena);
-    elapsed
+    hotpath_rep(arena, |_| {}, |_| {})
 }
 
 fn deploy() -> BeeGfs {
@@ -116,20 +76,6 @@ fn detector_on_rep(hedged: bool, factory: &RngFactory) -> f64 {
     t0.elapsed().as_secs_f64()
 }
 
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
-/// Pull `"key": <float>` out of a committed baseline without a JSON
-/// dependency; returns `None` when the key is absent or malformed.
-fn extract_f64(json: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let rest = &json[json.find(&pat)? + pat.len()..];
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
 fn main() {
     let factory = RngFactory::new(4242);
     let mut arena = SimArena::new();
@@ -163,7 +109,7 @@ fn main() {
         "/../../BENCH_straggler_overhead.json"
     );
     let json = format!(
-        "{{\n  \"reps\": {REPS},\n  \"flows_per_rep\": {FLOWS_PER_REP},\n  \
+        "{{\n  \"reps\": {REPS},\n  \"flows_per_rep\": {HOTPATH_FLOWS},\n  \
          \"runs_per_rep\": {RUNS_PER_REP},\n  \
          \"detector_off_reps_per_sec\": {off_rps:.2},\n  \
          \"plain_runs_per_sec\": {plain_rps:.2},\n  \

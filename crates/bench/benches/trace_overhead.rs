@@ -12,6 +12,7 @@
 //! and the measured overhead is back to a few percent.)
 
 use beegfs_core::FaultPlan;
+use bench::{extract_f64, median};
 use cluster::TargetId;
 use ior::{AppSpec, IorConfig, RetryPolicy, Run};
 use simcore::rng::RngFactory;
@@ -53,23 +54,6 @@ fn one_run(seed: u64, timeline: Option<&mut obs::Timeline>) -> f64 {
     let (out, _) = run.execute(&mut rng).expect("bench run");
     assert!(out.sim_events > 0);
     start.elapsed().as_secs_f64()
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
-/// Pull a numeric field out of the committed baseline JSON (hand-rolled:
-/// the file is this bench's own output, shape fully known).
-fn extract_f64(json: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = json.find(&pat)? + pat.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn main() {

@@ -5,9 +5,13 @@
 //! takes; the full-fidelity (100-repetition) regeneration lives in the
 //! `experiments` crate's `repro` binary. `benches/engine_micro.rs` covers
 //! the simulation kernel itself (max–min solver, fluid loop, choosers,
-//! statistics).
+//! statistics). The gated, non-Criterion benches share the helpers
+//! below.
 
 use experiments::ExpCtx;
+use simcore::flow::{CapacityModel, FlowNetwork, FluidSim, ResourceId, SimArena};
+use simcore::SimTime;
+use std::time::Instant;
 
 /// Repetitions used inside the figure bench targets (the paper uses 100;
 /// benches use fewer so Criterion's own sampling stays tractable).
@@ -16,6 +20,77 @@ pub const BENCH_REPS: usize = 5;
 /// The context every figure bench runs under.
 pub fn bench_ctx() -> ExpCtx {
     ExpCtx::quick(BENCH_REPS)
+}
+
+/// The median of a non-empty sample (the upper middle for an even
+/// count).
+pub fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// Pull `"key": <float>` out of a committed `BENCH_*.json` without a
+/// JSON dependency; returns `None` when the key is absent or malformed.
+pub fn extract_f64(json: &str, key: &str) -> Option<f64> {
+    let pat = format!("\"{key}\":");
+    let rest = &json[json.find(&pat)? + pat.len()..];
+    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
+    rest[..end].trim().parse().ok()
+}
+
+/// Flows per [`hotpath_rep`].
+pub const HOTPATH_FLOWS: u64 = 2000;
+
+/// One rep of the `flow_hotpath` workload: [`HOTPATH_FLOWS`] small flows
+/// in staggered batches over two links and eight targets, arriving
+/// slower than they drain, with one target flapping mid-stream. `setup`
+/// configures the fresh simulation before any flow is scheduled;
+/// `harvest` runs inside the timed region after the last completion.
+/// Returns the timed seconds.
+pub fn hotpath_rep(
+    arena: &mut SimArena,
+    setup: impl FnOnce(&mut FluidSim<'_>),
+    harvest: impl FnOnce(&FluidSim<'_>),
+) -> f64 {
+    let mut net = FlowNetwork::new();
+    net.add_resource("link0", CapacityModel::Fixed(4000.0));
+    net.add_resource("link1", CapacityModel::Fixed(5000.0));
+    for i in 0..8 {
+        net.add_resource(
+            format!("ost{i}"),
+            CapacityModel::Saturating {
+                peak: 900.0,
+                q_half: 1.5,
+            },
+        );
+    }
+    let links: Vec<_> = (0..2).map(ResourceId::from_index).collect();
+    let targets: Vec<_> = (2..10).map(ResourceId::from_index).collect();
+
+    let mut sim = FluidSim::with_arena(net, arena);
+    setup(&mut sim);
+    for i in 0..HOTPATH_FLOWS {
+        let path = vec![
+            links[(i % 2) as usize],
+            targets[(i % targets.len() as u64) as usize],
+        ];
+        let start = SimTime::from_secs_f64((i / 8) as f64 * 0.25);
+        sim.start_flow_at(start, path, 10.0 + (i * 13 % 17) as f64, i);
+    }
+    let flap = targets[3];
+    sim.schedule_factor_change(SimTime::from_secs_f64(0.4), flap, 0.2);
+    sim.schedule_factor_change(SimTime::from_secs_f64(1.2), flap, 1.0);
+
+    let t0 = Instant::now();
+    let mut done = 0u64;
+    while sim.next_completion().is_some() {
+        done += 1;
+    }
+    harvest(&sim);
+    let elapsed = t0.elapsed().as_secs_f64();
+    assert_eq!(done, HOTPATH_FLOWS, "every flow must complete");
+    sim.recycle_into(arena);
+    elapsed
 }
 
 #[cfg(test)]

@@ -74,12 +74,6 @@ impl BeeGfs {
         }
     }
 
-    /// Deploy with the platform's flat (server-major) registration order.
-    pub fn with_flat_order(platform: Platform, dir: DirConfig) -> Self {
-        let order = platform.all_targets();
-        Self::new(platform, dir, order)
-    }
-
     /// The underlying platform.
     pub fn platform(&self) -> &Platform {
         &self.platform

@@ -66,6 +66,9 @@ pub enum PolicyError {
     InvalidMaxBackoff(f64),
     /// The give-up deadline must be finite and positive.
     InvalidDeadline(f64),
+    /// The backoff must reach the deadline (seconds) within 65,536
+    /// probes.
+    TooManyProbes(f64),
 }
 
 impl fmt::Display for PolicyError {
@@ -85,6 +88,9 @@ impl fmt::Display for PolicyError {
             }
             PolicyError::InvalidDeadline(x) => {
                 write!(f, "retry deadline {x}s must be finite and positive")
+            }
+            PolicyError::TooManyProbes(x) => {
+                write!(f, "backoff cannot reach the {x}s deadline in 65536 probes")
             }
         }
     }

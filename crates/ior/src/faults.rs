@@ -193,10 +193,12 @@ impl FaultTimeline {
                 }
                 // Outage: clients notice one heartbeat later, then probe
                 // with backoff; each candidate recovery is checked
-                // against the timeline at its probe instant.
+                // against the timeline at its probe instant. A recovery
+                // past the deadline has its probe past it too.
                 let observe_s = fs.mgmt().observation_time_s(start_s);
                 let resume = evs[i..]
                     .iter()
+                    .take_while(|(at_s, _)| at_s - start_s <= retry.deadline_s)
                     .filter(|(_, s)| !matches!(s, TargetState::Offline))
                     .find_map(|&(rec_s, _)| {
                         let probe = retry.resume_time_s(observe_s, rec_s);

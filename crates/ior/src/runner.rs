@@ -55,6 +55,9 @@ use simcore::time::SimTime;
 use simcore::units::Bandwidth;
 use std::collections::HashMap;
 
+/// Most retry probes a [`RetryPolicy`] may need to span its deadline.
+const MAX_PROBES: usize = 1 << 16;
+
 /// Client-side retry behaviour for writes that hit a dead target.
 ///
 /// When a target goes offline mid-run, clients keep issuing writes until
@@ -103,7 +106,28 @@ impl RetryPolicy {
         if !(self.deadline_s.is_finite() && self.deadline_s > 0.0) {
             return Err(PolicyError::InvalidDeadline(self.deadline_s));
         }
+        // A backoff too small to move the probe clock would never reach
+        // the deadline: bound the probes a deadline may take.
+        let reaches = self
+            .probes(0.0)
+            .take(MAX_PROBES)
+            .any(|p| p >= self.deadline_s);
+        if !reaches {
+            return Err(PolicyError::TooManyProbes(self.deadline_s));
+        }
         Ok(())
+    }
+
+    /// The probe ladder of a client that observed an outage at
+    /// `observe_s`: `observe_s + b`, then each step the previous one
+    /// times the multiplier, capped at `max_backoff_s`.
+    fn probes(self, observe_s: f64) -> impl Iterator<Item = f64> {
+        let (mut probe, mut backoff) = (observe_s, self.initial_backoff_s);
+        std::iter::from_fn(move || {
+            probe += backoff;
+            backoff = (backoff * self.backoff_multiplier).min(self.max_backoff_s);
+            Some(probe)
+        })
     }
 
     /// The instant a stalled write resumes, given that the client
@@ -120,11 +144,10 @@ impl RetryPolicy {
         if recovery_s <= observe_s {
             return recovery_s;
         }
+        let mut ladder = self.probes(observe_s);
         let mut probe = observe_s;
-        let mut backoff = self.initial_backoff_s;
         while probe < recovery_s {
-            probe += backoff;
-            backoff = (backoff * self.backoff_multiplier).min(self.max_backoff_s);
+            probe = ladder.next().expect("the probe ladder is unbounded");
         }
         probe
     }
@@ -138,21 +161,12 @@ impl RetryPolicy {
     /// before it is a failed probe — which is how the runner turns the
     /// closed-form resume time into a retry event timeline.
     pub fn probe_times(&self, observe_s: f64, limit_s: f64) -> Vec<f64> {
-        let mut out = Vec::new();
         if !limit_s.is_finite() {
-            return out;
+            return Vec::new();
         }
-        let mut probe = observe_s;
-        let mut backoff = self.initial_backoff_s;
-        loop {
-            probe += backoff;
-            backoff = (backoff * self.backoff_multiplier).min(self.max_backoff_s);
-            if probe > limit_s {
-                break;
-            }
-            out.push(probe);
-        }
-        out
+        self.probes(observe_s)
+            .take_while(|&p| p <= limit_s)
+            .collect()
     }
 }
 

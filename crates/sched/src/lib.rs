@@ -31,6 +31,7 @@
 
 pub mod arrivals;
 pub mod error;
+mod ledger;
 pub mod online;
 pub mod policy;
 pub mod scheduler;

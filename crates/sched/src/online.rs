@@ -15,10 +15,14 @@
 //!
 //! # Semantics relative to the frozen oracle
 //!
-//! The frozen path is retained verbatim as the *reference oracle*
-//! (mirroring the solver's `reference_recompute_rates` pattern), and a
-//! differential test pins the two modes against each other on small
-//! traces. Both modes compile the session's fault plan with the same
+//! The frozen path stays as the *reference oracle* (mirroring the
+//! solver's `reference_recompute_rates` pattern), and a differential
+//! test pins the two modes against each other on small traces. Both
+//! modes admit through the same crate-private ledger — arrival gate,
+//! FIFO queue, lifecycle trace, `sched.*` admission metrics, decision
+//! and restripe logs, outcomes — so they differ only in pricing: how an
+//! admitted application's completion and slowdown are computed. Both
+//! modes also compile the session's fault plan with the same
 //! [`FaultTimeline::compile`]: one validation, one set of capacity
 //! changes, one abandon instant per dead target. The online engine
 //! simulates the exact fluid dynamics — a running application *is*
@@ -51,20 +55,19 @@
 use beegfs_core::{restripe_split, BeeGfs, FileHandle, TargetState};
 use cluster::{Fabric, FabricNoise, FabricPaths, Platform, TargetId};
 use ior::{compound_target_states, FaultTimeline, IorConfig, RunError};
-use iostats::agg::{aggregate_bandwidth, AppInterval};
 use serde::{Deserialize, Serialize};
 use simcore::dist::LogNormal;
 use simcore::flow::{FlowId, FluidSim};
 use simcore::rng::{RngFactory, StreamRng};
 use simcore::time::SimTime;
-use simcore::units::Bandwidth;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap};
 
 use crate::arrivals::AppRequest;
 use crate::error::SchedError;
+use crate::ledger::{ns, Ledger};
 use crate::policy::{AppObservation, ClusterLoad, Placement, PlacementPolicy, RestripeDecision};
-use crate::scheduler::{ns, AppOutcome, Decision, RestripeRecord, SchedOutcome, Scheduler};
+use crate::scheduler::{SchedOutcome, Scheduler};
 
 /// Period of the adaptive feedback loop: how often a feedback-wanting
 /// policy sees each running application's observed throughput. Scheduled
@@ -105,8 +108,6 @@ struct LiveFlow {
 /// An application currently on the live system.
 struct LiveApp {
     app: usize,
-    cfg: IorConfig,
-    arrival_s: f64,
     start_s: f64,
     overhead_s: f64,
     ideal_s: f64,
@@ -295,20 +296,12 @@ struct Session<'fs, 'r, 'a> {
     fs: &'fs mut BeeGfs,
     platform: Platform,
     policy: Box<dyn PlacementPolicy>,
-    max_concurrent: usize,
-    max_nodes: usize,
-    recorder: Option<&'r mut dyn obs::Recorder>,
-    metrics: Option<&'r mut obs::metrics::MetricsRegistry>,
     suspected: Vec<bool>,
     live: LiveSim,
     overhead_dist: LogNormal,
-    reqs: &'a [AppRequest],
     factory: &'a RngFactory,
+    ledger: Ledger<'a, 'r>,
     running: Vec<LiveApp>,
-    queue: VecDeque<usize>,
-    outcomes: Vec<Option<AppOutcome>>,
-    decisions: Vec<Decision>,
-    restripes: Vec<RestripeRecord>,
     /// Future end-of-application instants `(nanoseconds, app)` — the
     /// instant capacity frees (I/O end plus startup overhead).
     releases: BinaryHeap<Reverse<(u64, usize)>>,
@@ -320,12 +313,6 @@ struct Session<'fs, 'r, 'a> {
 }
 
 impl Session<'_, '_, '_> {
-    fn record(&mut self, ev: obs::Event) {
-        if let Some(rec) = self.recorder.as_deref_mut() {
-            rec.record(ev);
-        }
-    }
-
     /// Ask the policy for a placement against the live cluster view:
     /// management-service liveness, outstanding bytes of the running
     /// set, and the windowed busy fractions.
@@ -371,12 +358,12 @@ impl Session<'_, '_, '_> {
     /// Admit request `i` at instant `now` (the live clock): place,
     /// create the file, claim nodes, inject flows live and into the
     /// shadow baseline, commit the decision.
+    // Kept out of the event loop, its only caller: inlined there, the
+    // 100x10 `fleet_online` session's throughput swung by up to 12%
+    // with where the linker happened to place the loop.
+    #[inline(never)]
     fn admit(&mut self, i: usize, now: f64) -> Result<(), SchedError> {
-        let req = self.reqs[i];
-        if let Some(reg) = self.metrics.as_deref_mut() {
-            reg.inc("sched.admissions");
-            reg.observe("sched.wait_s", now - req.arrival_s);
-        }
+        let req = self.ledger.req(i);
         // Placement reuses the frozen path's stream name so policies
         // draw identically in both modes; the admission's own draws
         // (churn, chooser, overhead) live on an online-only stream.
@@ -394,29 +381,13 @@ impl Session<'_, '_, '_> {
         self.live_flows += flows.len() as u64;
         let targets = file.targets.clone();
 
-        self.record(obs::Event::SchedPlaced {
-            at: ns(now),
-            app: i as u32,
-            policy: self.policy.name().to_string(),
-            targets: targets.iter().map(|t| t.0).collect(),
-        });
-        self.decisions.push(Decision {
-            app: i as u32,
-            arrival_s: req.arrival_s,
-            admit_s: now,
-            policy: self.policy.name().to_string(),
-            targets: targets.iter().map(|t| t.0).collect(),
-            replaced: false,
-        });
-        if let Some(reg) = self.metrics.as_deref_mut() {
-            reg.inc(&format!("sched.decisions.{}", self.policy.name()));
+        self.ledger.placed(i, now, &targets, false);
+        if let Some(reg) = self.ledger.metrics() {
             reg.gauge_max("sched.online.live_flows", self.live_flows as f64);
             reg.gauge_max("sched.online.live_apps", (self.running.len() + 1) as f64);
         }
         self.running.push(LiveApp {
             app: i,
-            cfg: req.config,
-            arrival_s: req.arrival_s,
             start_s: now,
             overhead_s,
             ideal_s: ideal_io_s + overhead_s,
@@ -456,61 +427,96 @@ impl Session<'_, '_, '_> {
             return;
         }
         let end_s = a.io_end_s + a.overhead_s;
-        let duration_s = end_s - a.start_s;
-        self.outcomes[a.app] = Some(AppOutcome {
-            app: a.app,
-            arrival_s: a.arrival_s,
-            admit_s: a.start_s,
+        self.ledger.completed(
+            a.app,
+            a.start_s,
             end_s,
-            wait_s: a.start_s - a.arrival_s,
-            duration_s,
-            ideal_s: a.ideal_s,
-            slowdown: (end_s - a.arrival_s) / a.ideal_s,
-            bytes: a.bytes,
-            targets: a.targets.clone(),
-            bandwidth: Bandwidth::from_bytes_per_sec(a.bytes as f64 / duration_s),
-        });
+            end_s - a.start_s,
+            a.ideal_s,
+            a.bytes,
+            a.targets.clone(),
+        );
         let app = a.app;
         self.policy.app_done(app);
         self.releases.push(Reverse((ns(end_s), app)));
     }
 
-    /// Release a finished application's capacity and admit from the
-    /// queue head while the freed capacity lasts.
-    fn on_release(&mut self, app_idx: usize, now: f64) -> Result<(), SchedError> {
+    /// Release a finished application's nodes and capacity.
+    fn on_release(&mut self, app: usize, now: f64) {
         let pos = self
             .running
             .iter()
-            .position(|a| a.app == app_idx)
+            .position(|a| a.app == app)
             .expect("released application is running");
-        let done = self.running.swap_remove(pos);
-        for node in done.nodes {
-            self.live.free_nodes.insert(node);
+        self.live
+            .free_nodes
+            .extend(self.running.swap_remove(pos).nodes);
+        self.ledger.release(app, now);
+    }
+
+    /// Running application `pos`'s in-flight flows and their pooled
+    /// remaining bytes. A flow can have completed at this very instant
+    /// (its Completion queued but not yet processed — e.g. a second
+    /// same-instant eviction already moved this app, or the write
+    /// finished as the deadline expired): such flows are no longer
+    /// active, carry no bytes, and are left for normal completion
+    /// handling.
+    fn in_flight(&self, pos: usize) -> (Vec<FlowId>, f64) {
+        let net = self.live.sim.network();
+        let ids: Vec<FlowId> = self.running[pos]
+            .flows
+            .iter()
+            .map(|f| f.id)
+            .filter(|&id| net.is_active(id))
+            .collect();
+        let remaining = ids.iter().map(|&id| net.remaining(id)).sum();
+        (ids, remaining)
+    }
+
+    /// Move running application `pos` onto `file`: cancel its in-flight
+    /// flows, start one flow per `(node, target, bytes)` of `plan` now,
+    /// each weighted for `ppn` streams of its node, and restart the
+    /// feedback window at `at_s` so the policy judges the new stripe set
+    /// on its own samples. Returns the stripe set it left.
+    fn move_flows(
+        &mut self,
+        pos: usize,
+        in_flight: Vec<FlowId>,
+        file: FileHandle,
+        plan: impl IntoIterator<Item = (usize, TargetId, f64)>,
+        ppn: u32,
+        at_s: f64,
+    ) -> Vec<TargetId> {
+        for &id in &in_flight {
+            self.live.sim.cancel_flow(id);
         }
-        self.record(obs::Event::SchedReleased {
-            at: ns(now),
-            app: done.app as u32,
-        });
-        while let Some(&head) = self.queue.front() {
-            if !fits(
-                &self.running,
-                self.reqs[head].config.nodes,
-                self.max_concurrent,
-                self.max_nodes,
-            ) {
-                break;
-            }
-            self.queue.pop_front();
-            self.record(obs::Event::SchedAdmitted {
-                at: ns(now),
-                app: head as u32,
-            });
-            self.admit(head, now)?;
+        self.live_flows -= in_flight.len() as u64;
+        let weight = self
+            .platform
+            .compute
+            .flow_depth_weight(ppn, file.pattern.stripe_count);
+        let now = self.live.sim.now();
+        let a = &mut self.running[pos];
+        a.flows.clear();
+        for (node, target, bytes) in plan {
+            let id = self.live.sim.start_weighted_flow_at(
+                now,
+                self.live.paths.write_path(node, target),
+                bytes,
+                a.app as u64,
+                weight,
+            );
+            a.flows.push(LiveFlow { id, target });
+            self.live_flows += 1;
         }
-        if let Some(reg) = self.metrics.as_deref_mut() {
-            reg.observe("sched.queue_depth", self.queue.len() as f64);
-        }
-        Ok(())
+        let at_ns = ns(at_s);
+        a.rate_obs.observe(at_ns, 0.0);
+        a.anchor_bytes = a.rate_obs.bytes_until(at_ns);
+        a.anchor_s = at_s;
+        a.samples = 0;
+        a.last_change_s = at_s;
+        a.file = file;
+        std::mem::replace(&mut a.targets, a.file.targets.clone())
     }
 
     /// Give up on a dead target: mark it offline in the deployment and
@@ -521,7 +527,7 @@ impl Session<'_, '_, '_> {
         self.fs
             .set_target_state(target, TargetState::Offline)
             .expect("the fault plan's targets were validated");
-        if let Some(reg) = self.metrics.as_deref_mut() {
+        if let Some(reg) = self.ledger.metrics() {
             reg.inc("sched.evictions");
         }
         // An earlier eviction at this exact instant re-placed its
@@ -534,22 +540,8 @@ impl Session<'_, '_, '_> {
             if !self.running[pos].flows.iter().any(|f| f.target == target) {
                 continue;
             }
-            // A flow can have completed at this very instant (its
-            // Completion is queued but not yet processed — e.g. a
-            // second same-instant eviction already moved this app, or
-            // the write finished as the deadline expired): such flows
-            // are no longer active, carry zero remaining bytes, and
-            // must be left for normal completion handling.
-            let mut remaining = 0.0f64;
-            let mut in_flight = Vec::new();
-            for f in &self.running[pos].flows {
-                if !self.live.sim.network().is_active(f.id) {
-                    continue;
-                }
-                in_flight.push(f.id);
-                remaining += self.live.sim.network().remaining(f.id);
-            }
-            if in_flight.is_empty() || remaining <= 0.0 {
+            let (in_flight, remaining) = self.in_flight(pos);
+            if remaining <= 0.0 {
                 // Nothing left to move: the app is finishing at this
                 // instant; let its queued completions run their course.
                 // (A stalled flow on the dead target always has bytes
@@ -557,85 +549,27 @@ impl Session<'_, '_, '_> {
                 // it would never complete.)
                 continue;
             }
-            for id in in_flight {
-                self.live.sim.cancel_flow(id);
-                self.live_flows -= 1;
-            }
-            self.running[pos].flows.clear();
-            let (app, stripe, bytes) = {
-                let a = &self.running[pos];
-                (a.app, a.targets.len() as u32, a.bytes)
-            };
+            let a = &self.running[pos];
+            let (app, stripe, bytes) = (a.app, a.targets.len() as u32, a.bytes);
             let mut rng = self
                 .factory
                 .stream("online-replace", (app as u64) << 8 | seq);
             let placement = self.place(stripe, bytes, &mut rng)?;
             let (file, _) = self.create(&placement, &mut rng)?;
-            let weight = self
-                .platform
-                .compute
-                .flow_depth_weight(self.reqs[app].config.ppn, file.pattern.stripe_count);
-            let now = self.live.sim.now();
-            let a = &mut self.running[pos];
-            let from: Vec<u32> = a.targets.iter().map(|t| t.0).collect();
-            a.targets = file.targets.clone();
-            a.file = file;
-            // The stripe set changed under the app: restart the
-            // feedback window so the adaptive policy judges the new
-            // placement on its own samples.
-            a.rate_obs.observe(ns(at_s), 0.0);
-            a.anchor_bytes = a.rate_obs.bytes_until(ns(at_s));
-            a.anchor_s = at_s;
-            a.samples = 0;
-            a.last_change_s = at_s;
             // Even re-striping of the pooled remainder: one flow per
             // (node, new target) pair, an approximation of the client
             // re-issuing its abandoned writes under the new pattern.
-            let share = remaining / (a.nodes.len() * a.targets.len()) as f64;
-            for &node in &a.nodes {
-                for &t in &a.targets {
-                    let id = self.live.sim.start_weighted_flow_at(
-                        now,
-                        self.live.paths.write_path(node, t),
-                        share,
-                        a.app as u64,
-                        weight,
-                    );
-                    a.flows.push(LiveFlow { id, target: t });
-                    self.live_flows += 1;
-                }
-            }
-            let (arrival_s, targets) = {
-                let a = &self.running[pos];
-                (
-                    a.arrival_s,
-                    a.targets.iter().map(|t| t.0).collect::<Vec<_>>(),
-                )
-            };
-            self.record(obs::Event::SchedPlaced {
-                at: ns(at_s),
-                app: app as u32,
-                policy: self.policy.name().to_string(),
-                targets: targets.clone(),
-            });
-            self.decisions.push(Decision {
-                app: app as u32,
-                arrival_s,
-                admit_s: at_s,
-                policy: self.policy.name().to_string(),
-                targets: targets.clone(),
-                replaced: true,
-            });
-            self.restripes.push(RestripeRecord {
-                app: app as u32,
-                at_s,
-                kind: "evict".to_string(),
-                from,
-                to: targets,
-            });
-            if let Some(reg) = self.metrics.as_deref_mut() {
+            let (nodes, targets) = (self.running[pos].nodes.clone(), file.targets.clone());
+            let share = remaining / (nodes.len() * targets.len()) as f64;
+            let plan = nodes
+                .iter()
+                .flat_map(|&node| targets.iter().map(move |&t| (node, t, share)));
+            let ppn = self.ledger.req(app).config.ppn;
+            let from = self.move_flows(pos, in_flight, file, plan, ppn, at_s);
+            self.ledger
+                .restriped(app, at_s, "evict", &from, &self.running[pos].targets);
+            if let Some(reg) = self.ledger.metrics() {
                 reg.inc("sched.replacements");
-                reg.inc(&format!("sched.decisions.{}", self.policy.name()));
             }
         }
         Ok(())
@@ -726,9 +660,9 @@ impl Session<'_, '_, '_> {
 
     /// Commit one restripe decision: validate the new stripe set against
     /// the metadata service (an evicted destination rejects the whole
-    /// move, leaving the app untouched), cancel the app's live flows,
-    /// and redirect the not-yet-drained bytes onto the new stripe set
-    /// following the file's own chunk math ([`restripe_split`]).
+    /// move, leaving the app untouched), then redirect the not-yet-drained
+    /// bytes onto the new stripe set following the file's own chunk math
+    /// ([`restripe_split`]).
     fn apply_restripe(
         &mut self,
         app: usize,
@@ -740,31 +674,16 @@ impl Session<'_, '_, '_> {
             .iter()
             .position(|a| a.app == app)
             .expect("restriped application is running");
-        let now_ns = ns(at_s);
         // Pooled not-yet-drained bytes, read *before* touching any flow:
         // a rejected restripe must leave the application exactly as it
         // was.
-        // Flows that completed at this very instant are inactive with
-        // their Completion still queued — they carry no redirectable
-        // bytes and must not be cancelled.
-        let in_flight: Vec<FlowId> = self.running[pos]
-            .flows
-            .iter()
-            .map(|f| f.id)
-            .filter(|&id| self.live.sim.network().is_active(id))
-            .collect();
-        let remaining: f64 = in_flight
-            .iter()
-            .map(|&id| self.live.sim.network().remaining(id))
-            .sum();
+        let (in_flight, remaining) = self.in_flight(pos);
         if remaining < 1.0 {
             // Nothing left to redirect; the app is about to finish.
             return Ok(());
         }
-        let (bytes, old_file) = {
-            let a = &self.running[pos];
-            (a.bytes, a.file.clone())
-        };
+        let a = &self.running[pos];
+        let (bytes, old_file) = (a.bytes, a.file.clone());
         let issued = (bytes as f64 - remaining).clamp(0.0, bytes as f64) as u64;
         let (file, latency_s) =
             match self
@@ -773,7 +692,7 @@ impl Session<'_, '_, '_> {
             {
                 Ok((f, l)) => (f, l.as_secs_f64()),
                 Err(_) => {
-                    if let Some(reg) = self.metrics.as_deref_mut() {
+                    if let Some(reg) = self.ledger.metrics() {
                         reg.inc("sched.restripes.rejected");
                     }
                     return Ok(());
@@ -789,81 +708,26 @@ impl Session<'_, '_, '_> {
         } else {
             0.0
         };
+        let nodes = self.running[pos].nodes.clone();
+        let plan = split
+            .redirected
+            .iter()
+            .filter(|&&(_, tb)| tb > 0)
+            .flat_map(|&(t, tb)| {
+                let per_node = tb as f64 * scale / nodes.len() as f64;
+                nodes.iter().map(move |&node| (node, t, per_node))
+            });
         // One aggregate flow per (node, target) stands in for all of the
         // node's ppn process streams, so it carries the node's whole
         // depth weight (ppn = 1 in the split): per-target queue depth —
         // and with it the depth-dependent storage capacity — matches
         // what the original per-process flows presented.
-        let weight = self
-            .platform
-            .compute
-            .flow_depth_weight(1, file.pattern.stripe_count);
-        let now = self.live.sim.now();
-        for id in in_flight {
-            self.live.sim.cancel_flow(id);
-            self.live_flows -= 1;
-        }
-        let a = &mut self.running[pos];
-        a.flows.clear();
-        let from: Vec<u32> = a.targets.iter().map(|t| t.0).collect();
-        a.targets = file.targets.clone();
-        a.file = file;
+        let from = self.move_flows(pos, in_flight, file, plan, 1, at_s);
         // The metadata rewrite costs wall time, like the create it
         // mirrors; the solo ideal is untouched (same rule as evictions).
-        a.overhead_s += latency_s;
-        for (t, tb) in &split.redirected {
-            if *tb == 0 {
-                continue;
-            }
-            let per_node = *tb as f64 * scale / a.nodes.len() as f64;
-            for &node in &a.nodes {
-                let id = self.live.sim.start_weighted_flow_at(
-                    now,
-                    self.live.paths.write_path(node, *t),
-                    per_node,
-                    app as u64,
-                    weight,
-                );
-                a.flows.push(LiveFlow { id, target: *t });
-                self.live_flows += 1;
-            }
-        }
-        // Restart the feedback window for the new stripe set.
-        a.rate_obs.observe(now_ns, 0.0);
-        a.anchor_bytes = a.rate_obs.bytes_until(now_ns);
-        a.anchor_s = at_s;
-        a.samples = 0;
-        a.last_change_s = at_s;
-        let to: Vec<u32> = a.targets.iter().map(|t| t.0).collect();
-        let arrival_s = a.arrival_s;
-        let kind = d.kind.label();
-        self.record(obs::Event::SchedRestriped {
-            at: now_ns,
-            app: app as u32,
-            kind: kind.to_string(),
-            from: from.clone(),
-            to: to.clone(),
-        });
-        self.decisions.push(Decision {
-            app: app as u32,
-            arrival_s,
-            admit_s: at_s,
-            policy: self.policy.name().to_string(),
-            targets: to.clone(),
-            replaced: true,
-        });
-        self.restripes.push(RestripeRecord {
-            app: app as u32,
-            at_s,
-            kind: kind.to_string(),
-            from,
-            to,
-        });
-        if let Some(reg) = self.metrics.as_deref_mut() {
-            reg.inc("sched.restripes");
-            reg.inc(&format!("sched.restripes.{kind}"));
-            reg.inc(&format!("sched.decisions.{}", self.policy.name()));
-        }
+        self.running[pos].overhead_s += latency_s;
+        self.ledger
+            .restriped(app, at_s, d.kind.label(), &from, &self.running[pos].targets);
         Ok(())
     }
 }
@@ -894,7 +758,6 @@ pub(crate) fn serve_online(
         });
     }
     let platform = fs.platform().clone();
-    let max_nodes = platform.compute.max_nodes;
 
     // Validate and compile the fault plan before touching the
     // deployment: a bad plan or retry policy changes nothing.
@@ -919,25 +782,23 @@ pub(crate) fn serve_online(
         .collect();
     evictions.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
-    let n = reqs.len();
     let mut s = Session {
+        ledger: Ledger::new(
+            reqs,
+            recorder,
+            metrics,
+            policy.name(),
+            max_concurrent,
+            platform.compute.max_nodes,
+        ),
         fs,
-        platform,
         policy,
-        max_concurrent,
-        max_nodes,
-        recorder,
-        metrics,
         suspected,
         live,
         overhead_dist,
-        reqs,
         factory,
+        platform,
         running: Vec::new(),
-        queue: VecDeque::new(),
-        outcomes: (0..n).map(|_| None).collect(),
-        decisions: Vec::new(),
-        restripes: Vec::new(),
         releases: BinaryHeap::new(),
         next_eval_ns: None,
         live_flows: 0,
@@ -983,7 +844,6 @@ pub(crate) fn serve_online(
                 assert!(fired, "online engine stalled with live flows left");
                 continue;
             }
-            debug_assert!(s.queue.is_empty(), "queued requests can never start");
             break;
         };
 
@@ -994,57 +854,24 @@ pub(crate) fn serve_online(
             continue;
         }
 
-        match kind {
+        // Freed capacity and newcomers admit from the queue head.
+        let now = match kind {
             External::Evict => {
                 let (at_s, target) = evictions[evict_i];
                 evict_i += 1;
                 s.on_eviction(at_s, target, evict_i as u64)?;
+                continue;
             }
             External::Release => {
-                let Reverse((_, app_idx)) = s.releases.pop().expect("peeked above");
-                s.on_release(app_idx, SimTime::from_nanos(t_ns).as_secs_f64())?;
+                let Reverse((_, app)) = s.releases.pop().expect("peeked above");
+                let now = SimTime::from_nanos(t_ns).as_secs_f64();
+                s.on_release(app, now);
+                now
             }
             External::Arrive => {
-                let i = next_arrival;
                 next_arrival += 1;
-                let now = reqs[i].arrival_s;
-                s.record(obs::Event::SchedArrival {
-                    at: t_ns,
-                    app: i as u32,
-                });
-                if reqs[i].config.nodes > max_nodes {
-                    return Err(SchedError::Unschedulable {
-                        app: i,
-                        nodes: reqs[i].config.nodes,
-                        available: max_nodes,
-                    });
-                }
-                if s.queue.is_empty()
-                    && fits(
-                        &s.running,
-                        reqs[i].config.nodes,
-                        s.max_concurrent,
-                        max_nodes,
-                    )
-                {
-                    s.record(obs::Event::SchedAdmitted {
-                        at: t_ns,
-                        app: i as u32,
-                    });
-                    s.admit(i, now)?;
-                } else {
-                    s.record(obs::Event::SchedQueued {
-                        at: t_ns,
-                        app: i as u32,
-                    });
-                    if let Some(reg) = s.metrics.as_deref_mut() {
-                        reg.inc("sched.queued");
-                    }
-                    s.queue.push_back(i);
-                }
-                if let Some(reg) = s.metrics.as_deref_mut() {
-                    reg.observe("sched.queue_depth", s.queue.len() as f64);
-                }
+                s.ledger.arrive(next_arrival - 1)?;
+                reqs[next_arrival - 1].arrival_s
             }
             External::Eval => {
                 s.on_eval(SimTime::from_nanos(t_ns).as_secs_f64())?;
@@ -1053,42 +880,19 @@ pub(crate) fn serve_online(
                 } else {
                     Some(t_ns + EVAL_PERIOD_NS)
                 };
+                continue;
             }
+        };
+        while let Some(i) = s.ledger.next(now) {
+            s.admit(i, now)?;
         }
     }
 
     let sim_events = s.live.sim.events_processed() + s.live.shadow.events_processed();
-    if let Some(reg) = s.metrics.as_deref_mut() {
+    if let Some(reg) = s.ledger.metrics() {
         reg.add("sched.online.sim_events", sim_events);
     }
-    let apps: Vec<AppOutcome> = s
-        .outcomes
-        .into_iter()
-        .map(|o| o.expect("every request was admitted exactly once"))
-        .collect();
-    let intervals: Vec<AppInterval> = apps
-        .iter()
-        .map(|a| AppInterval {
-            start_s: a.admit_s,
-            end_s: a.end_s,
-            volume_bytes: a.bytes,
-        })
-        .collect();
-    let makespan_s = apps.iter().map(|a| a.end_s).fold(0.0, f64::max);
-    Ok(SchedOutcome {
-        decisions: s.decisions,
-        restripes: s.restripes,
-        aggregate: Bandwidth::from_bytes_per_sec(aggregate_bandwidth(&intervals)),
-        makespan_s,
-        sim_events,
-        apps,
-    })
-}
-
-/// Does an admission fit right now? (The frozen path's gate.)
-fn fits(running: &[LiveApp], nodes: usize, max_concurrent: usize, max_nodes: usize) -> bool {
-    let used: usize = running.iter().map(|r| r.cfg.nodes).sum();
-    running.len() < max_concurrent && used + nodes <= max_nodes
+    Ok(s.ledger.finish(sim_events))
 }
 
 #[cfg(test)]

@@ -42,15 +42,13 @@
 use beegfs_core::{BeeGfs, FaultPlan, TargetState};
 use cluster::TargetId;
 use ior::{AppSpec, HedgeConfig, IorConfig, RetryPolicy, Run, RunError, SimArena};
-use iostats::agg::{aggregate_bandwidth, AppInterval};
 use serde::{Deserialize, Serialize};
 use simcore::rng::RngFactory;
-use simcore::time::SimTime;
 use simcore::units::Bandwidth;
-use std::collections::VecDeque;
 
 use crate::arrivals::ArrivalStream;
 use crate::error::SchedError;
+use crate::ledger::Ledger;
 use crate::online::AdmissionMode;
 use crate::policy::{ClusterLoad, Placement, PlacementPolicy};
 
@@ -171,9 +169,13 @@ impl SchedOutcome {
 /// An application currently on the system.
 struct Running {
     app: usize,
-    cfg: IorConfig,
     start_s: f64,
     end_s: f64,
+    /// Wall time from admission to `end_s`: the measurement run's own
+    /// duration, or `end_s - start_s` after a re-placement.
+    duration_s: f64,
+    /// The solo baseline's duration.
+    ideal_s: f64,
     placement: Placement,
     targets: Vec<TargetId>,
     bytes: u64,
@@ -332,171 +334,79 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
         if self.mode == AdmissionMode::Online {
             return crate::online::serve_online(self, reqs, factory);
         }
-        let max_nodes = self.fs.platform().compute.max_nodes;
-
+        let mut ledger = Ledger::new(
+            reqs,
+            self.recorder.take(),
+            self.metrics.take(),
+            self.policy.name(),
+            self.max_concurrent,
+            self.fs.platform().compute.max_nodes,
+        );
         let mut running: Vec<Running> = Vec::new();
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        let mut outcomes: Vec<Option<AppOutcome>> = (0..reqs.len()).map(|_| None).collect();
-        let mut decisions: Vec<Decision> = Vec::new();
         let mut busy_fraction = vec![0.0f64; self.fs.platform().total_targets()];
         let mut sim_events = 0u64;
         let mut next_arrival = 0usize;
 
         while next_arrival < reqs.len() || !running.is_empty() {
             let arrival = (next_arrival < reqs.len()).then(|| reqs[next_arrival].arrival_s);
-            let completion = running.iter().map(|r| r.end_s).min_by(f64::total_cmp);
+            let completion = running
+                .iter()
+                .enumerate()
+                .map(|(pos, r)| (r.end_s, pos))
+                .min_by(|a, b| a.0.total_cmp(&b.0));
             // Completions tie-break before arrivals: capacity frees up
             // before the simultaneous newcomer asks for it.
-            let take_completion = match (completion, arrival) {
-                (Some(c), Some(a)) => c <= a,
-                (Some(_), None) => true,
-                (None, _) => false,
+            let now = match (completion, arrival) {
+                (Some((c, pos)), a) if a.is_none_or(|a| c <= a) => {
+                    let r = running.swap_remove(pos);
+                    ledger.completed(
+                        r.app,
+                        r.start_s,
+                        r.end_s,
+                        r.duration_s,
+                        r.ideal_s,
+                        r.bytes,
+                        r.targets,
+                    );
+                    ledger.release(r.app, c);
+                    c
+                }
+                (_, a) => {
+                    ledger.arrive(next_arrival)?;
+                    next_arrival += 1;
+                    a.expect("no completion implies an arrival")
+                }
             };
-            if take_completion {
-                let now = completion.expect("take_completion implies a running app");
-                let pos = running
-                    .iter()
-                    .position(|r| r.end_s == now)
-                    .expect("minimum exists");
-                let done = running.swap_remove(pos);
-                self.record(obs::Event::SchedReleased {
-                    at: ns(done.end_s),
-                    app: done.app as u32,
-                });
-                // Freed capacity admits from the queue head, in order.
-                while let Some(&head) = queue.front() {
-                    if !fits(
-                        &running,
-                        reqs[head].config.nodes,
-                        self.max_concurrent,
-                        max_nodes,
-                    ) {
-                        break;
-                    }
-                    queue.pop_front();
-                    self.record(obs::Event::SchedAdmitted {
-                        at: ns(now),
-                        app: head as u32,
-                    });
-                    self.admit(
-                        head,
-                        now,
-                        reqs,
-                        &mut running,
-                        &mut decisions,
-                        &mut busy_fraction,
-                        &mut outcomes,
-                        &mut sim_events,
-                        factory,
-                    )?;
-                }
-                if let Some(reg) = self.metrics.as_deref_mut() {
-                    reg.observe("sched.queue_depth", queue.len() as f64);
-                }
-            } else {
-                let i = next_arrival;
-                next_arrival += 1;
-                let now = reqs[i].arrival_s;
-                self.record(obs::Event::SchedArrival {
-                    at: ns(now),
-                    app: i as u32,
-                });
-                if reqs[i].config.nodes > max_nodes {
-                    return Err(SchedError::Unschedulable {
-                        app: i,
-                        nodes: reqs[i].config.nodes,
-                        available: max_nodes,
-                    });
-                }
-                if queue.is_empty()
-                    && fits(
-                        &running,
-                        reqs[i].config.nodes,
-                        self.max_concurrent,
-                        max_nodes,
-                    )
-                {
-                    self.record(obs::Event::SchedAdmitted {
-                        at: ns(now),
-                        app: i as u32,
-                    });
-                    self.admit(
-                        i,
-                        now,
-                        reqs,
-                        &mut running,
-                        &mut decisions,
-                        &mut busy_fraction,
-                        &mut outcomes,
-                        &mut sim_events,
-                        factory,
-                    )?;
-                } else {
-                    self.record(obs::Event::SchedQueued {
-                        at: ns(now),
-                        app: i as u32,
-                    });
-                    if let Some(reg) = self.metrics.as_deref_mut() {
-                        reg.inc("sched.queued");
-                    }
-                    queue.push_back(i);
-                }
-                if let Some(reg) = self.metrics.as_deref_mut() {
-                    reg.observe("sched.queue_depth", queue.len() as f64);
-                }
+            // Freed capacity and newcomers admit from the queue head, in
+            // order.
+            while let Some(i) = ledger.next(now) {
+                sim_events += self.admit(
+                    i,
+                    now,
+                    &mut ledger,
+                    &mut running,
+                    &mut busy_fraction,
+                    factory,
+                )?;
             }
         }
-
-        let apps: Vec<AppOutcome> = outcomes
-            .into_iter()
-            .map(|o| o.expect("every request was admitted exactly once"))
-            .collect();
-        let intervals: Vec<AppInterval> = apps
-            .iter()
-            .map(|a| AppInterval {
-                start_s: a.admit_s,
-                end_s: a.end_s,
-                volume_bytes: a.bytes,
-            })
-            .collect();
-        let makespan_s = apps.iter().map(|a| a.end_s).fold(0.0, f64::max);
-        Ok(SchedOutcome {
-            decisions,
-            restripes: Vec::new(),
-            aggregate: Bandwidth::from_bytes_per_sec(aggregate_bandwidth(&intervals)),
-            makespan_s,
-            sim_events,
-            apps,
-        })
-    }
-
-    fn record(&mut self, ev: obs::Event) {
-        if let Some(rec) = self.recorder.as_deref_mut() {
-            rec.record(ev);
-        }
+        Ok(ledger.finish(sim_events))
     }
 
     /// Admit request `i` at instant `now`: place it, price it with a
-    /// measurement run (re-placing around dead targets as needed),
-    /// commit its completion, and measure its solo baseline.
-    #[allow(clippy::too_many_arguments)]
+    /// measurement run (re-placing around dead targets as needed), and
+    /// measure its solo baseline; its outcome is committed when it
+    /// completes. Returns the simulation events of the committed runs.
     fn admit(
         &mut self,
         i: usize,
         now: f64,
-        reqs: &[crate::arrivals::AppRequest],
+        ledger: &mut Ledger<'_, '_>,
         running: &mut Vec<Running>,
-        decisions: &mut Vec<Decision>,
         busy_fraction: &mut [f64],
-        outcomes: &mut [Option<AppOutcome>],
-        sim_events: &mut u64,
         factory: &RngFactory,
-    ) -> Result<(), SchedError> {
-        let req = &reqs[i];
-        if let Some(reg) = self.metrics.as_deref_mut() {
-            reg.inc("sched.admissions");
-            reg.observe("sched.wait_s", now - req.arrival_s);
-        }
+    ) -> Result<u64, SchedError> {
+        let req = ledger.req(i);
         let mut place_rng = factory.stream("sched-place", i as u64);
         let load = ClusterLoad::of(self.fs, running.iter().map(|r| (&r.targets[..], r.bytes)));
         let mut placement = self.policy.place(
@@ -512,7 +422,8 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
         for attempt in 0..=total_targets {
             let mut run = Run::new(self.fs).arena(&mut self.arena);
             for r in running.iter() {
-                run = run.app(spec_for(&r.placement, r.cfg).starting_at(r.start_s));
+                let cfg = ledger.req(r.app).config;
+                run = run.app(spec_for(&r.placement, cfg).starting_at(r.start_s));
             }
             run = run
                 .app(spec_for(&placement, req.config).starting_at(now))
@@ -523,19 +434,18 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
             }
             let mut rng = factory.stream("sched-run", (i as u64) << 8 | attempt as u64);
             let result = run.execute(&mut rng);
-            if let Some(reg) = self.metrics.as_deref_mut() {
+            if let Some(reg) = ledger.metrics() {
                 reg.inc("sched.measurement_runs");
             }
             match result {
                 Ok((out, telemetry)) => {
-                    *sim_events += out.sim_events;
                     // Quarantine targets the hedging detector flagged.
                     if let Some(report) = &out.hedge {
                         for &t in &report.flagged {
                             self.suspected[t.index()] = true;
                         }
                     }
-                    if let Some(reg) = self.metrics.as_deref_mut() {
+                    if let Some(reg) = ledger.metrics() {
                         reg.add("sched.measurement_sim_events", out.sim_events);
                         let n = self.suspected.iter().filter(|&&s| s).count();
                         reg.gauge_max("sched.suspected_targets", n as f64);
@@ -560,53 +470,13 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
                         }
                         let res = &out.apps[j];
                         r.end_s = r.start_s + res.duration_s;
+                        r.duration_s = r.end_s - r.start_s;
                         r.targets = res.file_targets[0].clone();
-                        self.record(obs::Event::SchedPlaced {
-                            at: ns(now),
-                            app: r.app as u32,
-                            policy: self.policy.name().to_string(),
-                            targets: r.targets.iter().map(|t| t.0).collect(),
-                        });
-                        decisions.push(Decision {
-                            app: r.app as u32,
-                            arrival_s: reqs[r.app].arrival_s,
-                            admit_s: now,
-                            policy: self.policy.name().to_string(),
-                            targets: r.targets.iter().map(|t| t.0).collect(),
-                            replaced: true,
-                        });
-                        if let Some(reg) = self.metrics.as_deref_mut() {
-                            reg.inc(&format!("sched.decisions.{}", self.policy.name()));
-                        }
-                        if let Some(o) = outcomes[r.app].as_mut() {
-                            o.end_s = r.end_s;
-                            o.duration_s = r.end_s - o.admit_s;
-                            o.targets = r.targets.clone();
-                            o.slowdown = (o.end_s - o.arrival_s) / o.ideal_s;
-                            o.bandwidth =
-                                Bandwidth::from_bytes_per_sec(o.bytes as f64 / o.duration_s);
-                        }
+                        ledger.placed(r.app, now, &r.targets, true);
                     }
                     let res = out.apps.last().expect("run included the new app");
                     let targets = res.file_targets[0].clone();
-                    let end_s = now + res.duration_s;
-                    self.record(obs::Event::SchedPlaced {
-                        at: ns(now),
-                        app: i as u32,
-                        policy: self.policy.name().to_string(),
-                        targets: targets.iter().map(|t| t.0).collect(),
-                    });
-                    decisions.push(Decision {
-                        app: i as u32,
-                        arrival_s: req.arrival_s,
-                        admit_s: now,
-                        policy: self.policy.name().to_string(),
-                        targets: targets.iter().map(|t| t.0).collect(),
-                        replaced: attempt > 0,
-                    });
-                    if let Some(reg) = self.metrics.as_deref_mut() {
-                        reg.inc(&format!("sched.decisions.{}", self.policy.name()));
-                    }
+                    ledger.placed(i, now, &targets, attempt > 0);
                     // Solo baseline: same allocation, idle fault-free
                     // system — the denominator of the slowdown metric.
                     let mut solo_rng = factory.stream("sched-solo", i as u64);
@@ -614,35 +484,20 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
                         .arena(&mut self.arena)
                         .app(AppSpec::pinned(req.config, targets.clone()))
                         .execute(&mut solo_rng)?;
-                    *sim_events += solo.sim_events;
-                    if let Some(reg) = self.metrics.as_deref_mut() {
+                    if let Some(reg) = ledger.metrics() {
                         reg.add("sched.solo_sim_events", solo.sim_events);
                     }
-                    let ideal_s = solo.apps[0].duration_s;
-                    let duration_s = res.duration_s;
-                    outcomes[i] = Some(AppOutcome {
-                        app: i,
-                        arrival_s: req.arrival_s,
-                        admit_s: now,
-                        end_s,
-                        wait_s: now - req.arrival_s,
-                        duration_s,
-                        ideal_s,
-                        slowdown: (end_s - req.arrival_s) / ideal_s,
-                        bytes: res.bytes,
-                        targets: targets.clone(),
-                        bandwidth: res.bandwidth,
-                    });
                     running.push(Running {
                         app: i,
-                        cfg: req.config,
                         start_s: now,
-                        end_s,
+                        end_s: now + res.duration_s,
+                        duration_s: res.duration_s,
+                        ideal_s: solo.apps[0].duration_s,
                         placement: Placement::Pinned(targets.clone()),
                         targets,
                         bytes: res.bytes,
                     });
-                    return Ok(());
+                    return Ok(out.sim_events + solo.sim_events);
                 }
                 Err(RunError::TargetUnavailable { target, .. }) => {
                     // The target is gone for good (the plan never
@@ -651,7 +506,7 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
                     self.fs
                         .set_target_state(target, TargetState::Offline)
                         .expect("run validated the fault plan's targets");
-                    if let Some(reg) = self.metrics.as_deref_mut() {
+                    if let Some(reg) = ledger.metrics() {
                         reg.inc("sched.evictions");
                     }
                     let load =
@@ -674,7 +529,7 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
                                 &mut place_rng,
                             )?;
                             replaced[j] = true;
-                            if let Some(reg) = self.metrics.as_deref_mut() {
+                            if let Some(reg) = ledger.metrics() {
                                 reg.inc("sched.replacements");
                             }
                         }
@@ -685,17 +540,6 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
         }
         Err(SchedError::ReplacementExhausted { app: i })
     }
-}
-
-/// Seconds to the nanosecond timestamps of the event vocabulary.
-pub(crate) fn ns(s: f64) -> u64 {
-    SimTime::from_secs_f64(s).as_nanos()
-}
-
-/// Does an admission fit right now?
-fn fits(running: &[Running], nodes: usize, max_concurrent: usize, max_nodes: usize) -> bool {
-    let used: usize = running.iter().map(|r| r.cfg.nodes).sum();
-    running.len() < max_concurrent && used + nodes <= max_nodes
 }
 
 fn spec_for(placement: &Placement, cfg: IorConfig) -> AppSpec {

@@ -143,9 +143,6 @@ pub struct FluidSim<'r> {
     ready: VecDeque<Completion>,
     /// Optional event sink; `None` is the fast path.
     recorder: Option<&'r mut dyn obs::Recorder>,
-    /// Optional callback fired the instant any flow finishes; `None` is
-    /// the fast path.
-    completion_hook: Option<Box<dyn FnMut(Completion) + 'r>>,
     /// Last rate emitted per resource, so only *changes* are recorded.
     last_loads: Vec<f64>,
     /// Scratch buffer for the per-recompute load snapshot.
@@ -188,7 +185,6 @@ impl<'r> FluidSim<'r> {
             rates_dirty: true,
             ready: VecDeque::new(),
             recorder: None,
-            completion_hook: None,
             last_loads: Vec::new(),
             scratch_loads: Vec::new(),
             scratch_finished: Vec::new(),
@@ -226,7 +222,6 @@ impl<'r> FluidSim<'r> {
             rates_dirty: true,
             ready,
             recorder: None,
-            completion_hook: None,
             last_loads,
             scratch_loads,
             scratch_finished,
@@ -303,19 +298,6 @@ impl<'r> FluidSim<'r> {
     /// recording into, preserving the trace's single-writer ordering.
     pub fn recorder_mut<'s>(&'s mut self) -> Option<&'s mut (dyn obs::Recorder + 'r)> {
         self.recorder.as_deref_mut()
-    }
-
-    /// Attach a callback fired synchronously whenever a flow finishes,
-    /// *before* the completion is queued for
-    /// [`FluidSim::next_completion`].
-    ///
-    /// This is the release-event channel an external allocator needs:
-    /// the hook observes every completion in simulated-time order even
-    /// when the driving loop batches or filters the completions it pulls,
-    /// so resources tied to a flow (e.g. allocated storage targets) can
-    /// be released at the exact simulated instant the flow ends.
-    pub fn set_completion_hook(&mut self, hook: impl FnMut(Completion) + 'r) {
-        self.completion_hook = Some(Box::new(hook));
     }
 
     /// Calendar events (flow starts, scheduled factor changes) plus flow
@@ -581,17 +563,6 @@ impl<'r> FluidSim<'r> {
         std::iter::from_fn(|| self.next_completion()).collect()
     }
 
-    /// Run to the end, returning all completions in time order, or the
-    /// stall error if progress becomes impossible before the last flow
-    /// drains.
-    pub fn try_run_to_completion(&mut self) -> Result<Vec<Completion>, StallError> {
-        let mut out = Vec::new();
-        while let Some(c) = self.try_next_completion()? {
-            out.push(c);
-        }
-        Ok(out)
-    }
-
     /// Advance the simulation up to — at most — instant `t`, processing
     /// calendar events on the way, and stop **early** the moment any flow
     /// completes. Returns `true` when completions are waiting (drain them
@@ -806,15 +777,11 @@ impl<'r> FluidSim<'r> {
                 tag,
             });
         }
-        let done = Completion {
+        self.ready.push_back(Completion {
             flow,
             time: self.now,
             tag,
-        };
-        if let Some(hook) = self.completion_hook.as_mut() {
-            hook(done);
-        }
-        self.ready.push_back(done);
+        });
     }
 
     /// After a rate recompute, emit one [`obs::Event::RateChange`] per
@@ -955,30 +922,6 @@ mod tests {
         sim.start_flow_at(c.time, vec![r], 700.0, 1);
         let c2 = sim.next_completion().unwrap();
         assert_eq!(c2.time, SimTime::from_secs_f64(10.0));
-    }
-
-    #[test]
-    fn completion_hook_sees_every_finish_in_order() {
-        let mut net = FlowNetwork::new();
-        let r = net.add_resource("link", fixed(100.0));
-        let mut sim = FluidSim::new(net);
-        let seen = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        let sink = seen.clone();
-        sim.set_completion_hook(move |c: Completion| {
-            sink.borrow_mut().push((c.tag, c.time));
-        });
-        sim.start_flow_at(SimTime::ZERO, vec![r], 200.0, 10);
-        sim.start_flow_at(SimTime::ZERO, vec![r], 600.0, 20);
-        // The hook fires at finish time even though the caller only pulls
-        // the completions afterwards.
-        while sim.next_completion().is_some() {}
-        assert_eq!(
-            *seen.borrow(),
-            vec![
-                (10, SimTime::from_secs_f64(4.0)),
-                (20, SimTime::from_secs_f64(8.0)),
-            ]
-        );
     }
 
     #[test]

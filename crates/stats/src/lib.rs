@@ -11,9 +11,6 @@
 //!   paper applies before the t-test;
 //! * [`agg`] — Equation 1, the aggregate bandwidth of concurrent
 //!   applications;
-//! * [`sketch`] — bounded-memory, mergeable streaming summaries over the
-//!   `obs` metrics histograms, for pooling distributions across workers
-//!   without holding the raw sample;
 //! * [`special`] — the underlying special functions (log-gamma,
 //!   regularized incomplete beta, Student-t CDF, normal CDF), implemented
 //!   locally and verified against independent references.
@@ -26,13 +23,11 @@
 
 pub mod agg;
 pub mod ks;
-pub mod sketch;
 pub mod special;
 pub mod summary;
 pub mod welch;
 
 pub use agg::{aggregate_bandwidth, AppInterval};
 pub use ks::{ks_normality_test, ks_test, KsResult};
-pub use sketch::SketchSummary;
 pub use summary::{BoxPlot, Summary};
 pub use welch::{welch_t_test, WelchResult};

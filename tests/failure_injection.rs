@@ -541,6 +541,13 @@ fn invalid_retry_policies_fail_typed_in_both_admission_modes() {
             deadline_s: f64::NAN,
             ..RetryPolicy::default()
         },
+        // Validates range by range, but its probes never reach the
+        // deadline.
+        RetryPolicy {
+            initial_backoff_s: 1e-20,
+            backoff_multiplier: 1.0,
+            ..RetryPolicy::default()
+        },
     ];
     for retry in bad {
         for mode in [AdmissionMode::FrozenOracle, AdmissionMode::Online] {
