@@ -379,6 +379,90 @@ fn faulted_online_logs_are_byte_identical_to_the_committed_golden() {
 }
 
 #[test]
+fn fleet_scale_placement_logs_are_byte_identical_to_the_committed_golden() {
+    // Every other scheduler golden runs on PlaFRIM's two servers, where
+    // a wrong target→server mapping for servers ≥ 2 cannot show. This
+    // one serves the seed-31 stream on the 100-server × 10-target
+    // interference fleet through the online engine, under the first
+    // fault episode of the `fleet_online` benchmark: server 0's ten
+    // targets go offline at 1 s and recover at 6 s, past the 2 s retry
+    // deadline (evictions and re-placements), and target 10 straggles
+    // at 0.2× from 2 s to 6 s. One session per load-aware policy.
+    use beegfs_repro::cluster::TargetId;
+    use beegfs_repro::core::FaultPlan;
+    use beegfs_repro::experiments::context::deploy_on;
+    use beegfs_repro::experiments::fig_interference;
+    use beegfs_repro::ior::RetryPolicy;
+    use beegfs_repro::sched::{
+        AdaptiveStriping, AdmissionMode, PlacementPolicy, RoundRobinServer, StragglerAware,
+        UtilizationFeedback,
+    };
+    let factory = RngFactory::new(31);
+    let stream = ArrivalStream::poisson(
+        20.0,
+        60,
+        IorConfig::paper_default(2)
+            .with_ppn(4)
+            .with_total_bytes(GIB),
+        4,
+        &mut factory.stream("arrivals", 0),
+    );
+    let mut plan = Ok(FaultPlan::new());
+    for t in 0..10 {
+        plan = plan
+            .and_then(|p| p.target_offline(1.0, TargetId(t)))
+            .and_then(|p| p.target_recovers(6.0, TargetId(t)));
+    }
+    let plan = plan
+        .and_then(|p| p.target_transient_straggler(2.0, TargetId(10), 0.2, 4.0))
+        .unwrap();
+    let policies: [(&str, Box<dyn PlacementPolicy>); 5] = [
+        ("rr", Box::<RoundRobinServer>::default()),
+        ("lls", Box::new(LeastLoadedServer)),
+        ("util", Box::new(UtilizationFeedback)),
+        ("straggler", Box::new(StragglerAware)),
+        ("adaptive", Box::<AdaptiveStriping>::default()),
+    ];
+    for (name, policy) in policies {
+        let platform = fig_interference::fleet_spec().build().unwrap();
+        let mut fs = deploy_on(platform, 4, ChooserKind::Random);
+        let out = Scheduler::new(&mut fs, policy)
+            .mode(AdmissionMode::Online)
+            .faults(plan.clone())
+            .max_concurrent(25)
+            .retry(RetryPolicy {
+                deadline_s: 2.0,
+                ..RetryPolicy::default()
+            })
+            .serve(&stream, &factory)
+            .unwrap();
+        // The pin is only meaningful if the outage forced re-placements.
+        assert!(
+            out.decisions.iter().any(|d| d.replaced),
+            "{name}: the outage must commit a replaced decision"
+        );
+        check_golden(
+            &format!("tests/golden/fleet_faulted_{name}_decisions_seed31.json"),
+            out.decision_log_json().as_bytes(),
+        );
+        check_golden(
+            &format!("tests/golden/fleet_faulted_{name}_restripes_seed31.json"),
+            out.restripe_log_json().as_bytes(),
+        );
+        let ends = out
+            .apps
+            .iter()
+            .map(|a| format!("{:016x}", a.end_s.to_bits()))
+            .collect::<Vec<_>>()
+            .join("\n");
+        check_golden(
+            &format!("tests/golden/fleet_faulted_{name}_ends_seed31.txt"),
+            ends.as_bytes(),
+        );
+    }
+}
+
+#[test]
 fn scheduler_lifecycle_traces_and_metrics_are_byte_identical_to_the_committed_golden() {
     // The admission lifecycle itself — arrival, queueing, admission,
     // placement, re-placement, restripe and release events, and the
