@@ -1,14 +1,21 @@
 //! Scheduler placement throughput: how many placement decisions per
-//! second each policy sustains on the scenario-1 platform.
+//! second each policy sustains, on the scenario-1 platform (2 servers ×
+//! 4 targets) and on the `fig_interference` fleet (100 servers × 10
+//! targets).
 //!
 //! Not a Criterion target: it times the pure decision loop (no fluid
 //! simulation — the cluster view is synthesized and perturbed between
 //! calls) over a fixed number of arrivals per round, and writes
-//! `BENCH_sched_throughput.json` at the repository root so CI can keep
-//! an eye on placement staying microseconds-cheap.
+//! `BENCH_sched_throughput.json` at the repository root. The two legs
+//! run interleaved round by round in this one process, and the gate
+//! compares them: a policy whose per-decision time grows more than
+//! [`MAX_FLEET_OVER_PLAFRIM`]× from the 8-target platform to the
+//! 1,000-target fleet (125× the targets) fails the bench, so placement
+//! cost stays linear in the targets.
 
 use bench::median;
-use cluster::presets;
+use cluster::{presets, Platform};
+use experiments::fig_interference;
 use sched::{
     ClusterView, LeastLoadedServer, PlacementPolicy, Random, RoundRobinServer, StragglerAware,
     UtilizationFeedback,
@@ -16,10 +23,17 @@ use sched::{
 use simcore::rng::RngFactory;
 use std::time::Instant;
 
-/// Placement decisions per timed round.
+/// Placement decisions per timed round on the scenario-1 platform.
 const ARRIVALS: usize = 10_000;
-/// Timed rounds per policy (interleaved; the median is reported).
+/// Placement decisions per timed round on the fleet.
+const FLEET_ARRIVALS: usize = 1_000;
+/// Timed rounds per policy and leg (interleaved; the median is
+/// reported).
 const ROUNDS: usize = 5;
+/// Largest allowed ratio of a policy's per-decision time on the fleet
+/// to its time on the scenario-1 platform: linear growth in targets
+/// (125×) plus 20%.
+const MAX_FLEET_OVER_PLAFRIM: f64 = 150.0;
 
 fn policies() -> Vec<Box<dyn PlacementPolicy>> {
     vec![
@@ -31,11 +45,11 @@ fn policies() -> Vec<Box<dyn PlacementPolicy>> {
     ]
 }
 
-/// One timed round: `ARRIVALS` decisions with the view perturbed
-/// deterministically between calls, so load-sensitive policies cannot
-/// shortcut on a constant input.
-fn one_round(policy: &mut dyn PlacementPolicy) -> f64 {
-    let platform = presets::plafrim_ethernet();
+/// One timed round: `arrivals` decisions on `platform` with the view
+/// perturbed deterministically between calls, so load-sensitive
+/// policies cannot shortcut on a constant input. Returns decisions per
+/// second.
+fn one_round(policy: &mut dyn PlacementPolicy, platform: &Platform, arrivals: usize) -> f64 {
     let online = vec![true; platform.total_targets()];
     let mut outstanding = vec![0.0f64; platform.server_count()];
     let mut busy = vec![0.0f64; platform.total_targets()];
@@ -43,14 +57,14 @@ fn one_round(policy: &mut dyn PlacementPolicy) -> f64 {
     let mut rng = RngFactory::new(7).stream("sched-throughput", 0);
     let mut picked = 0usize;
     let start = Instant::now();
-    for i in 0..ARRIVALS {
+    for i in 0..arrivals {
         let servers = outstanding.len();
         let targets = busy.len();
         outstanding[i % servers] = (i % 97) as f64 * 1e9;
         busy[i % targets] = (i % 89) as f64 / 89.0;
         suspected[i % targets] = i % 13 == 0;
         let view = ClusterView {
-            platform: &platform,
+            platform,
             online: &online,
             outstanding_bytes: &outstanding,
             busy_fraction: &busy,
@@ -65,42 +79,73 @@ fn one_round(policy: &mut dyn PlacementPolicy) -> f64 {
         };
     }
     let secs = start.elapsed().as_secs_f64();
-    assert!(picked >= ARRIVALS, "decisions went missing");
-    ARRIVALS as f64 / secs
+    assert!(picked >= arrivals, "decisions went missing");
+    arrivals as f64 / secs
 }
 
 fn main() {
-    // Warm-up round per policy before timing anything.
-    for p in policies().iter_mut() {
-        one_round(p.as_mut());
-    }
-    // Interleave rounds across policies so drift hits all of them.
-    let mut series: Vec<Vec<f64>> = policies().iter().map(|_| Vec::new()).collect();
-    for _ in 0..ROUNDS {
-        for (i, p) in policies().iter_mut().enumerate() {
-            series[i].push(one_round(p.as_mut()));
+    let plafrim = presets::plafrim_ethernet();
+    let fleet = fig_interference::fleet_spec()
+        .build()
+        .expect("the interference fleet is valid");
+    let legs = [(&plafrim, ARRIVALS), (&fleet, FLEET_ARRIVALS)];
+    // Warm-up round per policy and leg before timing anything.
+    for &(platform, arrivals) in &legs {
+        for p in policies().iter_mut() {
+            one_round(p.as_mut(), platform, arrivals);
         }
     }
+    // Interleave rounds across legs and policies so drift hits all of
+    // them alike.
     let names: Vec<&'static str> = policies().iter().map(|p| p.name()).collect();
-    let entries: Vec<String> = names
-        .iter()
-        .zip(&series)
-        .map(|(name, s)| format!("  \"{name}_decisions_per_sec\": {:.0}", median(s.clone())))
-        .collect();
-    let json = format!(
-        "{{\n  \"arrivals_per_round\": {ARRIVALS},\n  \"rounds\": {ROUNDS},\n{}\n}}\n",
-        entries.join(",\n")
-    );
+    let mut series: [Vec<Vec<f64>>; 2] = std::array::from_fn(|_| vec![Vec::new(); names.len()]);
+    for _ in 0..ROUNDS {
+        for (leg, &(platform, arrivals)) in legs.iter().enumerate() {
+            for (i, p) in policies().iter_mut().enumerate() {
+                series[leg][i].push(one_round(p.as_mut(), platform, arrivals));
+            }
+        }
+    }
+    let mut entries = vec![
+        format!("  \"arrivals_per_round\": {ARRIVALS}"),
+        format!("  \"fleet_arrivals_per_round\": {FLEET_ARRIVALS}"),
+        format!("  \"rounds\": {ROUNDS}"),
+        format!("  \"plafrim_targets\": {}", plafrim.total_targets()),
+        format!("  \"fleet_targets\": {}", fleet.total_targets()),
+        format!("  \"max_fleet_over_plafrim\": {MAX_FLEET_OVER_PLAFRIM:.0}"),
+    ];
+    let mut failures = Vec::new();
+    for (i, name) in names.iter().enumerate() {
+        let small = median(series[0][i].clone());
+        let large = median(series[1][i].clone());
+        // Per-decision time ratio: decisions/s on PlaFRIM over the fleet.
+        let ratio = small / large;
+        entries.push(format!("  \"{name}_decisions_per_sec\": {small:.0}"));
+        entries.push(format!("  \"{name}_fleet_decisions_per_sec\": {large:.0}"));
+        entries.push(format!("  \"{name}_fleet_over_plafrim\": {ratio:.1}"));
+        println!(
+            "{name}: {small:.0} decisions/sec on {} targets, {large:.0} on {} \
+             (per decision {ratio:.1}x, median of {ROUNDS})",
+            plafrim.total_targets(),
+            fleet.total_targets()
+        );
+        if ratio > MAX_FLEET_OVER_PLAFRIM {
+            failures.push(format!(
+                "{name}: a fleet decision costs {ratio:.1}x a PlaFRIM one \
+                 (> {MAX_FLEET_OVER_PLAFRIM:.0}x)"
+            ));
+        }
+    }
+    let json = format!("{{\n{}\n}}\n", entries.join(",\n"));
     let out = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../BENCH_sched_throughput.json"
     );
     std::fs::write(out, &json).expect("write bench json");
-    for (name, s) in names.iter().zip(&series) {
-        println!(
-            "{name}: {:.0} decisions/sec (median of {ROUNDS})",
-            median(s.clone())
-        );
-    }
     println!("wrote {out}");
+    assert!(
+        failures.is_empty(),
+        "placement cost grows faster than linearly in targets:\n{}",
+        failures.join("\n")
+    );
 }

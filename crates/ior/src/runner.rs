@@ -121,11 +121,24 @@ impl RetryPolicy {
     /// The probe ladder of a client that observed an outage at
     /// `observe_s`: `observe_s + b`, then each step the previous one
     /// times the multiplier, capped at `max_backoff_s`.
+    ///
+    /// Late in a long session a step can fall below half an ulp of the
+    /// probe clock, so adding it leaves the probe where it was. While
+    /// the backoff still grows such a stall is temporary; once it has
+    /// stopped growing the ladder would repeat one instant forever, so
+    /// that step moves the probe one ulp on instead. Every ladder that
+    /// advances on its own keeps its arithmetic bit for bit.
     fn probes(self, observe_s: f64) -> impl Iterator<Item = f64> {
         let (mut probe, mut backoff) = (observe_s, self.initial_backoff_s);
         std::iter::from_fn(move || {
-            probe += backoff;
-            backoff = (backoff * self.backoff_multiplier).min(self.max_backoff_s);
+            let next = probe + backoff;
+            let grown = (backoff * self.backoff_multiplier).min(self.max_backoff_s);
+            probe = if next == probe && grown == backoff {
+                probe.next_up()
+            } else {
+                next
+            };
+            backoff = grown;
             Some(probe)
         })
     }
@@ -1390,6 +1403,45 @@ mod tests {
         // Limit before the first probe, or non-finite: no probes.
         assert_eq!(p.probe_times(10.0, 10.5), Vec::<f64>::new());
         assert_eq!(p.probe_times(10.0, f64::INFINITY), Vec::<f64>::new());
+    }
+
+    #[test]
+    fn a_ladder_below_the_probe_clock_resolution_still_advances() {
+        // At 1.5e10 s one ulp is ~1.9e-6 s: a fixed 5e-7 s step rounds
+        // away, and the ladder used to repeat its first instant forever.
+        let fine = RetryPolicy {
+            initial_backoff_s: 5e-7,
+            backoff_multiplier: 1.0,
+            max_backoff_s: 5e-7,
+            deadline_s: 0.03,
+        };
+        fine.validate().unwrap();
+        let observe = 1.5e10;
+        let probes = fine.probe_times(observe, observe + 1e-5);
+        assert!(!probes.is_empty());
+        for (k, p) in probes.iter().enumerate() {
+            assert_eq!(p.to_bits(), observe.to_bits() + k as u64 + 1);
+        }
+        let resume = fine.resume_time_s(observe, observe + 0.015);
+        assert!(resume >= observe + 0.015 && resume - observe < 0.0151);
+
+        // A growing backoff that stalls for a few steps advances on its
+        // own: that ladder keeps its plain arithmetic.
+        let growing = RetryPolicy {
+            initial_backoff_s: 5e-7,
+            backoff_multiplier: 2.0,
+            max_backoff_s: 1.0,
+            deadline_s: 60.0,
+        };
+        let (mut probe, mut backoff, mut plain) = (observe, 5e-7, Vec::new());
+        while plain.len() < 24 {
+            probe += backoff;
+            backoff = (backoff * 2.0f64).min(1.0);
+            plain.push(probe);
+        }
+        assert_eq!(plain[0], observe, "the first steps stall");
+        let limit = *plain.last().unwrap();
+        assert_eq!(growing.probe_times(observe, limit), plain);
     }
 
     #[test]

@@ -58,14 +58,31 @@ impl ClusterView<'_> {
         }
     }
 
-    /// Online targets of one server, flat ids ascending.
-    fn online_targets_of(&self, server: usize) -> Vec<TargetId> {
-        self.platform
-            .targets_of(cluster::ServerId(server as u32))
-            .into_iter()
-            .filter(|t| self.online[t.index()])
-            .collect()
+    /// Online targets of every server, flat ids ascending within each.
+    fn online_targets_by_server(&self) -> Vec<Vec<TargetId>> {
+        let mut per_server = vec![Vec::new(); self.platform.server_count()];
+        for (i, s) in target_servers(self.platform).into_iter().enumerate() {
+            if self.online[i] {
+                per_server[s].push(TargetId(i as u32));
+            }
+        }
+        per_server
     }
+}
+
+/// Each target's server index, by flat target id: one pass over
+/// `platform.servers`, as `cluster::Fabric` builds its own table.
+/// [`Platform::server_of`] scans the servers, so resolving every
+/// candidate of every pick through it cost O(servers) per candidate on
+/// a large fleet. Built per call, never cached: the platform's servers
+/// are a public field.
+fn target_servers(platform: &Platform) -> Vec<usize> {
+    platform
+        .servers
+        .iter()
+        .enumerate()
+        .flat_map(|(s, server)| std::iter::repeat_n(s, server.osts.len()))
+        .collect()
 }
 
 /// The owned state behind a [`ClusterView`], built the same way by both
@@ -90,6 +107,7 @@ impl ClusterLoad {
             .into_iter()
             .map(|t| fs.mgmt().state(t).selectable())
             .collect();
+        let server_of = target_servers(platform);
         let mut outstanding = vec![0.0f64; platform.server_count()];
         for (targets, bytes) in running {
             if targets.is_empty() {
@@ -97,7 +115,7 @@ impl ClusterLoad {
             }
             let share = bytes as f64 / targets.len() as f64;
             for &t in targets {
-                outstanding[platform.server_of(t).index()] += share;
+                outstanding[server_of[t.index()]] += share;
             }
         }
         ClusterLoad {
@@ -248,9 +266,11 @@ pub trait PlacementPolicy {
 /// The shared greedy pick of [`UtilizationFeedback`]-family policies:
 /// `want` targets minimizing `busy_fraction + BALANCE_WEIGHT *
 /// picks_already_on_that_server + extra(target)`, reusing online
-/// targets only once demand exceeds the online pool.
+/// targets only once demand exceeds the online pool. `server_of` is
+/// [`target_servers`] of the view's platform.
 fn busy_balanced_pick(
     view: &ClusterView<'_>,
+    server_of: &[usize],
     want: u32,
     extra: &dyn Fn(usize) -> f64,
 ) -> Vec<TargetId> {
@@ -266,17 +286,16 @@ fn busy_balanced_pick(
             .enumerate()
             .filter(|&(i, &o)| o && (!unused_left || !used[i]))
             .map(|(i, _)| {
-                let t = TargetId(i as u32);
-                let s = view.platform.server_of(t).index();
-                let score =
-                    view.busy_fraction[i] + BALANCE_WEIGHT * f64::from(server_picks[s]) + extra(i);
-                (score, t)
+                let score = view.busy_fraction[i]
+                    + BALANCE_WEIGHT * f64::from(server_picks[server_of[i]])
+                    + extra(i);
+                (score, TargetId(i as u32))
             })
             .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
             .expect("any_online guarantees a candidate");
         let (_, t) = best;
         used[t.index()] = true;
-        server_picks[view.platform.server_of(t).index()] += 1;
+        server_picks[server_of[t.index()]] += 1;
         chosen.push(t);
     }
     chosen
@@ -331,8 +350,7 @@ impl PlacementPolicy for RoundRobinServer {
         view.any_online()?;
         let servers = view.platform.server_count();
         self.slot_cursors.resize(servers, 0);
-        let per_server: Vec<Vec<TargetId>> =
-            (0..servers).map(|s| view.online_targets_of(s)).collect();
+        let per_server = view.online_targets_by_server();
         let mut chosen = Vec::with_capacity(want as usize);
         for _ in 0..want {
             while per_server[self.server_cursor % servers].is_empty() {
@@ -370,21 +388,19 @@ impl PlacementPolicy for LeastLoadedServer {
         _rng: &mut StreamRng,
     ) -> Result<Placement, PolicyError> {
         view.any_online()?;
-        let servers = view.platform.server_count();
         let share = bytes as f64 / f64::from(want.max(1));
-        let mut tentative = vec![0.0f64; servers];
+        let per_server = view.online_targets_by_server();
+        let mut tentative = vec![0.0f64; per_server.len()];
         let mut used = vec![false; view.online.len()];
         let mut chosen = Vec::with_capacity(want as usize);
         for _ in 0..want {
             // Prefer servers that still have an unused online target;
             // fall back to reusing targets only when the demand exceeds
             // the online pool (wrap-around striping).
-            let unused_somewhere =
-                (0..servers).any(|s| view.online_targets_of(s).iter().any(|t| !used[t.index()]));
+            let unused_somewhere = per_server.iter().flatten().any(|t| !used[t.index()]);
             let mut best: Option<(f64, usize, TargetId)> = None;
             for (s, tent) in tentative.iter().enumerate() {
-                let candidates = view.online_targets_of(s);
-                let pick = candidates
+                let pick = per_server[s]
                     .iter()
                     .find(|t| !unused_somewhere || !used[t.index()])
                     .copied();
@@ -432,7 +448,13 @@ impl PlacementPolicy for UtilizationFeedback {
         _rng: &mut StreamRng,
     ) -> Result<Placement, PolicyError> {
         view.any_online()?;
-        Ok(Placement::Pinned(busy_balanced_pick(view, want, &|_| 0.0)))
+        let server_of = target_servers(view.platform);
+        Ok(Placement::Pinned(busy_balanced_pick(
+            view,
+            &server_of,
+            want,
+            &|_| 0.0,
+        )))
     }
 }
 
@@ -467,7 +489,8 @@ impl PlacementPolicy for StragglerAware {
     ) -> Result<Placement, PolicyError> {
         view.any_online()?;
         let suspected = view.suspected;
-        let chosen = busy_balanced_pick(view, want, &|i| {
+        let server_of = target_servers(view.platform);
+        let chosen = busy_balanced_pick(view, &server_of, want, &|i| {
             if suspected[i] {
                 SUSPECT_PENALTY
             } else {
@@ -620,7 +643,13 @@ impl PlacementPolicy for AdaptiveStriping {
         _rng: &mut StreamRng,
     ) -> Result<Placement, PolicyError> {
         view.any_online()?;
-        Ok(Placement::Pinned(busy_balanced_pick(view, want, &|_| 0.0)))
+        let server_of = target_servers(view.platform);
+        Ok(Placement::Pinned(busy_balanced_pick(
+            view,
+            &server_of,
+            want,
+            &|_| 0.0,
+        )))
     }
 
     fn wants_feedback(&self) -> bool {
@@ -687,11 +716,16 @@ impl PlacementPolicy for AdaptiveStriping {
         // Rule 3: re-place an imbalanced allocation running far from its
         // solo ideal. Same width; fires at most until balance is
         // restored (the pick is balanced, so it cannot re-trigger).
-        let counts = view.platform.per_server_counts(obs.targets);
+        let server_of = target_servers(view.platform);
+        let mut counts = vec![0usize; view.platform.server_count()];
+        for t in obs.targets {
+            counts[server_of[t.index()]] += 1;
+        }
         let imbalanced = counts.iter().copied().max().unwrap_or(0)
             >= counts.iter().copied().min().unwrap_or(0) + 2;
         if imbalanced && obs.ideal_bps >= self.config.threshold * obs.observed_bps {
-            let candidate = busy_balanced_pick(view, obs.targets.len() as u32, &|_| 0.0);
+            let candidate =
+                busy_balanced_pick(view, &server_of, obs.targets.len() as u32, &|_| 0.0);
             if distinct(&candidate) != distinct(obs.targets) {
                 return Some(RestripeDecision {
                     targets: candidate,

@@ -143,7 +143,8 @@ pub(crate) struct SolverScratch {
     unfrozen: Vec<u32>,
     /// Per-resource residual capacity during progressive filling.
     cap: Vec<f64>,
-    /// Frozen marker, indexed by *position in the solved flow list*.
+    /// Frozen marker, indexed by slot (len only grows; all-false
+    /// between solves — cleared by walking the solved flow list).
     frozen: Vec<bool>,
     /// Per-resource "carried traffic this step" marker for `drain`.
     touched: Vec<bool>,
@@ -217,8 +218,9 @@ pub struct FlowNetwork {
     active: Vec<u32>,
     /// Per-resource count of active flows crossing it.
     active_count: Vec<u32>,
-    /// Per-resource list of the slots of the *active* flows crossing it
-    /// — the incidence index the dirty-component walk traverses.
+    /// Per-resource list of the slots of the *active* flows crossing it,
+    /// in no particular order — the incidence index the dirty-component
+    /// walk, the solver's freeze rounds and `effective_capacity` read.
     /// Capacity is reserved at flow registration (see
     /// `add_flow_weighted`) so activation in the steady state never
     /// allocates.
@@ -978,12 +980,17 @@ impl FlowNetwork {
     ///
     /// Requirements (upheld by the callers): both lists are sorted
     /// ascending; every resource on a listed flow's path is listed; every
-    /// listed flow is active. Loop structure and floating-point operation
-    /// order mirror [`FlowNetwork::reference_recompute_rates`] exactly —
-    /// the only differences are buffer reuse and iterating the provided
-    /// lists instead of filtering every registered flow. Per-resource
-    /// scratch entries are initialized for listed resources only; stale
-    /// entries for unlisted resources are never read.
+    /// listed flow is active, and every active flow crossing a listed
+    /// resource is listed (a union of whole components), with its slot
+    /// marked in `scratch.flow_seen`. Loop structure and per-resource
+    /// floating-point operation order mirror
+    /// [`FlowNetwork::reference_recompute_rates`] exactly. The
+    /// differences are buffer reuse, iterating the provided lists
+    /// instead of filtering every registered flow, and freezing each
+    /// round from the bottleneck's incidence list instead of testing
+    /// every unfrozen flow's path. Per-resource scratch entries are
+    /// initialized for listed resources only; stale entries for unlisted
+    /// resources are never read.
     fn solve_subset(&mut self, flows: &[u32], resources: &[u32], scratch: &mut SolverScratch) {
         let n_res = self.resources.len();
         if scratch.depth.len() < n_res {
@@ -1014,8 +1021,9 @@ impl FlowNetwork {
                 res.model.capacity_at_depth(scratch.depth[r as usize]) * res.factor;
         }
 
-        scratch.frozen.clear();
-        scratch.frozen.resize(flows.len(), false);
+        if scratch.frozen.len() < self.flows.len() {
+            scratch.frozen.resize(self.flows.len(), false);
+        }
         let mut n_unfrozen = flows.len();
 
         for &f in flows {
@@ -1042,28 +1050,36 @@ impl FlowNetwork {
                 unreachable!("unfrozen flows with no carrying resource");
             };
 
-            // Freeze every unfrozen flow crossing the bottleneck.
+            // Freeze every unfrozen flow crossing the bottleneck: the
+            // unfrozen entries of its incidence list, all of them listed
+            // flows (a component holds every active flow crossing its
+            // resources). Incidence order differs from the reference's
+            // ascending scan, which is exact: every flow frozen this
+            // round subtracts the same `share` from each resource it
+            // crosses, so each resource sees the same operations.
             let mut froze_any = false;
-            for (pos, f) in flows.iter().enumerate() {
-                if scratch.frozen[pos] {
+            for &s in &self.incident[bottleneck] {
+                let i = s as usize;
+                if scratch.frozen[i] {
                     continue;
                 }
-                let i = *f as usize;
-                if self.path_of(i).iter().any(|r| r.index() == bottleneck) {
-                    scratch.frozen[pos] = true;
-                    froze_any = true;
-                    n_unfrozen -= 1;
-                    self.flows[i].rate = share;
-                    let off = self.flows[i].path_off as usize;
-                    let len = self.flows[i].path_len as usize;
-                    for k in 0..len {
-                        let r = self.path_arena[off + k].index();
-                        scratch.cap[r] -= share;
-                        scratch.unfrozen[r] -= 1;
-                    }
+                debug_assert!(scratch.flow_seen[i], "incident flow outside the component");
+                scratch.frozen[i] = true;
+                froze_any = true;
+                n_unfrozen -= 1;
+                self.flows[i].rate = share;
+                let off = self.flows[i].path_off as usize;
+                let len = self.flows[i].path_len as usize;
+                for k in 0..len {
+                    let r = self.path_arena[off + k].index();
+                    scratch.cap[r] -= share;
+                    scratch.unfrozen[r] -= 1;
                 }
             }
             debug_assert!(froze_any, "progressive filling made no progress");
+        }
+        for &f in flows {
+            scratch.frozen[f as usize] = false;
         }
         self.solves += 1;
         self.flows_solved += flows.len() as u64;
@@ -1239,11 +1255,10 @@ impl FlowNetwork {
 
     /// Sum of active-flow rates through a resource (diagnostics/tests).
     ///
-    /// Walks the sorted active set, not every stored record: the
-    /// adaptive feedback loop reads this per evaluation, and must stay
-    /// O(active flows). Ascending-slot (= ascending-id) iteration keeps
-    /// the summation order (hence the float result) bit-identical to a
-    /// full scan.
+    /// Walks the sorted active set, not every stored record, so it
+    /// costs O(active flows). Ascending-slot (= ascending-id) iteration
+    /// keeps the summation order (hence the float result) bit-identical
+    /// to a full scan.
     pub fn resource_load(&self, r: ResourceId) -> f64 {
         self.active
             .iter()
@@ -1253,15 +1268,21 @@ impl FlowNetwork {
             .sum()
     }
 
-    /// Effective capacity of a resource at the current active-flow depth.
-    /// O(active flows), like [`resource_load`](Self::resource_load).
+    /// Effective capacity of a resource at the current active-flow depth
+    /// — what the adaptive feedback loop reads for every target of every
+    /// running application at each evaluation.
+    ///
+    /// Sums the depth weights of `r`'s incidence list (exactly the
+    /// active flows crossing `r`) in ascending slot order: the same
+    /// terms in the same order as a scan of the sorted active set, so
+    /// the float result is bit-identical to one, at a cost that follows
+    /// the flows crossing `r` rather than every active flow.
     pub fn effective_capacity(&self, r: ResourceId) -> f64 {
-        let q: f64 = self
-            .active
+        let mut slots = self.incident[r.index()].clone();
+        slots.sort_unstable();
+        let q: f64 = slots
             .iter()
-            .map(|&s| s as usize)
-            .filter(|&i| self.path_of(i).contains(&r))
-            .map(|i| self.flows[i].depth_weight)
+            .map(|&s| self.flows[s as usize].depth_weight)
             .sum();
         let res = &self.resources[r.index()];
         res.model.capacity_at_depth(q) * res.factor
