@@ -615,6 +615,171 @@ fn campaign_cache_record_is_byte_identical_to_the_pre_rework_golden() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// Append `<name> <json>` to a pin file, after checking that the JSON
+/// reads back as `$ty` and re-serializes to the same bytes.
+macro_rules! pin {
+    ($out:expr, $name:expr, $ty:ty, $value:expr) => {{
+        let name: &str = $name;
+        let json = serde_json::to_string(&$value).expect("pinned values serialize");
+        let back: $ty = serde_json::from_str(&json)
+            .unwrap_or_else(|e| panic!("{name} does not read back: {e}\n{json}"));
+        assert_eq!(
+            serde_json::to_string(&back).unwrap(),
+            json,
+            "{name} does not read back into the same bytes"
+        );
+        $out.push_str(&format!("{name} {json}\n"));
+        json
+    }};
+}
+
+#[test]
+fn serialized_shapes_are_byte_identical_to_the_committed_golden() {
+    // Every serialized type behind a cache key or a stored record, in
+    // each shape it takes: each campaign builder and its cell keys,
+    // fleet specs, a non-blocking platform, and records with and without
+    // their optional fields. A shape without an optional key reads back,
+    // so payloads written before that key existed still load.
+    use beegfs_repro::cluster::{FleetSpec, NetworkSpec, Platform};
+    use beegfs_repro::experiments::campaign::{
+        cell_key, AppRecord, Campaign, CellConfig, CellMetrics, RepRecord, SchedPolicyKind,
+        SchedWorkload, TailMetrics,
+    };
+    use beegfs_repro::experiments::{
+        fig04_nodes, fig11_nodes_stripe, fig_adaptive, fig_interference, fig_sched, fig_straggler,
+    };
+    use beegfs_repro::ior::{HedgeConfig, RetryPolicy};
+    use beegfs_repro::sched::AdmissionMode;
+
+    let ctx = ExpCtx::quick(2);
+    let hedged_online = Campaign::new("hedged-online", 7).cell(
+        "hedged",
+        CellConfig::new(
+            Scenario::S1Ethernet,
+            4,
+            ChooserKind::Random,
+            IorConfig::paper_default(2),
+        )
+        .with_policy(RetryPolicy::default())
+        .with_sched(SchedWorkload {
+            policy: SchedPolicyKind::StragglerAware,
+            rate_per_s: 0.5,
+            count: 8,
+            stripe: 4,
+            hedge: Some(HedgeConfig::default()),
+            mode: AdmissionMode::Online,
+        }),
+        2,
+    );
+    let campaigns = [
+        fig04_nodes::campaign(&ctx, Scenario::S1Ethernet, 8),
+        fig06_stripe::campaign(&ctx, Scenario::S2Omnipath, ChooserKind::RoundRobin),
+        fig11_nodes_stripe::campaign(&ctx),
+        fig_adaptive::campaign(&ctx),
+        fig_interference::campaign(&ctx),
+        fig_sched::campaign(&ctx),
+        fig_sched::campaign_with_mode(&ctx, AdmissionMode::Online),
+        fig_straggler::campaign(&ctx),
+        hedged_online,
+    ];
+    let mut out = String::new();
+    for (i, c) in campaigns.iter().enumerate() {
+        let name = format!("campaign/{i}/{}", c.name);
+        pin!(out, &name, Campaign, c);
+        for cell in &c.cells {
+            let key = cell_key(&c.name, c.seed, cell);
+            out.push_str(&format!("key/{i}/{}/{} {key}\n", c.name, cell.label));
+        }
+    }
+
+    let fleet = pin!(
+        out,
+        "fleet/interference",
+        FleetSpec,
+        fig_interference::fleet_spec()
+    );
+    pin!(out, "fleet/bare", FleetSpec, FleetSpec::new("bare"));
+    // The fleet's 100 servers are identical, so the first one stands for
+    // all of them.
+    let mut platform = fig_interference::fleet_spec().build().unwrap();
+    assert!(platform.servers.iter().all(|s| *s == platform.servers[0]));
+    platform.servers.truncate(1);
+    pin!(
+        out,
+        "platform/interference-first-server",
+        Platform,
+        platform
+    );
+    pin!(
+        out,
+        "network/plafrim-ethernet",
+        NetworkSpec,
+        presets::plafrim_ethernet().network
+    );
+
+    let plain = RepRecord {
+        apps: vec![AppRecord {
+            mib_s: 1457.25,
+            allocation: "(1,3)".to_string(),
+            balance: 1.0 / 3.0,
+        }],
+        aggregate_mib_s: 1457.25,
+        sim_secs: 7.5,
+        slowdowns: None,
+        waits: None,
+    };
+    let rep = pin!(out, "rep/plain", RepRecord, plain);
+    pin!(
+        out,
+        "rep/scheduled",
+        RepRecord,
+        RepRecord {
+            slowdowns: Some(vec![1.0, 1.75]),
+            waits: Some(vec![0.0, 0.5]),
+            ..plain.clone()
+        }
+    );
+    let metrics = CellMetrics {
+        label: "cell".to_string(),
+        key: "d3d1023878499753f66b08ffbc4f4bd9".to_string(),
+        reps_requested: 4,
+        reps_cached: 1,
+        reps_computed: 3,
+        compute_secs: 0.5,
+        sim_secs: 21.0,
+        sim_events: 1234,
+        failed: false,
+        tail: None,
+        wait_tail: None,
+    };
+    pin!(out, "metrics/plain", CellMetrics, metrics);
+    pin!(
+        out,
+        "metrics/scheduled",
+        CellMetrics,
+        CellMetrics {
+            tail: TailMetrics::from_slowdowns(&[1.0, 1.5, 2.0, 4.0]),
+            wait_tail: TailMetrics::from_sample(&[0.0, 0.25, 0.5, 3.0]),
+            ..metrics.clone()
+        }
+    );
+    check_golden("tests/golden/serde_shapes.txt", out.as_bytes());
+
+    // Required keys stay required.
+    let without = |json: &str, entry: &str| {
+        let cut = json.replace(entry, "");
+        assert_ne!(cut, json, "`{entry}` is not in the pinned payload");
+        cut
+    };
+    let cell = serde_json::to_string(&campaigns[0].cells[0].config).unwrap();
+    let cell = without(&cell, ",\"faults\":null");
+    assert!(serde_json::from_str::<CellConfig>(&cell).is_err());
+    let rep = without(&rep, ",\"sim_secs\":7.5");
+    assert!(serde_json::from_str::<RepRecord>(&rep).is_err());
+    let fleet = without(&fleet, "\"racks\":10,");
+    assert!(serde_json::from_str::<FleetSpec>(&fleet).is_err());
+}
+
 #[test]
 fn chooser_state_isolated_between_deployments() {
     // Two fresh deployments with the same seed make the same choices;
