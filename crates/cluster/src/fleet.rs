@@ -77,25 +77,38 @@ impl std::error::Error for ConfigError {}
 /// first problem. Unset optional knobs take the documented defaults;
 /// unset *required* knobs (`servers`, `targets_per_server`,
 /// `server_link`, `backend`, and a target profile) are build errors.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Fields are declared in JSON order: the name, the knobs that may be
+/// unset (each written only when set), then the knobs that always hold
+/// a value.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetSpec {
     name: String,
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     servers: Option<u32>,
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     targets_per_server: Option<u32>,
-    racks: u32,
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     max_nodes: Option<u32>,
-    nic: Bandwidth,
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     node_injection_cap: Option<Bandwidth>,
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    switch_capacity: Option<Bandwidth>,
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    server_link: Option<Bandwidth>,
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    backend: Option<Bandwidth>,
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    ost_profile: Option<OstProfile>,
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    target_bw: Option<Bandwidth>,
+    racks: u32,
+    nic: Bandwidth,
     baseline_ppn: u32,
     intra_node_penalty: f64,
     node_window: f64,
     switch_policy: SwitchPolicy,
-    switch_capacity: Option<Bandwidth>,
-    server_link: Option<Bandwidth>,
     link_variability: VariabilityModel,
-    backend: Option<Bandwidth>,
-    ost_profile: Option<OstProfile>,
-    target_bw: Option<Bandwidth>,
     target_q_half: f64,
     storage_variability: VariabilityModel,
     run_overhead_mean_s: f64,
@@ -454,109 +467,6 @@ impl FleetSpec {
             storage_variability: self.storage_variability,
             run_overhead_mean_s: self.run_overhead_mean_s,
             run_overhead_sigma: self.run_overhead_sigma,
-        })
-    }
-}
-
-impl Serialize for FleetSpec {
-    fn to_value(&self) -> serde::Value {
-        let mut entries: Vec<(String, serde::Value)> =
-            vec![("name".to_string(), self.name.to_value())];
-        let mut opt = |key: &str, v: Option<serde::Value>| {
-            if let Some(v) = v {
-                entries.push((key.to_string(), v));
-            }
-        };
-        opt("servers", self.servers.map(|x| x.to_value()));
-        opt(
-            "targets_per_server",
-            self.targets_per_server.map(|x| x.to_value()),
-        );
-        opt("max_nodes", self.max_nodes.map(|x| x.to_value()));
-        opt(
-            "node_injection_cap",
-            self.node_injection_cap.map(|x| x.to_value()),
-        );
-        opt(
-            "switch_capacity",
-            self.switch_capacity.map(|x| x.to_value()),
-        );
-        opt("server_link", self.server_link.map(|x| x.to_value()));
-        opt("backend", self.backend.map(|x| x.to_value()));
-        opt(
-            "ost_profile",
-            self.ost_profile.as_ref().map(|x| x.to_value()),
-        );
-        opt("target_bw", self.target_bw.map(|x| x.to_value()));
-        entries.extend([
-            ("racks".to_string(), self.racks.to_value()),
-            ("nic".to_string(), self.nic.to_value()),
-            ("baseline_ppn".to_string(), self.baseline_ppn.to_value()),
-            (
-                "intra_node_penalty".to_string(),
-                self.intra_node_penalty.to_value(),
-            ),
-            ("node_window".to_string(), self.node_window.to_value()),
-            ("switch_policy".to_string(), self.switch_policy.to_value()),
-            (
-                "link_variability".to_string(),
-                self.link_variability.to_value(),
-            ),
-            ("target_q_half".to_string(), self.target_q_half.to_value()),
-            (
-                "storage_variability".to_string(),
-                self.storage_variability.to_value(),
-            ),
-            (
-                "run_overhead_mean_s".to_string(),
-                self.run_overhead_mean_s.to_value(),
-            ),
-            (
-                "run_overhead_sigma".to_string(),
-                self.run_overhead_sigma.to_value(),
-            ),
-        ]);
-        serde::Value::Map(entries)
-    }
-}
-
-impl Deserialize for FleetSpec {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let need = |k: &str| {
-            v.get(k)
-                .ok_or_else(|| serde::DeError::custom(format!("FleetSpec missing field `{k}`")))
-        };
-        fn option<T: Deserialize>(
-            v: &serde::Value,
-            key: &str,
-        ) -> Result<Option<T>, serde::DeError> {
-            match v.get(key) {
-                Some(x) => T::from_value(x).map(Some),
-                None => Ok(None),
-            }
-        }
-        Ok(FleetSpec {
-            name: Deserialize::from_value(need("name")?)?,
-            servers: option(v, "servers")?,
-            targets_per_server: option(v, "targets_per_server")?,
-            max_nodes: option(v, "max_nodes")?,
-            node_injection_cap: option(v, "node_injection_cap")?,
-            switch_capacity: option(v, "switch_capacity")?,
-            server_link: option(v, "server_link")?,
-            backend: option(v, "backend")?,
-            ost_profile: option(v, "ost_profile")?,
-            target_bw: option(v, "target_bw")?,
-            racks: Deserialize::from_value(need("racks")?)?,
-            nic: Deserialize::from_value(need("nic")?)?,
-            baseline_ppn: Deserialize::from_value(need("baseline_ppn")?)?,
-            intra_node_penalty: Deserialize::from_value(need("intra_node_penalty")?)?,
-            node_window: Deserialize::from_value(need("node_window")?)?,
-            switch_policy: Deserialize::from_value(need("switch_policy")?)?,
-            link_variability: Deserialize::from_value(need("link_variability")?)?,
-            target_q_half: Deserialize::from_value(need("target_q_half")?)?,
-            storage_variability: Deserialize::from_value(need("storage_variability")?)?,
-            run_overhead_mean_s: Deserialize::from_value(need("run_overhead_mean_s")?)?,
-            run_overhead_sigma: Deserialize::from_value(need("run_overhead_sigma")?)?,
         })
     }
 }

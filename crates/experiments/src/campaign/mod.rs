@@ -61,7 +61,7 @@ use std::time::Instant;
 /// The field set is deliberately flat and fully serializable: its
 /// canonical JSON (plus campaign name, seed and [`MODEL_VERSION`]) *is*
 /// the cell's cache identity — see [`cell_key`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellConfig {
     /// Which platform scenario to deploy.
     pub scenario: Scenario,
@@ -93,6 +93,7 @@ pub struct CellConfig {
     /// scheduler instead of launching `apps` concurrent applications at
     /// `t = 0`. Kept out of the serialized form when absent so existing
     /// cells' cache identities are untouched.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub sched: Option<SchedWorkload>,
     /// Optional explicit fleet: when set, repetitions deploy on the
     /// platform this [`cluster::FleetSpec`] builds (natural registration
@@ -100,75 +101,14 @@ pub struct CellConfig {
     /// parameterize their fleet right in the cell config, and the cache
     /// key captures the exact fleet. Kept out of the serialized form
     /// when absent so existing cells' cache identities are untouched.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub fleet: Option<cluster::FleetSpec>,
-}
-
-// Hand-written (de)serialization: the `sched` entry is omitted when
-// absent — the canonical JSON of a pre-scheduler cell, and therefore
-// its cache key, is byte-identical to what older builds produced — and
-// tolerated when missing, so stored cells from before the field existed
-// still load.
-impl Serialize for CellConfig {
-    fn to_value(&self) -> serde::Value {
-        let mut entries: Vec<(String, serde::Value)> = vec![
-            ("scenario".into(), self.scenario.to_value()),
-            ("stripe_count".into(), self.stripe_count.to_value()),
-            ("chooser".into(), self.chooser.to_value()),
-            ("nodes".into(), self.nodes.to_value()),
-            ("ppn".into(), self.ppn.to_value()),
-            ("total_bytes".into(), self.total_bytes.to_value()),
-            ("transfer_size".into(), self.transfer_size.to_value()),
-            ("layout".into(), self.layout.to_value()),
-            ("mode".into(), self.mode.to_value()),
-            ("apps".into(), self.apps.to_value()),
-            ("faults".into(), self.faults.to_value()),
-            ("policy".into(), self.policy.to_value()),
-        ];
-        if let Some(s) = &self.sched {
-            entries.push(("sched".into(), s.to_value()));
-        }
-        if let Some(f) = &self.fleet {
-            entries.push(("fleet".into(), f.to_value()));
-        }
-        serde::Value::Map(entries)
-    }
-}
-
-impl Deserialize for CellConfig {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let need = |f: &str| {
-            v.get(f)
-                .ok_or_else(|| serde::DeError::custom(format!("missing field `{f}` in CellConfig")))
-        };
-        Ok(CellConfig {
-            scenario: Deserialize::from_value(need("scenario")?)?,
-            stripe_count: Deserialize::from_value(need("stripe_count")?)?,
-            chooser: Deserialize::from_value(need("chooser")?)?,
-            nodes: Deserialize::from_value(need("nodes")?)?,
-            ppn: Deserialize::from_value(need("ppn")?)?,
-            total_bytes: Deserialize::from_value(need("total_bytes")?)?,
-            transfer_size: Deserialize::from_value(need("transfer_size")?)?,
-            layout: Deserialize::from_value(need("layout")?)?,
-            mode: Deserialize::from_value(need("mode")?)?,
-            apps: Deserialize::from_value(need("apps")?)?,
-            faults: Deserialize::from_value(need("faults")?)?,
-            policy: Deserialize::from_value(need("policy")?)?,
-            sched: match v.get("sched") {
-                Some(s) => Deserialize::from_value(s)?,
-                None => None,
-            },
-            fleet: match v.get("fleet") {
-                Some(f) => Some(Deserialize::from_value(f)?),
-                None => None,
-            },
-        })
-    }
 }
 
 /// An online-scheduling workload riding on a campaign cell: the cell's
 /// `IorConfig` becomes the per-arrival template, and the scheduler
 /// serves a Poisson stream of them under one placement policy.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SchedWorkload {
     /// Placement policy the scheduler uses.
     pub policy: SchedPolicyKind,
@@ -183,6 +123,7 @@ pub struct SchedWorkload {
     /// around them (see [`ior::HedgeConfig`]). Kept out of the
     /// serialized form when absent so pre-hedging scheduled cells keep
     /// their cache identities.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub hedge: Option<HedgeConfig>,
     /// How the scheduler prices admissions: the frozen-oracle reference
     /// (default) or the continuous online engine that makes
@@ -190,52 +131,13 @@ pub struct SchedWorkload {
     /// when it is the default so pre-engine scheduled cells keep their
     /// cache identities; online cells key differently — the two modes
     /// produce different (if statistically close) results.
+    #[serde(default, skip_serializing_if = "is_default_mode")]
     pub mode: AdmissionMode,
 }
 
-// Hand-written for the same reason as [`CellConfig`]: `hedge` is
-// omitted when absent and `mode` when default, both tolerated when
-// missing.
-impl Serialize for SchedWorkload {
-    fn to_value(&self) -> serde::Value {
-        let mut entries: Vec<(String, serde::Value)> = vec![
-            ("policy".into(), self.policy.to_value()),
-            ("rate_per_s".into(), self.rate_per_s.to_value()),
-            ("count".into(), self.count.to_value()),
-            ("stripe".into(), self.stripe.to_value()),
-        ];
-        if let Some(h) = &self.hedge {
-            entries.push(("hedge".into(), h.to_value()));
-        }
-        if self.mode != AdmissionMode::default() {
-            entries.push(("mode".into(), self.mode.to_value()));
-        }
-        serde::Value::Map(entries)
-    }
-}
-
-impl Deserialize for SchedWorkload {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let need = |f: &str| {
-            v.get(f).ok_or_else(|| {
-                serde::DeError::custom(format!("missing field `{f}` in SchedWorkload"))
-            })
-        };
-        Ok(SchedWorkload {
-            policy: Deserialize::from_value(need("policy")?)?,
-            rate_per_s: Deserialize::from_value(need("rate_per_s")?)?,
-            count: Deserialize::from_value(need("count")?)?,
-            stripe: Deserialize::from_value(need("stripe")?)?,
-            hedge: match v.get("hedge") {
-                Some(h) => Deserialize::from_value(h)?,
-                None => None,
-            },
-            mode: match v.get("mode") {
-                Some(m) => Deserialize::from_value(m)?,
-                None => AdmissionMode::default(),
-            },
-        })
-    }
+/// Whether [`SchedWorkload::mode`] is left out of the canonical JSON.
+fn is_default_mode(mode: &AdmissionMode) -> bool {
+    *mode == AdmissionMode::default()
 }
 
 /// Which placement policy a scheduled cell uses (the serializable side
@@ -431,7 +333,7 @@ pub struct AppRecord {
 }
 
 /// One repetition's measurements.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RepRecord {
     /// Per-application records, in submission order.
     pub apps: Vec<AppRecord>,
@@ -442,54 +344,13 @@ pub struct RepRecord {
     /// Per-application slowdowns for scheduled cells (`None` for plain
     /// concurrent-run cells; absent in records stored before the
     /// scheduler existed).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub slowdowns: Option<Vec<f64>>,
     /// Per-application queueing waits, seconds, for scheduled cells
     /// (`None` for plain cells; absent in records stored before waits
     /// were recorded).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub waits: Option<Vec<f64>>,
-}
-
-// Hand-written for the same reason as [`CellConfig`]: `slowdowns` and
-// `waits` are omitted when absent and tolerated when missing, keeping
-// stored records from older builds loadable and plain records
-// byte-identical.
-impl Serialize for RepRecord {
-    fn to_value(&self) -> serde::Value {
-        let mut entries: Vec<(String, serde::Value)> = vec![
-            ("apps".into(), self.apps.to_value()),
-            ("aggregate_mib_s".into(), self.aggregate_mib_s.to_value()),
-            ("sim_secs".into(), self.sim_secs.to_value()),
-        ];
-        if let Some(s) = &self.slowdowns {
-            entries.push(("slowdowns".into(), s.to_value()));
-        }
-        if let Some(w) = &self.waits {
-            entries.push(("waits".into(), w.to_value()));
-        }
-        serde::Value::Map(entries)
-    }
-}
-
-impl Deserialize for RepRecord {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let need = |f: &str| {
-            v.get(f)
-                .ok_or_else(|| serde::DeError::custom(format!("missing field `{f}` in RepRecord")))
-        };
-        Ok(RepRecord {
-            apps: Deserialize::from_value(need("apps")?)?,
-            aggregate_mib_s: Deserialize::from_value(need("aggregate_mib_s")?)?,
-            sim_secs: Deserialize::from_value(need("sim_secs")?)?,
-            slowdowns: match v.get("slowdowns") {
-                Some(s) => Deserialize::from_value(s)?,
-                None => None,
-            },
-            waits: match v.get("waits") {
-                Some(w) => Deserialize::from_value(w)?,
-                None => None,
-            },
-        })
-    }
 }
 
 /// One cell's results as returned to the caller (trimmed to the
@@ -638,7 +499,7 @@ impl TailMetrics {
 
 /// Per-cell execution metrics for one engine run (not part of the cell's
 /// cached results — these describe *this* execution, not the workload).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellMetrics {
     /// The cell's label.
     pub label: String,
@@ -661,67 +522,14 @@ pub struct CellMetrics {
     pub failed: bool,
     /// Slowdown tail digest for scheduled cells (`None` for plain
     /// cells, which have no slowdown series).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub tail: Option<TailMetrics>,
     /// Queue-wait tail digest, seconds, for scheduled cells (`None` for
     /// plain cells and for cells whose stored reps predate wait
     /// recording). A fat wait tail with a thin slowdown tail means the
     /// admission gate — not placement — is the bottleneck.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub wait_tail: Option<TailMetrics>,
-}
-
-// Hand-written for the same reason as [`CellConfig`]: `tail` and
-// `wait_tail` are omitted when absent, so metrics documents of plain
-// campaigns stay byte-identical to what older builds wrote.
-impl Serialize for CellMetrics {
-    fn to_value(&self) -> serde::Value {
-        let mut entries: Vec<(String, serde::Value)> = vec![
-            ("label".into(), self.label.to_value()),
-            ("key".into(), self.key.to_value()),
-            ("reps_requested".into(), self.reps_requested.to_value()),
-            ("reps_cached".into(), self.reps_cached.to_value()),
-            ("reps_computed".into(), self.reps_computed.to_value()),
-            ("compute_secs".into(), self.compute_secs.to_value()),
-            ("sim_secs".into(), self.sim_secs.to_value()),
-            ("sim_events".into(), self.sim_events.to_value()),
-            ("failed".into(), self.failed.to_value()),
-        ];
-        if let Some(t) = &self.tail {
-            entries.push(("tail".into(), t.to_value()));
-        }
-        if let Some(w) = &self.wait_tail {
-            entries.push(("wait_tail".into(), w.to_value()));
-        }
-        serde::Value::Map(entries)
-    }
-}
-
-impl Deserialize for CellMetrics {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let need = |f: &str| {
-            v.get(f).ok_or_else(|| {
-                serde::DeError::custom(format!("missing field `{f}` in CellMetrics"))
-            })
-        };
-        Ok(CellMetrics {
-            label: Deserialize::from_value(need("label")?)?,
-            key: Deserialize::from_value(need("key")?)?,
-            reps_requested: Deserialize::from_value(need("reps_requested")?)?,
-            reps_cached: Deserialize::from_value(need("reps_cached")?)?,
-            reps_computed: Deserialize::from_value(need("reps_computed")?)?,
-            compute_secs: Deserialize::from_value(need("compute_secs")?)?,
-            sim_secs: Deserialize::from_value(need("sim_secs")?)?,
-            sim_events: Deserialize::from_value(need("sim_events")?)?,
-            failed: Deserialize::from_value(need("failed")?)?,
-            tail: match v.get("tail") {
-                Some(t) => Deserialize::from_value(t)?,
-                None => None,
-            },
-            wait_tail: match v.get("wait_tail") {
-                Some(w) => Deserialize::from_value(w)?,
-                None => None,
-            },
-        })
-    }
 }
 
 impl CellMetrics {
