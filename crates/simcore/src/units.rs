@@ -32,7 +32,7 @@ pub fn bytes_to_gib(bytes: u64) -> f64 {
 ///
 /// Stored as `f64` because rates are the result of max–min divisions; all
 /// comparisons in the simulator use explicit tolerances.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize)]
 pub struct Bandwidth(f64);
 
 impl Bandwidth {
@@ -95,6 +95,21 @@ impl Bandwidth {
     /// True if the rate is exactly zero.
     pub fn is_zero(self) -> bool {
         self.0 == 0.0
+    }
+}
+
+// Deserialization applies `from_bytes_per_sec`'s check as a typed error,
+// so a rate read from JSON is as valid as one built in code.
+impl Deserialize for Bandwidth {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let bps = f64::from_value(v)?;
+        if bps.is_finite() && bps >= 0.0 {
+            Ok(Bandwidth(bps))
+        } else {
+            Err(serde::DeError::custom(format!(
+                "Bandwidth must be finite and non-negative, got {bps}"
+            )))
+        }
     }
 }
 
