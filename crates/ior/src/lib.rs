@@ -17,7 +17,7 @@
 //!   any [`obs::Recorder`] for Perfetto export or in-code queries;
 //! * [`runner::AppSpec`] — one application within a run: its
 //!   [`IorConfig`] plus how its file(s) pick targets
-//!   ([`runner::TargetChoice`]);
+//!   ([`runner::Placement`]);
 //! * [`protocol::Schedule`] — the randomized execution protocol
 //!   (100 repetitions, blocks of ten, shuffled, random waits);
 //! * [`error`] — the typed errors every fallible entry point returns
@@ -63,7 +63,7 @@ pub use faults::{
 };
 pub use protocol::{Schedule, ScheduledRun};
 pub use runner::{
-    AppResult, AppSpec, HedgeConfig, HedgeReport, RetryPolicy, Run, RunOutcome, TargetChoice,
+    AppResult, AppSpec, HedgeConfig, HedgeReport, Placement, RetryPolicy, Run, RunOutcome,
 };
 pub use simcore::flow::SimArena;
 pub use telemetry::{ResourceUsage, UtilizationReport};

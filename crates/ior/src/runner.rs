@@ -257,13 +257,15 @@ pub struct HedgeReport {
     pub samples: u64,
 }
 
-/// How an application's file(s) pick their targets.
+/// Who picks an application's storage targets.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TargetChoice {
-    /// Use the deployment's directory configuration (chooser heuristic).
-    FromDir,
-    /// Pin the exact target list (experiments that control allocation,
-    /// e.g. Fig. 13's shared-vs-disjoint comparison).
+pub enum Placement {
+    /// Defer to the deployment's directory configuration — the file
+    /// system's own chooser picks at create time.
+    Deferred,
+    /// Pin the exact target list: a scheduler's pick, or an experiment
+    /// that controls allocation (e.g. Fig. 13's shared-vs-disjoint
+    /// comparison).
     Pinned(Vec<TargetId>),
 }
 
@@ -274,17 +276,17 @@ pub enum TargetChoice {
 /// converts straight from an [`IorConfig`]:
 ///
 /// ```
-/// use ior::{AppSpec, IorConfig, TargetChoice};
+/// use ior::{AppSpec, IorConfig, Placement};
 ///
 /// let spec: AppSpec = IorConfig::paper_default(8).into();
-/// assert_eq!(spec.targets, TargetChoice::FromDir);
+/// assert_eq!(spec.targets, Placement::Deferred);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct AppSpec {
     /// The benchmark parameters.
     pub config: IorConfig,
     /// How the application's file(s) pick their targets.
-    pub targets: TargetChoice,
+    pub targets: Placement,
     /// Simulated instant at which the application's I/O begins, seconds.
     /// Defaults to `0.0` (all applications start together); an external
     /// scheduler staggers arrivals by setting this per app.
@@ -296,7 +298,7 @@ impl AppSpec {
     pub fn new(config: IorConfig) -> Self {
         AppSpec {
             config,
-            targets: TargetChoice::FromDir,
+            targets: Placement::Deferred,
             start_s: 0.0,
         }
     }
@@ -305,7 +307,7 @@ impl AppSpec {
     pub fn pinned(config: IorConfig, targets: Vec<TargetId>) -> Self {
         AppSpec {
             config,
-            targets: TargetChoice::Pinned(targets),
+            targets: Placement::Pinned(targets),
             start_s: 0.0,
         }
     }
@@ -324,8 +326,8 @@ impl From<IorConfig> for AppSpec {
     }
 }
 
-impl From<(IorConfig, TargetChoice)> for AppSpec {
-    fn from((config, targets): (IorConfig, TargetChoice)) -> Self {
+impl From<(IorConfig, Placement)> for AppSpec {
+    fn from((config, targets): (IorConfig, Placement)) -> Self {
         AppSpec {
             config,
             targets,
@@ -611,8 +613,8 @@ fn execute_run(
             }
             first_create = false;
             let (file, latency) = match choice {
-                TargetChoice::FromDir => fs.create_file(rng)?,
-                TargetChoice::Pinned(targets) => fs.create_file_on(targets.clone())?,
+                Placement::Deferred => fs.create_file(rng)?,
+                Placement::Pinned(targets) => fs.create_file_on(targets.clone())?,
             };
             create_s += latency.as_secs_f64();
             files.push(file);

@@ -54,7 +54,7 @@
 
 use beegfs_core::{restripe_split, BeeGfs, FileHandle, TargetState};
 use cluster::{Fabric, FabricNoise, FabricPaths, Platform, TargetId};
-use ior::{compound_target_states, FaultTimeline, IorConfig, RunError};
+use ior::{compound_target_states, FaultTimeline, IorConfig, Placement, RunError};
 use serde::{Deserialize, Serialize};
 use simcore::dist::LogNormal;
 use simcore::flow::{FlowId, FluidSim};
@@ -66,7 +66,7 @@ use std::collections::{BTreeSet, BinaryHeap};
 use crate::arrivals::AppRequest;
 use crate::error::SchedError;
 use crate::ledger::{ns, Ledger};
-use crate::policy::{AppObservation, ClusterLoad, Placement, PlacementPolicy, RestripeDecision};
+use crate::policy::{AppObservation, ClusterLoad, PlacementPolicy, RestripeDecision};
 use crate::scheduler::{SchedOutcome, Scheduler};
 
 /// Period of the adaptive feedback loop: how often a feedback-wanting

@@ -41,7 +41,7 @@
 
 use beegfs_core::{BeeGfs, FaultPlan, TargetState};
 use cluster::TargetId;
-use ior::{AppSpec, HedgeConfig, IorConfig, RetryPolicy, Run, RunError, SimArena};
+use ior::{AppSpec, HedgeConfig, Placement, RetryPolicy, Run, RunError, SimArena};
 use serde::{Deserialize, Serialize};
 use simcore::rng::RngFactory;
 use simcore::units::Bandwidth;
@@ -50,7 +50,7 @@ use crate::arrivals::ArrivalStream;
 use crate::error::SchedError;
 use crate::ledger::Ledger;
 use crate::online::AdmissionMode;
-use crate::policy::{ClusterLoad, Placement, PlacementPolicy};
+use crate::policy::{ClusterLoad, PlacementPolicy};
 
 /// One committed placement decision, replayable from the log alone.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -422,11 +422,18 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
         for attempt in 0..=total_targets {
             let mut run = Run::new(self.fs).arena(&mut self.arena);
             for r in running.iter() {
-                let cfg = ledger.req(r.app).config;
-                run = run.app(spec_for(&r.placement, cfg).starting_at(r.start_s));
+                run = run.app(AppSpec {
+                    config: ledger.req(r.app).config,
+                    targets: r.placement.clone(),
+                    start_s: r.start_s,
+                });
             }
             run = run
-                .app(spec_for(&placement, req.config).starting_at(now))
+                .app(AppSpec {
+                    config: req.config,
+                    targets: placement.clone(),
+                    start_s: now,
+                })
                 .faults(self.faults.clone())
                 .policy(self.retry);
             if let Some(cfg) = self.hedge {
@@ -511,7 +518,7 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
                     }
                     let load =
                         ClusterLoad::of(self.fs, running.iter().map(|r| (&r.targets[..], r.bytes)));
-                    if placed_on(&placement, target) {
+                    if matches!(&placement, Placement::Pinned(ts) if ts.contains(&target)) {
                         placement = self.policy.place(
                             &load.view(self.fs.platform(), busy_fraction, &self.suspected),
                             req.stripe,
@@ -542,20 +549,6 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
     }
 }
 
-fn spec_for(placement: &Placement, cfg: IorConfig) -> AppSpec {
-    match placement {
-        Placement::Deferred => AppSpec::new(cfg),
-        Placement::Pinned(targets) => AppSpec::pinned(cfg, targets.clone()),
-    }
-}
-
-fn placed_on(placement: &Placement, target: TargetId) -> bool {
-    match placement {
-        Placement::Deferred => false,
-        Placement::Pinned(targets) => targets.contains(&target),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -565,6 +558,7 @@ mod tests {
     };
     use beegfs_core::{plafrim_registration_order, ChooserKind, DirConfig, StripePattern};
     use cluster::presets;
+    use ior::IorConfig;
     use simcore::units::GIB;
 
     fn deploy(chooser: ChooserKind) -> BeeGfs {
