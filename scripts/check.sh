@@ -22,6 +22,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
 
+echo "==> rustfmt --check of the vendored serde derive (outside the workspace, so cargo fmt skips it)"
+rustfmt --edition 2021 --check vendor/serde_derive/src/lib.rs
+
 echo "==> golden trace determinism (same seed => byte-identical trace)"
 cargo run --release --locked -p experiments --bin repro -- --seed 7 --trace target/trace-a.json
 cargo run --release --locked -p experiments --bin repro -- --seed 7 --trace target/trace-b.json
