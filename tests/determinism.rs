@@ -615,6 +615,48 @@ fn campaign_cache_record_is_byte_identical_to_the_pre_rework_golden() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+#[test]
+fn paper_grid_reps_are_byte_identical_to_the_committed_golden() {
+    // Every Fig 4/6/11 cell the campaign path serves, two reps each,
+    // one line per (cell, rep): bandwidth and simulated-time bits, the
+    // allocation label and the cell's event count, so a moved bit
+    // names its cell.
+    use beegfs_repro::experiments::campaign::CampaignEngine;
+    use beegfs_repro::experiments::{fig04_nodes, fig11_nodes_stripe};
+    let ctx = ExpCtx::quick(2);
+    let campaigns = [
+        fig04_nodes::campaign(&ctx, Scenario::S1Ethernet, 8),
+        fig04_nodes::campaign(&ctx, Scenario::S2Omnipath, 8),
+        fig06_stripe::campaign(&ctx, Scenario::S1Ethernet, ChooserKind::RoundRobin),
+        fig06_stripe::campaign(&ctx, Scenario::S2Omnipath, ChooserKind::RoundRobin),
+        fig11_nodes_stripe::campaign(&ctx),
+    ];
+    let engine = CampaignEngine::in_memory();
+    let mut out = String::new();
+    for campaign in &campaigns {
+        let outcome = engine.run(campaign).unwrap();
+        for (cell, metrics) in outcome.cells.iter().zip(&outcome.cell_metrics) {
+            for (k, rep) in cell.reps.iter().enumerate() {
+                let apps: Vec<String> = rep
+                    .apps
+                    .iter()
+                    .map(|a| format!("{:016x} {}", a.mib_s.to_bits(), a.allocation))
+                    .collect();
+                out.push_str(&format!(
+                    "{}/{} rep{k} {} {:016x} events={}\n",
+                    campaign.name,
+                    cell.label,
+                    apps.join(" "),
+                    rep.sim_secs.to_bits(),
+                    metrics.sim_events
+                ));
+            }
+        }
+    }
+    assert_eq!(out.lines().count(), 62 * 2, "one line per cell and rep");
+    check_golden("tests/golden/paper_grid_reps.txt", out.as_bytes());
+}
+
 /// Append `<name> <json>` to a pin file, after checking that the JSON
 /// reads back as `$ty` and re-serializes to the same bytes.
 macro_rules! pin {
