@@ -62,18 +62,12 @@ fn dummy_rng() -> StreamRng {
     simcore::rng::RngFactory::new(0).stream("fabric-none", 0)
 }
 
-/// The instantiated resource graph for one run.
+/// The instantiated resource graph for one run: the network plus its
+/// path oracle.
 #[derive(Debug)]
 pub struct Fabric {
     net: FlowNetwork,
-    node_cap: Vec<ResourceId>,
-    node_nic: Vec<ResourceId>,
-    switch: ResourceId,
-    switch_in_path: bool,
-    server_link: Vec<ResourceId>,
-    server_backend: Vec<ResourceId>,
-    ost: Vec<ResourceId>,
-    target_server: Vec<usize>,
+    paths: FabricPaths,
 }
 
 impl Fabric {
@@ -155,74 +149,38 @@ impl Fabric {
 
         Fabric {
             net,
-            node_cap,
-            node_nic,
-            switch,
-            switch_in_path,
-            server_link,
-            server_backend,
-            ost,
-            target_server,
+            paths: FabricPaths {
+                node_cap,
+                node_nic,
+                switch,
+                switch_in_path,
+                server_link,
+                server_backend,
+                ost,
+                target_server,
+            },
         }
     }
 
-    /// The resource chain crossed by a write from `node` to `target`.
-    /// Six resources on a constraining switch, five when the platform's
-    /// switch is [`crate::SwitchPolicy::NonBlocking`].
-    ///
-    /// # Panics
-    /// Panics on out-of-range node or target indices.
-    pub fn write_path(&self, node: usize, target: TargetId) -> Vec<ResourceId> {
-        let t = target.index();
-        assert!(node < self.node_cap.len(), "node {node} out of range");
-        assert!(t < self.ost.len(), "target {target} out of range");
-        let s = self.target_server[t];
-        let mut path = Vec::with_capacity(6);
-        path.push(self.node_cap[node]);
-        path.push(self.node_nic[node]);
-        if self.switch_in_path {
-            path.push(self.switch);
-        }
-        path.push(self.server_link[s]);
-        path.push(self.server_backend[s]);
-        path.push(self.ost[t]);
-        path
+    /// The path oracle: write paths and resource ids.
+    pub fn paths(&self) -> &FabricPaths {
+        &self.paths
     }
 
     /// Number of client nodes in this fabric.
     pub fn node_count(&self) -> usize {
-        self.node_cap.len()
+        self.paths.node_cap.len()
     }
 
     /// Number of storage targets.
     pub fn target_count(&self) -> usize {
-        self.ost.len()
-    }
-
-    /// The OST resource id of a target (failure injection, diagnostics).
-    pub fn ost_resource(&self, target: TargetId) -> ResourceId {
-        self.ost[target.index()]
-    }
-
-    /// The link resource id of a server.
-    pub fn server_link_resource(&self, server: usize) -> ResourceId {
-        self.server_link[server]
+        self.paths.ost.len()
     }
 
     /// Consume the fabric, yielding the network (to seed a `FluidSim`)
     /// and a path oracle that stays valid afterwards.
     pub fn into_parts(self) -> (FlowNetwork, FabricPaths) {
-        let paths = FabricPaths {
-            node_cap: self.node_cap,
-            node_nic: self.node_nic,
-            switch: self.switch,
-            switch_in_path: self.switch_in_path,
-            server_link: self.server_link,
-            server_backend: self.server_backend,
-            ost: self.ost,
-            target_server: self.target_server,
-        };
-        (self.net, paths)
+        (self.net, self.paths)
     }
 
     /// Borrow the underlying network.
@@ -231,7 +189,45 @@ impl Fabric {
     }
 }
 
-/// Path oracle detached from the network (see [`Fabric::into_parts`]).
+/// A write path held inline: at most six resources, no allocation.
+/// Derefs to `[ResourceId]`, and any flow-starting call takes it as is.
+#[derive(Debug, Clone, Copy)]
+pub struct WritePath {
+    ids: [ResourceId; 6],
+    len: u8,
+}
+
+impl WritePath {
+    fn push(&mut self, r: ResourceId) {
+        self.ids[self.len as usize] = r;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for WritePath {
+    type Target = [ResourceId];
+
+    fn deref(&self) -> &[ResourceId] {
+        &self.ids[..self.len as usize]
+    }
+}
+
+impl AsRef<[ResourceId]> for WritePath {
+    fn as_ref(&self) -> &[ResourceId] {
+        self
+    }
+}
+
+impl PartialEq for WritePath {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for WritePath {}
+
+/// The path oracle of a [`Fabric`]: which resources a write crosses.
+/// It outlives the network (see [`Fabric::into_parts`]).
 #[derive(Debug, Clone)]
 pub struct FabricPaths {
     node_cap: Vec<ResourceId>,
@@ -251,13 +247,15 @@ impl FabricPaths {
     ///
     /// # Panics
     /// Panics on out-of-range node or target indices.
-    pub fn write_path(&self, node: usize, target: TargetId) -> Vec<ResourceId> {
+    pub fn write_path(&self, node: usize, target: TargetId) -> WritePath {
         let t = target.index();
         assert!(node < self.node_cap.len(), "node {node} out of range");
         assert!(t < self.ost.len(), "target {target} out of range");
         let s = self.target_server[t];
-        let mut path = Vec::with_capacity(6);
-        path.push(self.node_cap[node]);
+        let mut path = WritePath {
+            ids: [self.node_cap[node]; 6],
+            len: 1,
+        };
         path.push(self.node_nic[node]);
         if self.switch_in_path {
             path.push(self.switch);
@@ -301,11 +299,11 @@ mod tests {
         let p = presets::plafrim_ethernet();
         let noise = FabricNoise::none(&p);
         let f = Fabric::build(&p, 2, 8, &noise);
-        let path = f.write_path(1, TargetId(5));
+        let path = f.paths().write_path(1, TargetId(5));
         assert_eq!(path.len(), 6);
         // Target 5 lives on server 1.
-        assert_eq!(path[3], f.server_link_resource(1));
-        assert_eq!(path[5], f.ost_resource(TargetId(5)));
+        assert_eq!(path[3], f.paths().server_link_resource(1));
+        assert_eq!(path[5], f.paths().ost_resource(TargetId(5)));
     }
 
     #[test]
@@ -313,8 +311,8 @@ mod tests {
         let p = presets::plafrim_ethernet();
         let noise = FabricNoise::none(&p);
         let f = Fabric::build(&p, 1, 8, &noise);
-        let a = f.write_path(0, TargetId(0));
-        let b = f.write_path(0, TargetId(1));
+        let a = f.paths().write_path(0, TargetId(0));
+        let b = f.paths().write_path(0, TargetId(1));
         assert_eq!(a[3], b[3]); // link
         assert_eq!(a[4], b[4]); // backend
         assert_ne!(a[5], b[5]); // distinct OSTs
@@ -326,9 +324,9 @@ mod tests {
         let mut rng = RngFactory::new(5).stream("fabric", 0);
         let noise = FabricNoise::sample(&p, &mut rng);
         let f = Fabric::build(&p, 1, 8, &noise);
-        let ost0 = f.ost_resource(TargetId(0));
+        let ost0 = f.paths().ost_resource(TargetId(0));
         assert!((f.network().factor(ost0) - noise.storage.device(0)).abs() < 1e-12);
-        let link0 = f.server_link_resource(0);
+        let link0 = f.paths().server_link_resource(0);
         assert!((f.network().factor(link0) - noise.link.device(0)).abs() < 1e-12);
     }
 
@@ -345,7 +343,7 @@ mod tests {
         let p = presets::plafrim_ethernet();
         let noise = FabricNoise::none(&p);
         let f = Fabric::build(&p, 2, 8, &noise);
-        let expected = f.write_path(0, TargetId(7));
+        let expected = f.paths().write_path(0, TargetId(7));
         let (_net, paths) = f.into_parts();
         assert_eq!(paths.write_path(0, TargetId(7)), expected);
     }
@@ -369,10 +367,10 @@ mod tests {
         // Same resource count as a constraining fabric of the same shape:
         // the switch resource still exists, ids stay stable.
         assert_eq!(f.network().resource_count(), 21);
-        let path = f.write_path(1, TargetId(5));
+        let path = f.paths().write_path(1, TargetId(5));
         assert_eq!(path.len(), 5, "switch omitted from the path");
-        assert!(!path.contains(&f.switch));
-        assert_eq!(path[2], f.server_link_resource(1));
+        assert!(!path.contains(&f.paths().switch));
+        assert_eq!(path[2], f.paths().server_link_resource(1));
         let (_net, paths) = f.into_parts();
         assert_eq!(paths.write_path(1, TargetId(5)), path);
     }

@@ -33,7 +33,7 @@ pub mod ids;
 pub mod presets;
 pub mod spec;
 
-pub use fabric::{Fabric, FabricNoise, FabricPaths};
+pub use fabric::{Fabric, FabricNoise, FabricPaths, WritePath};
 pub use fleet::{ConfigError, FleetSpec};
 pub use ids::{NodeId, ServerId, TargetId};
 pub use presets::{catalyst_like, plafrim_ethernet, plafrim_omnipath};

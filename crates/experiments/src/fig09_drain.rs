@@ -56,8 +56,8 @@ fn drain(selection: Vec<TargetId>) -> DrainTimeline {
     let noise = FabricNoise::none(&platform);
     let fabric = Fabric::build(&platform, cfg.nodes, cfg.ppn, &noise);
     let links = [
-        fabric.server_link_resource(0).index() as u32,
-        fabric.server_link_resource(1).index() as u32,
+        fabric.paths().server_link_resource(0).index() as u32,
+        fabric.paths().server_link_resource(1).index() as u32,
     ];
     let (net, paths) = fabric.into_parts();
     let mut timeline = obs::Timeline::new();

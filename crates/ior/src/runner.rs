@@ -49,11 +49,10 @@ use cluster::{Fabric, FabricNoise, TargetId};
 use iostats::agg::{aggregate_bandwidth, AppInterval};
 use serde::{Deserialize, Serialize};
 use simcore::dist::LogNormal;
-use simcore::flow::{FlowId, FluidSim, SimArena};
+use simcore::flow::{FluidSim, SimArena};
 use simcore::rng::StreamRng;
 use simcore::time::SimTime;
 use simcore::units::Bandwidth;
-use std::collections::HashMap;
 
 /// Most retry probes a [`RetryPolicy`] may need to span its deadline.
 const MAX_PROBES: usize = 1 << 16;
@@ -713,10 +712,11 @@ fn execute_run(
         weight: f64,
         started_s: f64,
     }
+    // Per-flow tables, indexed by `FlowId`: the run's fresh network
+    // numbers its flows 0, 1, 2, … in registration order.
     let mut streams: Vec<ChunkStream> = Vec::new();
-    let mut flow_stream: HashMap<FlowId, usize> = HashMap::new();
-
-    let mut flow_targets: HashMap<FlowId, TargetId> = HashMap::new();
+    let mut flow_stream: Vec<Option<usize>> = Vec::new();
+    let mut flow_targets: Vec<TargetId> = Vec::new();
     for (app_idx, app_plan) in plans.iter().enumerate() {
         let block = app_plan.cfg.block_size();
         for p in 0..app_plan.cfg.processes() {
@@ -754,13 +754,14 @@ fn execute_run(
                         target: target.0,
                     });
                 }
-                flow_targets.insert(id, target);
+                debug_assert_eq!(id.index(), flow_targets.len(), "flows number from 0");
+                flow_targets.push(target);
                 if !target_bytes.is_empty() {
                     target_bytes[target.index()] += flow_bytes;
                     target_chunks[target.index()] += 1;
                 }
                 if let Some(cfg) = hedge {
-                    flow_stream.insert(id, streams.len());
+                    flow_stream.push(Some(streams.len()));
                     streams.push(ChunkStream {
                         app: app_idx,
                         process: p,
@@ -801,7 +802,10 @@ fn execute_run(
                 let app = done.tag as usize;
                 let end_s = done.time.as_secs_f64();
                 app_end_s[app] = app_end_s[app].max(end_s);
-                let Some(si) = flow_stream.remove(&done.flow) else {
+                let Some(si) = flow_stream
+                    .get_mut(done.flow.index())
+                    .and_then(Option::take)
+                else {
                     continue;
                 };
                 let cfg = hedge.expect("chunk streams exist only when hedging");
@@ -906,8 +910,9 @@ fn execute_run(
                             target: dest.0,
                         });
                     }
-                    flow_targets.insert(id, dest);
-                    flow_stream.insert(id, si);
+                    debug_assert_eq!(id.index(), flow_targets.len(), "flows number from 0");
+                    flow_targets.push(dest);
+                    flow_stream.push(Some(si));
                     if !target_bytes.is_empty() {
                         target_bytes[dest.index()] += streams[si].chunk_bytes;
                         target_chunks[dest.index()] += 1;
@@ -921,7 +926,7 @@ fn execute_run(
                 let dead = stall
                     .flows
                     .iter()
-                    .filter_map(|f| flow_targets.get(f).copied())
+                    .map(|f| flow_targets[f.index()])
                     .filter_map(|t| {
                         let o = timeline
                             .outages

@@ -1,11 +1,20 @@
 //! Deterministic event calendar.
 //!
-//! A thin priority queue keyed by [`SimTime`] with FIFO tie-breaking: two
+//! A priority queue keyed by [`SimTime`] with FIFO tie-breaking: two
 //! events scheduled for the same instant are delivered in the order they
 //! were scheduled. This makes simulations independent of `BinaryHeap`'s
 //! unspecified equal-key ordering and is essential for reproducibility.
+//!
+//! Events pushed in nondecreasing time — a repetition's flow starts, all
+//! at its applications' start instants, or a session's arrivals — queue
+//! in a FIFO *run* and cost O(1) each way. Only an out-of-order push (an
+//! instant earlier than the run's tail, e.g. a start at `now` queued
+//! behind future fault events) goes to a binary heap. A pop takes the
+//! smaller `(time, seq)` key of the two fronts; keys are unique, so the
+//! pop order is exactly that of one heap holding every event.
 
 use crate::time::SimTime;
+use std::collections::VecDeque;
 
 /// An entry in the calendar.
 #[derive(Debug)]
@@ -26,11 +35,12 @@ impl<E> Entry<E> {
 
 /// A deterministic min-priority event queue.
 ///
-/// Implemented as a hand-rolled array-indexed binary min-heap over the
-/// key `(time, seq)` rather than `std::collections::BinaryHeap`, so the
-/// backing storage can be recycled across simulations (see
-/// [`crate::flow::SimArena`]) and popping at a known instant
-/// ([`EventQueue::pop_at`]) skips the peek/pop double touch.
+/// A FIFO run of in-order pushes beside a hand-rolled array-indexed
+/// binary min-heap over the key `(time, seq)` (see the module docs),
+/// rather than `std::collections::BinaryHeap`, so the backing storage
+/// can be recycled across simulations (see [`crate::flow::SimArena`])
+/// and popping at a known instant ([`EventQueue::pop_at`]) skips the
+/// peek/pop double touch.
 ///
 /// ```
 /// use simcore::{EventQueue, SimTime};
@@ -43,6 +53,9 @@ impl<E> Entry<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
+    /// Events pushed at or after the run's tail, in `(time, seq)` order.
+    run: VecDeque<Entry<E>>,
+    /// Every other pending event, as a binary min-heap.
     heap: Vec<Entry<E>>,
     next_seq: u64,
     now: SimTime,
@@ -62,6 +75,7 @@ impl<E> EventQueue<E> {
     /// An empty calendar positioned at `SimTime::ZERO`.
     pub fn new() -> Self {
         EventQueue {
+            run: VecDeque::new(),
             heap: Vec::new(),
             next_seq: 0,
             now: SimTime::ZERO,
@@ -71,8 +85,10 @@ impl<E> EventQueue<E> {
     }
 
     /// Drop all pending events and rewind to `SimTime::ZERO`, keeping the
-    /// heap's allocation. Used when recycling a queue between runs.
+    /// run's and the heap's allocations. Used when recycling a queue
+    /// between runs.
     pub(crate) fn reset(&mut self) {
+        self.run.clear();
         self.heap.clear();
         self.next_seq = 0;
         self.now = SimTime::ZERO;
@@ -80,8 +96,8 @@ impl<E> EventQueue<E> {
         self.pops = 0;
     }
 
-    /// Telemetry: how many events have been scheduled (heap pushes) since
-    /// construction or the last recycle.
+    /// Telemetry: how many events have been scheduled since construction
+    /// or the last recycle.
     pub fn pushes(&self) -> u64 {
         self.pushes
     }
@@ -112,19 +128,39 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.pushes += 1;
-        self.heap.push(Entry { time, seq, event });
-        self.sift_up(self.heap.len() - 1);
+        let entry = Entry { time, seq, event };
+        // `seq` grows with every push, so a push at or after the run's
+        // tail time keeps the run sorted by key.
+        if self.run.back().is_none_or(|tail| tail.time <= time) {
+            self.run.push_back(entry);
+        } else {
+            self.heap.push(entry);
+            self.sift_up(self.heap.len() - 1);
+        }
+    }
+
+    /// Whether the earliest pending event is the run's front (rather
+    /// than the heap's root); `None` when nothing is pending.
+    fn run_first(&self) -> Option<bool> {
+        match (self.run.front(), self.heap.first()) {
+            (None, None) => None,
+            (Some(_), None) => Some(true),
+            (None, Some(_)) => Some(false),
+            (Some(r), Some(h)) => Some(r.key() < h.key()),
+        }
     }
 
     /// Remove and return the earliest event, advancing `now` to its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let last = self.heap.len() - 1;
-        self.heap.swap(0, last);
-        let e = self.heap.pop().expect("checked non-empty");
-        self.sift_down(0);
+        let e = if self.run_first()? {
+            self.run.pop_front().expect("checked non-empty")
+        } else {
+            let last = self.heap.len() - 1;
+            self.heap.swap(0, last);
+            let e = self.heap.pop().expect("checked non-empty");
+            self.sift_down(0);
+            e
+        };
         debug_assert!(e.time >= self.now);
         self.now = e.time;
         self.pops += 1;
@@ -135,7 +171,7 @@ impl<E> EventQueue<E> {
     /// exactly `t` — the hot-path form of peek-compare-pop used when
     /// draining every event due at one instant.
     pub fn pop_at(&mut self, t: SimTime) -> Option<E> {
-        if self.heap.first()?.time != t {
+        if self.peek_time()? != t {
             return None;
         }
         self.pop().map(|(_, e)| e)
@@ -143,7 +179,10 @@ impl<E> EventQueue<E> {
 
     /// Timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|e| e.time)
+        match (self.run.front(), self.heap.first()) {
+            (Some(r), Some(h)) => Some(r.time.min(h.time)),
+            (r, h) => r.or(h).map(|e| e.time),
+        }
     }
 
     fn sift_up(&mut self, mut i: usize) {
@@ -180,12 +219,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.run.len() + self.heap.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.run.is_empty() && self.heap.is_empty()
     }
 }
 

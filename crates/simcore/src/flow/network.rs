@@ -151,10 +151,9 @@ pub(crate) struct SolverScratch {
     /// Worklist of resource indices for the dirty-component walk.
     stack: Vec<u32>,
     /// Slots of the flows collected into the dirty components, sorted
-    /// before solving.
+    /// ascending before solving.
     comp_flows: Vec<u32>,
-    /// Resources collected into the dirty components, sorted before
-    /// solving.
+    /// Resources collected into the dirty components, in walk order.
     comp_res: Vec<u32>,
     /// Membership marker for `comp_res` (len only grows; all-false
     /// between solves — cleared by walking `comp_res`, never O(n)).
@@ -164,6 +163,22 @@ pub(crate) struct SolverScratch {
     /// Flow count of each component collected by the last sharded
     /// recompute (empty after a skip), for the introspection histograms.
     comp_sizes: Vec<u32>,
+}
+
+/// A network's recyclable buffers, carried between networks by
+/// [`super::SimArena`]: the solver scratch, the flow records and their
+/// path/pos arenas, the active list, the dirty set and the per-resource
+/// incidence vectors. Only capacity matters; the network that installs
+/// them clears and refills every one.
+#[derive(Debug, Default)]
+pub(crate) struct NetBuffers {
+    scratch: SolverScratch,
+    flows: Vec<Flow>,
+    path_arena: Vec<ResourceId>,
+    pos_arena: Vec<u32>,
+    active: Vec<u32>,
+    dirty: Vec<u32>,
+    incident: Vec<Vec<u32>>,
 }
 
 /// A network of resources and flows with max–min fair bandwidth sharing.
@@ -337,12 +352,14 @@ impl FlowNetwork {
     }
 
     /// Register a flow (inactive until activated by the simulator) with
-    /// the default depth weight of 1.0.
+    /// the default depth weight of 1.0. The path is copied into the
+    /// network's arena, so any slice-like path works (`Vec`, array,
+    /// inline path) and a fixed-size one costs no allocation.
     ///
     /// # Panics
     /// Panics on an empty path, repeated resources in the path, or a
     /// negative/non-finite byte count.
-    pub fn add_flow(&mut self, path: Vec<ResourceId>, bytes: f64, tag: u64) -> FlowId {
+    pub fn add_flow(&mut self, path: impl AsRef<[ResourceId]>, bytes: f64, tag: u64) -> FlowId {
         self.add_flow_weighted(path, bytes, tag, 1.0)
     }
 
@@ -354,11 +371,12 @@ impl FlowNetwork {
     /// weights.
     pub fn add_flow_weighted(
         &mut self,
-        path: Vec<ResourceId>,
+        path: impl AsRef<[ResourceId]>,
         bytes: f64,
         tag: u64,
         depth_weight: f64,
     ) -> FlowId {
+        let path = path.as_ref();
         assert!(
             depth_weight.is_finite() && depth_weight > 0.0,
             "invalid depth weight {depth_weight}"
@@ -371,7 +389,7 @@ impl FlowNetwork {
             bytes.is_finite() && bytes >= 0.0,
             "invalid flow size {bytes}"
         );
-        for r in &path {
+        for r in path {
             assert!(r.index() < self.resources.len(), "unknown resource in path");
         }
         // Duplicate check without allocating: paths are a handful of
@@ -397,7 +415,7 @@ impl FlowNetwork {
         // Reserve incidence capacity now, while registration is allowed
         // to allocate: active flows are a subset of registered flows, so
         // `activate` never grows `incident` in the steady state.
-        for r in &path {
+        for r in path {
             let ri = r.index();
             self.registered[ri] += 1;
             let need = self.registered[ri] as usize;
@@ -410,7 +428,7 @@ impl FlowNetwork {
         self.next_id = self.next_id.checked_add(1).expect("too many flows");
         let path_off = u32::try_from(self.path_arena.len()).expect("path arena fits u32");
         let path_len = u32::try_from(path.len()).expect("path length fits u32");
-        self.path_arena.extend_from_slice(&path);
+        self.path_arena.extend_from_slice(path);
         self.pos_arena.resize(self.path_arena.len(), 0);
         self.flows.push(Flow {
             path_off,
@@ -519,16 +537,25 @@ impl FlowNetwork {
 
     /// [`FlowNetwork::deactivate`] by slot.
     pub(crate) fn deactivate_slot(&mut self, s: u32) {
+        if self.unlink_slot(s) {
+            if let Ok(pos) = self.active.binary_search(&s) {
+                self.active.remove(pos);
+            }
+        }
+    }
+
+    /// Deactivate the flow in slot `s` everywhere but the sorted
+    /// `active` list, which the caller prunes: zero its rate and
+    /// remaining bytes, and take it off its resources' counts and
+    /// incidence lists. Returns whether it was active.
+    fn unlink_slot(&mut self, s: u32) -> bool {
         let i = s as usize;
         let was_active = self.flows[i].active;
         self.flows[i].active = false;
         self.flows[i].rate = 0.0;
         self.flows[i].remaining = 0.0;
         if !was_active {
-            return;
-        }
-        if let Ok(pos) = self.active.binary_search(&s) {
-            self.active.remove(pos);
+            return false;
         }
         let off = self.flows[i].path_off as usize;
         let len = self.flows[i].path_len as usize;
@@ -551,15 +578,42 @@ impl FlowNetwork {
                 self.pos_arena[moved_off + k_moved] = at as u32;
             }
         }
+        true
     }
 
     /// Deactivate the flow in slot `s` and retire it for good: it stops
     /// counting towards the `incident` reservations and its record is
     /// reclaimed by a later [`FlowNetwork::compact_if_due`]. Slots stay
-    /// valid until that call, so a caller can retire a whole batch
-    /// first.
+    /// valid until that call.
     pub(crate) fn retire(&mut self, s: u32) {
         self.deactivate_slot(s);
+        self.mark_retired(s);
+    }
+
+    /// [`FlowNetwork::retire`] for a batch of slots, sorted ascending
+    /// and distinct: the per-path work runs flow by flow in that order,
+    /// exactly as one `retire` per slot would, and the sorted `active`
+    /// list is then pruned in one merge pass instead of one shifting
+    /// removal per flow.
+    pub(crate) fn retire_batch(&mut self, slots: &[u32]) {
+        debug_assert!(
+            slots.windows(2).all(|w| w[0] < w[1]),
+            "batch is not sorted ascending"
+        );
+        for &s in slots {
+            self.unlink_slot(s);
+            self.mark_retired(s);
+        }
+        let mut batch = slots.iter().copied().peekable();
+        self.active.retain(|&a| {
+            while batch.next_if(|&b| b < a).is_some() {}
+            batch.next_if_eq(&a).is_none()
+        });
+    }
+
+    /// Flag the (already inactive) flow in slot `s` retired and release
+    /// its `incident` reservations.
+    fn mark_retired(&mut self, s: u32) {
         let i = s as usize;
         debug_assert!(!self.flows[i].retired, "flow retired twice");
         self.flows[i].retired = true;
@@ -887,9 +941,9 @@ impl FlowNetwork {
     ///   sequence restricted to one component is therefore independent
     ///   of every other component, and solving the dirty components in
     ///   isolation assigns the same shares in the same floating-point
-    ///   operation order as the full solve (flows and resources are
-    ///   sorted ascending before solving, matching the reference's
-    ///   iteration order).
+    ///   operation order as the full solve: flows are put in ascending
+    ///   slot order, the reference's iteration order, and the bottleneck
+    ///   search breaks ties by resource index whatever the list order.
     fn solve_sharded(&mut self) {
         let mut scratch = std::mem::take(&mut self.scratch);
         let n_res = self.resources.len();
@@ -953,12 +1007,26 @@ impl FlowNetwork {
             self.touched_valid = true;
         }
         self.clear_dirty();
-        // Ascending order: the solver's iteration order is its
+        // Ascending slot order: the solver's flow iteration order is its
         // floating-point accumulation order, and must match the
-        // reference solver's (slot = registration order, resource
-        // creation order) within the collected components.
-        scratch.comp_flows.sort_unstable();
-        scratch.comp_res.sort_unstable();
+        // reference solver's (slot = registration order) within the
+        // collected components. A component holding a large share of
+        // the active flows (k log2 k >= |active|, e.g. a dense
+        // single-component grid) is read off the sorted active list by
+        // its marks in O(|active|); a small one is sorted in
+        // O(k log k). Both give the same list.
+        let k = scratch.comp_flows.len();
+        if k * (usize::BITS - k.leading_zeros()) as usize >= self.active.len() {
+            scratch.comp_flows.clear();
+            scratch.comp_flows.extend(
+                self.active
+                    .iter()
+                    .copied()
+                    .filter(|&s| scratch.flow_seen[s as usize]),
+            );
+        } else {
+            scratch.comp_flows.sort_unstable();
+        }
         let comp_flows = std::mem::take(&mut scratch.comp_flows);
         let comp_res = std::mem::take(&mut scratch.comp_res);
         self.solve_subset(&comp_flows, &comp_res, &mut scratch);
@@ -978,11 +1046,12 @@ impl FlowNetwork {
     /// Progressive filling restricted to `flows` over `resources` — the
     /// solve behind [`FlowNetwork::recompute_rates`].
     ///
-    /// Requirements (upheld by the callers): both lists are sorted
-    /// ascending; every resource on a listed flow's path is listed; every
-    /// listed flow is active, and every active flow crossing a listed
-    /// resource is listed (a union of whole components), with its slot
-    /// marked in `scratch.flow_seen`. Loop structure and per-resource
+    /// Requirements (upheld by the callers): `flows` is sorted ascending
+    /// (`resources` may be in any order: the bottleneck search breaks
+    /// ties by resource index); every resource on a listed flow's path
+    /// is listed; every listed flow is active, and every active flow
+    /// crossing a listed resource is listed (a union of whole
+    /// components), with its slot marked in `scratch.flow_seen`. Loop structure and per-resource
     /// floating-point operation order mirror
     /// [`FlowNetwork::reference_recompute_rates`] exactly. The
     /// differences are buffer reuse, iterating the provided lists
@@ -1032,15 +1101,17 @@ impl FlowNetwork {
 
         while n_unfrozen > 0 {
             // Find the bottleneck: the resource with the smallest fair
-            // share among resources still carrying unfrozen flows.
+            // share among resources still carrying unfrozen flows, the
+            // lowest index among equal shares — the reference's
+            // ascending scan keeps the first it meets.
             let mut best: Option<(usize, f64)> = None;
             for &r in resources {
-                let u = scratch.unfrozen[r as usize];
+                let (r, u) = (r as usize, scratch.unfrozen[r as usize]);
                 if u > 0 {
-                    let share = scratch.cap[r as usize].max(0.0) / f64::from(u);
+                    let share = scratch.cap[r].max(0.0) / f64::from(u);
                     match best {
-                        Some((_, s)) if s <= share => {}
-                        _ => best = Some((r as usize, share)),
+                        Some((b, s)) if s < share || (s == share && b < r) => {}
+                        _ => best = Some((r, share)),
                     }
                 }
             }
@@ -1206,48 +1277,60 @@ impl FlowNetwork {
     }
 
     /// Move the recyclable buffers out for reuse by the next network
-    /// (see [`super::SimArena`]): the solver scratch plus the
-    /// active-list, dirty-set, and per-resource incidence vectors, which
-    /// would otherwise re-grow from empty in every rep. The network must
-    /// not be solved again after this.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn take_recycled(&mut self) -> (SolverScratch, Vec<u32>, Vec<u32>, Vec<Vec<u32>>) {
-        (
-            std::mem::take(&mut self.scratch),
-            std::mem::take(&mut self.active),
-            std::mem::take(&mut self.dirty),
-            std::mem::take(&mut self.incident),
-        )
+    /// (see [`super::SimArena`]), which would otherwise re-grow them from
+    /// empty in every rep. The network must not be used again after
+    /// this.
+    pub(crate) fn take_recycled(&mut self) -> NetBuffers {
+        fn cleared<T>(v: &mut Vec<T>) -> Vec<T> {
+            let mut v = std::mem::take(v);
+            v.clear();
+            v
+        }
+        let mut incident = std::mem::take(&mut self.incident);
+        incident.iter_mut().for_each(Vec::clear);
+        NetBuffers {
+            scratch: std::mem::take(&mut self.scratch),
+            flows: cleared(&mut self.flows),
+            path_arena: cleared(&mut self.path_arena),
+            pos_arena: cleared(&mut self.pos_arena),
+            active: cleared(&mut self.active),
+            dirty: cleared(&mut self.dirty),
+            incident,
+        }
     }
 
-    /// Install recycled buffers. Only *capacity* carries over: the active
-    /// list, dirty set, and incidence lists are cleared and refilled with
-    /// this network's current contents, so behaviour is identical to a
-    /// fresh network.
-    pub(crate) fn install_recycled(
-        &mut self,
-        scratch: SolverScratch,
-        mut active: Vec<u32>,
-        mut dirty: Vec<u32>,
-        mut incident: Vec<Vec<u32>>,
-    ) {
+    /// Install recycled buffers. Only *capacity* carries over: every
+    /// buffer is cleared and refilled with this network's current
+    /// contents, so behaviour is identical to a fresh network.
+    pub(crate) fn install_recycled(&mut self, buffers: NetBuffers) {
+        fn refill<T: Copy>(mut v: Vec<T>, current: &[T]) -> Vec<T> {
+            v.clear();
+            v.extend_from_slice(current);
+            v
+        }
+        let NetBuffers {
+            scratch,
+            flows,
+            path_arena,
+            pos_arena,
+            active,
+            dirty,
+            mut incident,
+        } = buffers;
         self.scratch = scratch;
-        active.clear();
-        active.extend_from_slice(&self.active);
-        self.active = active;
-        dirty.clear();
-        dirty.extend_from_slice(&self.dirty);
-        self.dirty = dirty;
+        self.flows = refill(flows, &self.flows);
+        self.path_arena = refill(path_arena, &self.path_arena);
+        self.pos_arena = refill(pos_arena, &self.pos_arena);
+        self.active = refill(active, &self.active);
+        self.dirty = refill(dirty, &self.dirty);
         // Keep the recycled inner vectors (their capacities are the
         // point), aligned to this network's resource count.
-        for v in &mut incident {
-            v.clear();
-        }
         incident.truncate(self.incident.len());
         while incident.len() < self.incident.len() {
             incident.push(Vec::new());
         }
         for (slot, current) in incident.iter_mut().zip(self.incident.iter()) {
+            slot.clear();
             slot.extend_from_slice(current);
         }
         self.incident = incident;

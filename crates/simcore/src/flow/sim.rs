@@ -1,6 +1,6 @@
 //! The fluid-simulation event loop.
 
-use super::network::{FlowId, FlowNetwork, ResourceId, SolverScratch};
+use super::network::{FlowId, FlowNetwork, NetBuffers, ResourceId};
 use crate::events::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use obs::Event as ObsEvent;
@@ -59,26 +59,23 @@ enum Event {
 
 /// Recycled simulation buffers, carried across [`FluidSim`] instances.
 ///
-/// A fresh sim grows its event heap, solver scratch, and bookkeeping
-/// vectors as it warms up; rep loops (the ior runner, the campaign
-/// engine, the scheduler's per-admission measurement runs) build
-/// thousands of short-lived sims, so [`FluidSim::with_arena`] seeds a
-/// new sim from the arena and [`FluidSim::recycle_into`] hands the
-/// buffers back when the run ends. Only buffer *capacity* survives a
-/// recycle — every buffer is cleared on both paths, so no simulation
-/// state can leak between runs and results are identical with or
-/// without an arena.
+/// A fresh sim grows its event calendar, flow records and path arenas,
+/// solver scratch, and bookkeeping vectors as it warms up; rep loops
+/// (the ior runner, the campaign engine, the scheduler's per-admission
+/// measurement runs) build thousands of short-lived sims, so
+/// [`FluidSim::with_arena`] seeds a new sim from the arena and
+/// [`FluidSim::recycle_into`] hands the buffers back when the run ends.
+/// Only buffer *capacity* survives a recycle — every buffer is cleared
+/// on both paths, so no simulation state can leak between runs and
+/// results are identical with or without an arena.
 #[derive(Debug, Default)]
 pub struct SimArena {
-    solver: SolverScratch,
+    net: NetBuffers,
     queue: EventQueue<Event>,
     ready: VecDeque<Completion>,
     last_loads: Vec<f64>,
     scratch_loads: Vec<f64>,
     finished: Vec<u32>,
-    net_active: Vec<u32>,
-    net_dirty: Vec<u32>,
-    net_incident: Vec<Vec<u32>>,
     /// Times this arena has seeded a sim ([`FluidSim::with_arena`]).
     uses: u64,
 }
@@ -199,12 +196,7 @@ impl<'r> FluidSim<'r> {
     /// [`FluidSim::new`] — the arena contributes capacity, never state.
     pub fn with_arena(mut net: FlowNetwork, arena: &mut SimArena) -> Self {
         arena.uses += 1;
-        net.install_recycled(
-            std::mem::take(&mut arena.solver),
-            std::mem::take(&mut arena.net_active),
-            std::mem::take(&mut arena.net_dirty),
-            std::mem::take(&mut arena.net_incident),
-        );
+        net.install_recycled(std::mem::take(&mut arena.net));
         let mut queue = std::mem::take(&mut arena.queue);
         queue.reset();
         let mut ready = std::mem::take(&mut arena.ready);
@@ -234,16 +226,7 @@ impl<'r> FluidSim<'r> {
     /// Return this sim's buffers to an arena for the next run to reuse.
     /// Call in place of dropping the sim at the end of a rep.
     pub fn recycle_into(mut self, arena: &mut SimArena) {
-        let (solver, mut active, mut dirty, mut incident) = self.net.take_recycled();
-        arena.solver = solver;
-        active.clear();
-        arena.net_active = active;
-        dirty.clear();
-        arena.net_dirty = dirty;
-        for v in &mut incident {
-            v.clear();
-        }
-        arena.net_incident = incident;
+        arena.net = self.net.take_recycled();
         self.queue.reset();
         arena.queue = self.queue;
         self.ready.clear();
@@ -361,7 +344,7 @@ impl<'r> FluidSim<'r> {
     pub fn start_flow_at(
         &mut self,
         start: SimTime,
-        path: Vec<super::network::ResourceId>,
+        path: impl AsRef<[ResourceId]>,
         bytes: f64,
         tag: u64,
     ) -> FlowId {
@@ -376,7 +359,7 @@ impl<'r> FluidSim<'r> {
     pub fn start_weighted_flow_at(
         &mut self,
         start: SimTime,
-        path: Vec<super::network::ResourceId>,
+        path: impl AsRef<[ResourceId]>,
         bytes: f64,
         tag: u64,
         depth_weight: f64,
@@ -734,8 +717,9 @@ impl<'r> FluidSim<'r> {
     /// the flow's rate.
     ///
     /// Slots are collected first (finishing edits the active list being
-    /// scanned) and retired as a batch; compaction, which moves slots,
-    /// runs only once the batch is done.
+    /// scanned), completed in ascending slot order, and retired as one
+    /// batch; compaction, which moves slots, runs only once the batch
+    /// is done.
     fn finish_drained(&mut self, quantized: bool) -> bool {
         let mut finished = std::mem::take(&mut self.scratch_finished);
         finished.clear();
@@ -750,25 +734,24 @@ impl<'r> FluidSim<'r> {
             }
         }
         let any = !finished.is_empty();
-        for &s in &finished {
-            self.finish(s);
+        if any {
+            for &s in &finished {
+                self.complete(s);
+            }
+            self.net.retire_batch(&finished);
+            self.rates_dirty = true;
+            self.net.compact_if_due();
         }
         finished.clear();
         self.scratch_finished = finished;
-        if any {
-            self.net.compact_if_due();
-        }
         any
     }
 
-    /// Complete the flow in slot `s`: retire it, trace it, and queue
-    /// its [`Completion`]. The slot stays valid until the caller's
-    /// [`FlowNetwork::compact_if_due`].
-    fn finish(&mut self, s: u32) {
+    /// Trace the finished flow in slot `s` and queue its
+    /// [`Completion`]; the caller retires it.
+    fn complete(&mut self, s: u32) {
         let flow = self.net.id_at(s);
         let tag = self.net.tag_at(s);
-        self.net.retire(s);
-        self.rates_dirty = true;
         self.events_processed.inc();
         if let Some(rec) = self.recorder.as_deref_mut() {
             rec.record(ObsEvent::FlowEnd {

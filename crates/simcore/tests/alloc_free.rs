@@ -2,16 +2,18 @@
 //!
 //! A counting global allocator wraps the system allocator; the test runs
 //! the same flow workload twice through [`FluidSim`] with a shared
-//! [`SimArena`]. The first wave warms every buffer (event heap, solver
-//! scratch, active list, dirty set, completion queue); the second wave's
-//! event loop — solves, drains, activations, completions, scheduled
-//! factor changes, and the compaction that reclaims retired flow
-//! records — must perform **zero** heap allocations.
+//! [`SimArena`]. The first wave warms every buffer (event calendar, flow
+//! records and path arenas, solver scratch, active list, dirty set,
+//! incidence lists, completion queue); the second wave — flow
+//! registration with fixed-size paths, scheduled factor changes, and the
+//! whole event loop of solves, drains, activations, completions and the
+//! compaction that reclaims retired flow records — must perform **zero**
+//! heap allocations.
 //!
-//! Network *construction* (resources, flow registration, path vectors)
-//! allocates by design and sits outside the measured window; the claim
-//! is about the per-event steady state that rep loops spend their time
-//! in, not about setup.
+//! Building the resources (labels, per-resource vectors) allocates by
+//! design and sits outside the measured window; the claim is about
+//! everything a rep loop does per flow and per event once its arena is
+//! warm.
 //!
 //! The counter is per-thread: the libtest harness waits on another
 //! thread while the test body runs, and its occasional allocations must
@@ -67,9 +69,9 @@ fn allocations() -> u64 {
     THREAD_ALLOCATIONS.with(Cell::get)
 }
 
-/// Build a workload of `flows` flows, then run its event loop to
-/// completion, returning the number of heap allocations performed *by
-/// the loop* (setup and registration excluded).
+/// Build a workload of `flows` flows, then register them and run its
+/// event loop to completion, returning the number of heap allocations
+/// performed by registration and the loop (resource setup excluded).
 fn run_wave(arena: &mut SimArena, flows: u64) -> u64 {
     // A small cluster: two shared links feeding four saturating targets,
     // with staggered flow arrivals and a mid-run factor dip + restore so
@@ -93,17 +95,16 @@ fn run_wave(arena: &mut SimArena, flows: u64) -> u64 {
         })
         .collect();
 
+    let before = allocations();
     let mut sim = FluidSim::with_arena(net, arena);
     for i in 0..flows {
-        let path = vec![links[(i % 2) as usize], targets[(i % 4) as usize]];
+        let path = [links[(i % 2) as usize], targets[(i % 4) as usize]];
         let start = SimTime::from_secs_f64((i % 7) as f64 * 0.25);
         sim.start_flow_at(start, path, 500.0 + (i * 37 % 211) as f64, i);
     }
     let flap = targets[1];
     sim.schedule_factor_change(SimTime::from_secs_f64(0.5), flap, 0.1);
     sim.schedule_factor_change(SimTime::from_secs_f64(1.5), flap, 1.0);
-
-    let before = allocations();
     while sim.next_completion().is_some() {}
     let during = allocations() - before;
 
@@ -112,7 +113,7 @@ fn run_wave(arena: &mut SimArena, flows: u64) -> u64 {
 }
 
 #[test]
-fn second_wave_event_loop_is_allocation_free() {
+fn second_wave_registration_and_event_loop_are_allocation_free() {
     let mut arena = SimArena::new();
 
     let cold = run_wave(&mut arena, 64);
@@ -124,13 +125,13 @@ fn second_wave_event_loop_is_allocation_free() {
     );
     assert_eq!(
         warm, 0,
-        "steady-state event loop allocated {warm} times with warm buffers"
+        "registration and event loop allocated {warm} times with warm buffers"
     );
 }
 
 #[test]
 fn compaction_inside_the_event_loop_is_allocation_free() {
-    // 2,560 flows, all registered before the measured window, finishing
+    // 2,560 flows, all registered before the first completion, finishing
     // in small batches: retired records outnumber the unretired ones
     // (and the 1,024-record compaction floor) once about 1,281 have
     // finished, so the network compacts its flow records and path

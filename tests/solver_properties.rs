@@ -621,7 +621,7 @@ fn drive_sim(resources: &[(f64, Option<f64>, f64)], ops: &[SimOp], reference: bo
                     path.iter().map(|&r| r % rids.len()).collect();
                 sim.start_weighted_flow_at(
                     now + SimDuration::from_secs_f64(*delay_s),
-                    distinct.into_iter().map(|r| rids[r]).collect(),
+                    distinct.into_iter().map(|r| rids[r]).collect::<Vec<_>>(),
                     *size,
                     i as u64,
                     *weight,
