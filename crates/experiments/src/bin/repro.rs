@@ -49,7 +49,10 @@ struct Args {
     which: Vec<String>,
 }
 
-fn parse_args() -> Args {
+const USAGE: &str = "usage: repro [--reps N] [--seed S] [--json DIR] [--plot] [--cache DIR|--no-cache] [--trace OUT.json] [--metrics OUT.json] [--online] [--arrivals N] [fig2|fig4|fig5|fig6|fig8|fig9|fig10|fig11|fig12|fig13|chowdhury|policy|reads|nn|tune|metadata|sensitivity|sched|scale|straggler|adaptive|interference|lessons|all]";
+
+/// Parse the command line, or say what is wrong with it.
+fn parse_args() -> Result<Args, String> {
     let mut ctx = ExpCtx::default();
     let mut json_dir = None;
     let mut plot = false;
@@ -61,52 +64,25 @@ fn parse_args() -> Args {
     let mut which = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
+        let mut value = |what: &str| args.next().ok_or_else(|| format!("{a} needs {what}"));
         match a.as_str() {
-            "--reps" => {
-                ctx.reps = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--reps needs a positive integer");
-            }
+            "--reps" => ctx.reps = positive(&a, &value("a positive integer")?)?,
             "--seed" => {
-                ctx.seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs an integer");
+                let v = value("a non-negative integer")?;
+                ctx.seed = v
+                    .parse()
+                    .map_err(|_| format!("{a} needs a non-negative integer, not '{v}'"))?;
             }
-            "--json" => {
-                json_dir = Some(PathBuf::from(
-                    args.next().expect("--json needs a directory"),
-                ));
-            }
+            "--json" => json_dir = Some(PathBuf::from(value("a directory")?)),
             "--plot" => plot = true,
-            "--cache" => {
-                cache_dir = Some(PathBuf::from(
-                    args.next().expect("--cache needs a directory"),
-                ));
-            }
+            "--cache" => cache_dir = Some(PathBuf::from(value("a directory")?)),
             "--no-cache" => cache_dir = None,
-            "--trace" => {
-                trace_out = Some(PathBuf::from(
-                    args.next().expect("--trace needs an output file"),
-                ));
-            }
-            "--metrics" => {
-                metrics_out = Some(PathBuf::from(
-                    args.next().expect("--metrics needs an output file"),
-                ));
-            }
+            "--trace" => trace_out = Some(PathBuf::from(value("an output file")?)),
+            "--metrics" => metrics_out = Some(PathBuf::from(value("an output file")?)),
             "--online" => online = true,
-            "--arrivals" => {
-                arrivals = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--arrivals needs a positive integer");
-            }
+            "--arrivals" => arrivals = positive(&a, &value("a positive integer")?)?,
             "--help" | "-h" => {
-                println!(
-                    "usage: repro [--reps N] [--seed S] [--json DIR] [--plot] [--cache DIR|--no-cache] [--trace OUT.json] [--metrics OUT.json] [--online] [--arrivals N] [fig2|fig4|fig5|fig6|fig8|fig9|fig10|fig11|fig12|fig13|chowdhury|policy|reads|nn|tune|metadata|sensitivity|sched|scale|straggler|adaptive|interference|lessons|all]"
-                );
+                println!("{USAGE}");
                 std::process::exit(0);
             }
             other => which.push(other.to_string()),
@@ -117,11 +93,11 @@ fn parse_args() -> Args {
     }
     let engine = match cache_dir {
         Some(dir) => CampaignEngine::with_store(&dir)
-            .unwrap_or_else(|e| panic!("cannot open result cache {}: {e}", dir.display())),
+            .map_err(|e| format!("cannot open result cache {}: {e}", dir.display()))?,
         None => CampaignEngine::in_memory(),
     }
     .verbose(true);
-    Args {
+    Ok(Args {
         ctx,
         json_dir,
         plot,
@@ -131,6 +107,14 @@ fn parse_args() -> Args {
         online,
         arrivals,
         which,
+    })
+}
+
+/// `flag`'s value as a count of at least one.
+fn positive(flag: &str, v: &str) -> Result<usize, String> {
+    match v.parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("{flag} needs a positive integer, not '{v}'")),
     }
 }
 
@@ -1191,7 +1175,10 @@ fn scale_cmd(args: &Args) {
 
 fn main() {
     simcore::alloc_tuning::tune_for_long_sessions();
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|reason| {
+        eprintln!("repro: {reason}\n{USAGE}");
+        std::process::exit(2);
+    });
     if let Some(out) = args.trace_out.clone() {
         trace_cmd(&args, &out);
         return;
