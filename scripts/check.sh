@@ -4,6 +4,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The benches below rewrite their BENCH_*.json baselines at the repository
+# root. Put the committed ones back on exit, pass or fail: re-baselining
+# stays a deliberate act.
+bench_saved=$(mktemp -d)
+cp BENCH_*.json "$bench_saved"/
+trap 'cp "$bench_saved"/BENCH_*.json . && rm -rf "$bench_saved"' EXIT
+
 echo "==> cargo build --workspace --all-targets"
 cargo build --workspace --all-targets --locked
 
