@@ -11,7 +11,9 @@
 //! compares them: a policy whose per-decision time grows more than
 //! [`MAX_FLEET_OVER_PLAFRIM`]× from the 8-target platform to the
 //! 1,000-target fleet (125× the targets) fails the bench, so placement
-//! cost stays linear in the targets.
+//! cost stays linear in the targets. The two busy-fraction policies
+//! share a per-server pick that re-scores one server per pick, and are
+//! held to the tighter [`MAX_PICK_FLEET_OVER_PLAFRIM`]×.
 
 use bench::median;
 use cluster::{presets, Platform};
@@ -34,6 +36,20 @@ const ROUNDS: usize = 5;
 /// to its time on the scenario-1 platform: linear growth in targets
 /// (125×) plus 20%.
 const MAX_FLEET_OVER_PLAFRIM: f64 = 150.0;
+/// The bound for `UtilizationFeedback` and `StragglerAware`: their
+/// busy-balanced pick costs O(targets + picks × servers) a decision.
+/// Five runs on a 2-vCPU x86-64 VM read 23–27×; this is more than
+/// twice the highest. A pick that rescans every target for each of a
+/// decision's four picks costs O(picks × targets) and fails it.
+const MAX_PICK_FLEET_OVER_PLAFRIM: f64 = 55.0;
+
+/// The fleet/PlaFRIM bound policy `name` is held to.
+fn bound(name: &str) -> f64 {
+    match name {
+        "UtilizationFeedback" | "StragglerAware" => MAX_PICK_FLEET_OVER_PLAFRIM,
+        _ => MAX_FLEET_OVER_PLAFRIM,
+    }
+}
 
 fn policies() -> Vec<Box<dyn PlacementPolicy>> {
     vec![
@@ -113,6 +129,7 @@ fn main() {
         format!("  \"plafrim_targets\": {}", plafrim.total_targets()),
         format!("  \"fleet_targets\": {}", fleet.total_targets()),
         format!("  \"max_fleet_over_plafrim\": {MAX_FLEET_OVER_PLAFRIM:.0}"),
+        format!("  \"max_pick_fleet_over_plafrim\": {MAX_PICK_FLEET_OVER_PLAFRIM:.0}"),
     ];
     let mut failures = Vec::new();
     for (i, name) in names.iter().enumerate() {
@@ -129,10 +146,10 @@ fn main() {
             plafrim.total_targets(),
             fleet.total_targets()
         );
-        if ratio > MAX_FLEET_OVER_PLAFRIM {
+        let max = bound(name);
+        if ratio > max {
             failures.push(format!(
-                "{name}: a fleet decision costs {ratio:.1}x a PlaFRIM one \
-                 (> {MAX_FLEET_OVER_PLAFRIM:.0}x)"
+                "{name}: a fleet decision costs {ratio:.1}x a PlaFRIM one (> {max:.0}x)"
             ));
         }
     }

@@ -12,6 +12,7 @@ use ior::IorConfig;
 use serde::{Deserialize, Serialize};
 use simcore::dist::exponential;
 use simcore::rng::StreamRng;
+use simcore::time::SimTime;
 
 use crate::error::SchedError;
 
@@ -29,9 +30,22 @@ pub struct AppRequest {
 }
 
 /// A time-ordered stream of application requests.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ArrivalStream {
     requests: Vec<AppRequest>,
+}
+
+// Deserialization routes through [`ArrivalStream::from_trace`], so a
+// trace loaded from JSON is validated like one built in code: raw data
+// cannot smuggle in an empty, unordered, negative or off-clock stream.
+impl Deserialize for ArrivalStream {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let requests = v
+            .get("requests")
+            .ok_or_else(|| serde::DeError::custom("missing field `requests`"))?;
+        let requests = Vec::<AppRequest>::from_value(requests)?;
+        ArrivalStream::from_trace(requests).map_err(serde::DeError::custom)
+    }
 }
 
 impl ArrivalStream {
@@ -66,22 +80,28 @@ impl ArrivalStream {
 
     /// A trace-driven stream: replay explicit requests.
     ///
-    /// Fails with [`SchedError::EmptyStream`] on an empty trace and
+    /// Fails with [`SchedError::EmptyStream`] on an empty trace,
     /// [`SchedError::InvalidArrival`] if any arrival time is
-    /// non-finite, negative, or earlier than its predecessor.
+    /// non-finite, negative, or earlier than its predecessor, and
+    /// [`SchedError::ArrivalBeyondClock`] if one lies past the last
+    /// instant simulated time can hold.
     pub fn from_trace(requests: Vec<AppRequest>) -> Result<Self, SchedError> {
         if requests.is_empty() {
             return Err(SchedError::EmptyStream);
         }
         let mut prev = 0.0f64;
         for (app, r) in requests.iter().enumerate() {
-            if !(r.arrival_s.is_finite() && r.arrival_s >= prev) {
-                return Err(SchedError::InvalidArrival {
-                    app,
-                    arrival_s: r.arrival_s,
-                });
+            let arrival_s = r.arrival_s;
+            if !(arrival_s.is_finite() && arrival_s >= prev) {
+                return Err(SchedError::InvalidArrival { app, arrival_s });
             }
-            prev = r.arrival_s;
+            // `SimTime::from_secs_f64` saturates an instant past the
+            // clock to the `SimTime::MAX` "never" sentinel, and no
+            // earlier instant maps there.
+            if SimTime::from_secs_f64(arrival_s) == SimTime::MAX {
+                return Err(SchedError::ArrivalBeyondClock { app, arrival_s });
+            }
+            prev = arrival_s;
         }
         Ok(ArrivalStream { requests })
     }
@@ -165,14 +185,67 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn trace_round_trips_through_serde() {
-        let s = ArrivalStream::from_trace(vec![AppRequest {
-            arrival_s: 2.5,
+    fn at(arrival_s: f64) -> AppRequest {
+        AppRequest {
+            arrival_s,
             config: cfg(),
             stripe: 4,
-        }])
-        .unwrap();
+        }
+    }
+
+    #[test]
+    fn trace_rejects_an_arrival_past_the_simulated_clock() {
+        // u64 nanoseconds end at ~1.8447e10 s.
+        assert!(ArrivalStream::from_trace(vec![at(0.0), at(1.8e10)]).is_ok());
+        for late in [1.85e10, 1e300] {
+            assert!(
+                matches!(
+                    ArrivalStream::from_trace(vec![at(1.0), at(late)]),
+                    Err(SchedError::ArrivalBeyondClock { app: 1, arrival_s }) if arrival_s == late
+                ),
+                "{late}"
+            );
+        }
+    }
+
+    /// A JSON trace of requests arriving at `times`, written without
+    /// `from_trace` so it can hold what `from_trace` rejects.
+    fn json_trace(times: &[f64]) -> String {
+        let reqs: Vec<String> = times
+            .iter()
+            .map(|&t| serde_json::to_string(&at(t)).unwrap())
+            .collect();
+        format!("{{\"requests\":[{}]}}", reqs.join(","))
+    }
+
+    #[test]
+    fn deserializing_a_negative_arrival_fails_typed() {
+        let err = serde_json::from_str::<ArrivalStream>(&json_trace(&[-1.0, 6.0])).unwrap_err();
+        assert!(err.to_string().contains("request 0"), "{err}");
+    }
+
+    #[test]
+    fn deserializing_a_decreasing_trace_fails_typed() {
+        let err = serde_json::from_str::<ArrivalStream>(&json_trace(&[5.0, 1.0])).unwrap_err();
+        assert!(err.to_string().contains("request 1"), "{err}");
+    }
+
+    #[test]
+    fn deserializing_an_arrival_past_the_clock_fails_typed() {
+        let err = serde_json::from_str::<ArrivalStream>(&json_trace(&[5.0, 1e300])).unwrap_err();
+        assert!(err.to_string().contains("clock"), "{err}");
+    }
+
+    #[test]
+    fn deserializing_an_empty_trace_fails_typed() {
+        let err = serde_json::from_str::<ArrivalStream>(r#"{"requests":[]}"#).unwrap_err();
+        assert!(err.to_string().contains("empty"), "{err}");
+        assert!(serde_json::from_str::<ArrivalStream>("{}").is_err());
+    }
+
+    #[test]
+    fn trace_round_trips_through_serde() {
+        let s = ArrivalStream::from_trace(vec![at(2.5), at(2.5), at(7.25)]).unwrap();
         let json = serde_json::to_string(&s).unwrap();
         let back: ArrivalStream = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);

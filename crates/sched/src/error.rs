@@ -15,6 +15,14 @@ pub enum SchedError {
         /// Its arrival time, seconds.
         arrival_s: f64,
     },
+    /// An arrival lies past the last instant simulated time can hold
+    /// (`u64` nanoseconds, about 1.8e10 s).
+    ArrivalBeyondClock {
+        /// Index of the offending request.
+        app: usize,
+        /// Its arrival time, seconds.
+        arrival_s: f64,
+    },
     /// The scheduler snapshots running applications by pinning their
     /// single shared file; file-per-process workloads cannot be pinned
     /// without changing their placement.
@@ -62,6 +70,11 @@ impl std::fmt::Display for SchedError {
                 f,
                 "request {app} has invalid arrival time {arrival_s}s: \
                  arrivals must be finite, non-negative and non-decreasing"
+            ),
+            SchedError::ArrivalBeyondClock { app, arrival_s } => write!(
+                f,
+                "request {app} arrives at {arrival_s}s, past the simulated \
+                 clock's range (about 1.8e10 s)"
             ),
             SchedError::UnsupportedLayout { app } => write!(
                 f,

@@ -255,40 +255,102 @@ pub trait PlacementPolicy {
 
 /// The shared greedy pick of [`UtilizationFeedback`]-family policies:
 /// `want` targets minimizing `busy_fraction + BALANCE_WEIGHT *
-/// picks_already_on_that_server + extra(target)`, reusing online
-/// targets only once demand exceeds the online pool. `server_of` is
-/// [`target_servers`] of the view's platform.
+/// picks_already_on_that_server + extra(target)`, ties to the lower
+/// target id, reusing online targets only once demand exceeds the
+/// online pool.
+///
+/// A pick changes the scores of one server only — its pick count and
+/// the used mark of one of its targets — so each server keeps its best
+/// candidate, and after a pick only that server is re-scored (every
+/// server once, when the unused pool runs out and used targets become
+/// candidates again). A server's targets are one contiguous flat-id
+/// range. Each score is the same expression as a scan of every
+/// candidate would compute, and the best of the servers' bests under
+/// (score, target id) is that scan's minimum, so the picks match it
+/// target for target at O(targets + want × servers) instead of
+/// O(want × targets).
 fn busy_balanced_pick(
     view: &ClusterView<'_>,
-    server_of: &[usize],
     want: u32,
-    extra: &dyn Fn(usize) -> f64,
+    extra: impl Fn(usize) -> f64,
 ) -> Vec<TargetId> {
-    let servers = view.platform.server_count();
-    let mut server_picks = vec![0u32; servers];
+    /// One server: its flat-id range, its picks so far, and its best
+    /// (score, target) candidate under them.
+    struct Server {
+        targets: std::ops::Range<usize>,
+        picks: u32,
+        best: Option<(f64, TargetId)>,
+    }
     let mut used = vec![false; view.online.len()];
+    let mut unused = view.online.iter().filter(|&&o| o).count();
+    let best_on = |server: &Server, used: &[bool], reuse: bool| {
+        let ids = server.targets.clone();
+        let balance = BALANCE_WEIGHT * f64::from(server.picks);
+        let candidates = ids
+            .clone()
+            .zip(&view.online[ids.clone()])
+            .zip(&view.busy_fraction[ids.clone()])
+            .zip(&used[ids]);
+        let mut best: Option<(f64, TargetId)> = None;
+        for (((i, &online), &busy), &was_used) in candidates {
+            if online && (reuse || !was_used) {
+                // Ids ascend, so keeping the first of equal scores is
+                // the (score, target id) order.
+                let score = busy + balance + extra(i);
+                if best.is_none_or(|(b, _)| score.total_cmp(&b).is_lt()) {
+                    best = Some((score, TargetId(i as u32)));
+                }
+            }
+        }
+        best
+    };
+    let mut end = 0;
+    let mut servers: Vec<Server> = view
+        .platform
+        .servers
+        .iter()
+        .map(|spec| {
+            let start = end;
+            end += spec.osts.len();
+            Server {
+                targets: start..end,
+                picks: 0,
+                best: None,
+            }
+        })
+        .collect();
+    for server in &mut servers {
+        server.best = best_on(server, &used, unused == 0);
+    }
     let mut chosen = Vec::with_capacity(want as usize);
     for _ in 0..want {
-        let unused_left = view.online.iter().enumerate().any(|(i, &o)| o && !used[i]);
-        let best = view
-            .online
+        let (k, (_, t)) = servers
             .iter()
             .enumerate()
-            .filter(|&(i, &o)| o && (!unused_left || !used[i]))
-            .map(|(i, _)| {
-                let score = view.busy_fraction[i]
-                    + BALANCE_WEIGHT * f64::from(server_picks[server_of[i]])
-                    + extra(i);
-                (score, TargetId(i as u32))
-            })
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+            .filter_map(|(k, server)| server.best.map(|b| (k, b)))
+            .min_by(|a, b| by_score(&a.1, &b.1))
             .expect("any_online guarantees a candidate");
-        let (_, t) = best;
-        used[t.index()] = true;
-        server_picks[server_of[t.index()]] += 1;
         chosen.push(t);
+        servers[k].picks += 1;
+        if !used[t.index()] {
+            used[t.index()] = true;
+            unused -= 1;
+            if unused == 0 {
+                for server in &mut servers {
+                    server.best = best_on(server, &used, true);
+                }
+                continue;
+            }
+        }
+        let server = &mut servers[k];
+        server.best = best_on(server, &used, unused == 0);
     }
     chosen
+}
+
+/// The pick order: lower score first, then lower target id.
+fn by_score(a: &(f64, TargetId), b: &(f64, TargetId)) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
 }
 
 /// The BeeGFS baseline: let the deployment's configured chooser decide
@@ -438,13 +500,7 @@ impl PlacementPolicy for UtilizationFeedback {
         _rng: &mut StreamRng,
     ) -> Result<Placement, PolicyError> {
         view.any_online()?;
-        let server_of = target_servers(view.platform);
-        Ok(Placement::Pinned(busy_balanced_pick(
-            view,
-            &server_of,
-            want,
-            &|_| 0.0,
-        )))
+        Ok(Placement::Pinned(busy_balanced_pick(view, want, |_| 0.0)))
     }
 }
 
@@ -479,14 +535,18 @@ impl PlacementPolicy for StragglerAware {
     ) -> Result<Placement, PolicyError> {
         view.any_online()?;
         let suspected = view.suspected;
-        let server_of = target_servers(view.platform);
-        let chosen = busy_balanced_pick(view, &server_of, want, &|i| {
-            if suspected[i] {
-                SUSPECT_PENALTY
-            } else {
-                0.0
-            }
-        });
+        let chosen =
+            busy_balanced_pick(
+                view,
+                want,
+                |i| {
+                    if suspected[i] {
+                        SUSPECT_PENALTY
+                    } else {
+                        0.0
+                    }
+                },
+            );
         Ok(Placement::Pinned(chosen))
     }
 }
@@ -606,13 +666,7 @@ impl PlacementPolicy for AdaptiveStriping {
         _rng: &mut StreamRng,
     ) -> Result<Placement, PolicyError> {
         view.any_online()?;
-        let server_of = target_servers(view.platform);
-        Ok(Placement::Pinned(busy_balanced_pick(
-            view,
-            &server_of,
-            want,
-            &|_| 0.0,
-        )))
+        Ok(Placement::Pinned(busy_balanced_pick(view, want, |_| 0.0)))
     }
 
     fn wants_feedback(&self) -> bool {
@@ -687,8 +741,7 @@ impl PlacementPolicy for AdaptiveStriping {
         let imbalanced = counts.iter().copied().max().unwrap_or(0)
             >= counts.iter().copied().min().unwrap_or(0) + 2;
         if imbalanced && obs.ideal_bps >= THRESHOLD * obs.observed_bps {
-            let candidate =
-                busy_balanced_pick(view, &server_of, obs.targets.len() as u32, &|_| 0.0);
+            let candidate = busy_balanced_pick(view, obs.targets.len() as u32, |_| 0.0);
             if distinct(&candidate) != distinct(obs.targets) {
                 return Some(RestripeDecision {
                     targets: candidate,
@@ -1082,6 +1135,154 @@ mod tests {
         assert!(p
             .restripe(&v, &obs(7, &current, 0.95e9, 1.0e9, 1.0e9))
             .is_some());
+    }
+
+    /// The pick as a scan of every candidate per pick, O(want ×
+    /// targets): the reference the per-server [`busy_balanced_pick`]
+    /// must match target for target.
+    fn reference_pick(
+        view: &ClusterView<'_>,
+        server_of: &[usize],
+        want: u32,
+        extra: &dyn Fn(usize) -> f64,
+    ) -> Vec<TargetId> {
+        let servers = view.platform.server_count();
+        let mut server_picks = vec![0u32; servers];
+        let mut used = vec![false; view.online.len()];
+        let mut chosen = Vec::with_capacity(want as usize);
+        for _ in 0..want {
+            let unused_left = view.online.iter().enumerate().any(|(i, &o)| o && !used[i]);
+            let best = view
+                .online
+                .iter()
+                .enumerate()
+                .filter(|&(i, &o)| o && (!unused_left || !used[i]))
+                .map(|(i, _)| {
+                    let score = view.busy_fraction[i]
+                        + BALANCE_WEIGHT * f64::from(server_picks[server_of[i]])
+                        + extra(i);
+                    (score, TargetId(i as u32))
+                })
+                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+                .expect("any_online guarantees a candidate");
+            let (_, t) = best;
+            used[t.index()] = true;
+            server_picks[server_of[t.index()]] += 1;
+            chosen.push(t);
+        }
+        chosen
+    }
+
+    /// splitmix64: a dependency-free seeded stream for random views.
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// The per-server pick against the full scan, through its four
+    /// callers: `UtilizationFeedback`, `StragglerAware`,
+    /// `AdaptiveStriping`'s placement and its rule-3 re-place. Views
+    /// are random: 1–100 servers with 1–12 targets each, busy
+    /// fractions from a few values (so scores tie), random offline and
+    /// suspected masks, and `want` from 1 to past the online pool (so
+    /// targets wrap around).
+    #[test]
+    fn per_server_pick_matches_the_full_scan_for_every_caller() {
+        let template = presets::plafrim_ethernet();
+        let mut mix = Mix(20);
+        let mut replaces = 0;
+        for case in 0..400 {
+            let mut platform = template.clone();
+            let servers = 1 + mix.below(100);
+            platform.servers = (0..servers)
+                .map(|_| {
+                    let mut server = template.servers[0].clone();
+                    server.osts = vec![template.servers[0].osts[0].clone(); 1 + mix.below(12)];
+                    server
+                })
+                .collect();
+            let n = platform.total_targets();
+            let server_of = target_servers(&platform);
+            let levels = [0.0, 0.1, 0.25, 0.5, 0.9];
+            let busy: Vec<f64> = (0..n).map(|_| levels[mix.below(levels.len())]).collect();
+            let offline_odds = 1 + mix.below(4);
+            let mut online: Vec<bool> = (0..n).map(|_| mix.below(offline_odds + 1) > 0).collect();
+            online[mix.below(n)] = true;
+            let suspect_odds = 2 + mix.below(6);
+            let suspected: Vec<bool> = (0..n).map(|_| mix.below(suspect_odds) == 0).collect();
+            let outstanding = vec![0.0; servers];
+            let v = view(&platform, &online, &outstanding, &busy, &suspected);
+            let pool = online.iter().filter(|&&o| o).count();
+            let want = 1 + mix.below(pool + 6) as u32;
+
+            let plain = reference_pick(&v, &server_of, want, &|_| 0.0);
+            let penalized = reference_pick(&v, &server_of, want, &|i| {
+                if suspected[i] {
+                    SUSPECT_PENALTY
+                } else {
+                    0.0
+                }
+            });
+            let pinned = |p: Result<Placement, PolicyError>| match p.unwrap() {
+                Placement::Pinned(ts) => ts,
+                Placement::Deferred => panic!("expected a pinned placement"),
+            };
+            assert_eq!(
+                pinned(UtilizationFeedback.place(&v, want, 0, &mut rng())),
+                plain,
+                "case {case}: UtilizationFeedback"
+            );
+            assert_eq!(
+                pinned(StragglerAware.place(&v, want, 0, &mut rng())),
+                penalized,
+                "case {case}: StragglerAware"
+            );
+            assert_eq!(
+                pinned(AdaptiveStriping::default().place(&v, want, 0, &mut rng())),
+                plain,
+                "case {case}: AdaptiveStriping placement"
+            );
+
+            // Rule 3: an allocation of `want` online targets (repeats
+            // allowed) with two on one server when it has two, running
+            // far below its ideal and not storage-saturated.
+            let live: Vec<TargetId> = (0..n)
+                .filter(|&i| online[i])
+                .map(|i| TargetId(i as u32))
+                .collect();
+            let mut current: Vec<TargetId> =
+                (0..want).map(|_| live[mix.below(live.len())]).collect();
+            if let Some(pair) = (0..servers).find_map(|s| {
+                let mut on = live.iter().filter(|t| server_of[t.index()] == s);
+                Some([*on.next()?, *on.next()?])
+            }) {
+                current.extend(pair);
+            }
+            let mut counts = vec![0usize; servers];
+            for t in &current {
+                counts[server_of[t.index()]] += 1;
+            }
+            let imbalanced = counts.iter().max() >= Some(&(counts.iter().min().unwrap() + 2));
+            let expected = reference_pick(&v, &server_of, current.len() as u32, &|_| 0.0);
+            let decision =
+                AdaptiveStriping::default().restripe(&v, &obs(0, &current, 0.5, 1.0, 0.0));
+            if imbalanced && distinct(&expected) != distinct(&current) {
+                let d = decision.unwrap_or_else(|| panic!("case {case}: rule 3 did not fire"));
+                assert_eq!(d.kind, RestripeKind::Replace, "case {case}");
+                assert_eq!(d.targets, expected, "case {case}: rule-3 re-place");
+                replaces += 1;
+            } else {
+                assert_eq!(decision, None, "case {case}");
+            }
+        }
+        assert!(replaces > 100, "only {replaces} rule-3 re-places compared");
     }
 
     #[test]

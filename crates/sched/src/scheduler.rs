@@ -331,6 +331,11 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
                 return Err(SchedError::MixedWorkload { app });
             }
         }
+        // Both engines reject an invalid request before touching the
+        // deployment, with the error a measurement run would report.
+        for r in reqs {
+            r.config.validate().map_err(RunError::Config)?;
+        }
         if self.mode == AdmissionMode::Online {
             return crate::online::serve_online(self, reqs, factory);
         }

@@ -92,11 +92,6 @@ struct Resource {
     factor: f64,
     /// Human-readable label for diagnostics.
     label: String,
-    /// Telemetry: total bytes that crossed this resource.
-    bytes_total: f64,
-    /// Telemetry: time integral during which at least one active flow
-    /// crossed the resource (seconds).
-    busy_secs: f64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -146,8 +141,6 @@ pub(crate) struct SolverScratch {
     /// Frozen marker, indexed by slot (len only grows; all-false
     /// between solves — cleared by walking the solved flow list).
     frozen: Vec<bool>,
-    /// Per-resource "carried traffic this step" marker for `drain`.
-    touched: Vec<bool>,
     /// Worklist of resource indices for the dirty-component walk.
     stack: Vec<u32>,
     /// Slots of the flows collected into the dirty components, sorted
@@ -167,9 +160,9 @@ pub(crate) struct SolverScratch {
 
 /// A network's recyclable buffers, carried between networks by
 /// [`super::SimArena`]: the solver scratch, the flow records and their
-/// path/pos arenas, the active list, the dirty set and the per-resource
-/// incidence vectors. Only capacity matters; the network that installs
-/// them clears and refills every one.
+/// path/pos arenas, the active list, the loaded list, the dirty set and
+/// the per-resource incidence vectors. Only capacity matters; the
+/// network that installs them clears and refills every one.
 #[derive(Debug, Default)]
 pub(crate) struct NetBuffers {
     scratch: SolverScratch,
@@ -177,6 +170,7 @@ pub(crate) struct NetBuffers {
     path_arena: Vec<ResourceId>,
     pos_arena: Vec<u32>,
     active: Vec<u32>,
+    loaded: Vec<u32>,
     dirty: Vec<u32>,
     incident: Vec<Vec<u32>>,
 }
@@ -210,6 +204,12 @@ pub(crate) struct NetBuffers {
 #[derive(Debug, Clone, Default)]
 pub struct FlowNetwork {
     resources: Vec<Resource>,
+    /// Telemetry, per resource: total bytes that crossed it. Dense, so
+    /// `drain`'s per-path accumulation touches one `f64` per resource.
+    bytes_total: Vec<f64>,
+    /// Telemetry, per resource: seconds during which at least one active
+    /// flow crossed it.
+    busy_secs: Vec<f64>,
     /// Stored flow records, indexed by slot, in ascending id order.
     flows: Vec<Flow>,
     /// The id the next registered flow receives.
@@ -233,6 +233,15 @@ pub struct FlowNetwork {
     active: Vec<u32>,
     /// Per-resource count of active flows crossing it.
     active_count: Vec<u32>,
+    /// The *loaded* resources — those with `active_count > 0` — in no
+    /// particular order. `activate_slot` and `unlink_slot` keep it in
+    /// step where a count crosses zero, so `drain` charges busy time to
+    /// exactly these instead of scanning every resource.
+    loaded: Vec<u32>,
+    /// Per-resource position inside `loaded` (meaningful only while the
+    /// resource is loaded), so a count falling to zero swap-removes in
+    /// O(1).
+    loaded_pos: Vec<u32>,
     /// Per-resource list of the slots of the *active* flows crossing it,
     /// in no particular order — the incidence index the dirty-component
     /// walk, the solver's freeze rounds and `effective_capacity` read.
@@ -293,10 +302,11 @@ impl FlowNetwork {
             model,
             factor: 1.0,
             label: label.into(),
-            bytes_total: 0.0,
-            busy_secs: 0.0,
         });
+        self.bytes_total.push(0.0);
+        self.busy_secs.push(0.0);
         self.active_count.push(0);
+        self.loaded_pos.push(0);
         self.incident.push(Vec::new());
         self.registered.push(0);
         self.dirty_mark.push(false);
@@ -514,6 +524,10 @@ impl FlowNetwork {
         for k in 0..len {
             let r = self.path_arena[off + k].index();
             self.active_count[r] += 1;
+            if self.active_count[r] == 1 {
+                self.loaded_pos[r] = u32::try_from(self.loaded.len()).expect("loaded fits u32");
+                self.loaded.push(r as u32);
+            }
             self.mark_dirty(r);
             let at = u32::try_from(self.incident[r].len()).expect("incidence fits u32");
             self.incident[r].push(s);
@@ -562,6 +576,13 @@ impl FlowNetwork {
         for k in 0..len {
             let r = self.path_arena[off + k].index();
             self.active_count[r] -= 1;
+            if self.active_count[r] == 0 {
+                let at = self.loaded_pos[r] as usize;
+                self.loaded.swap_remove(at);
+                if let Some(&moved) = self.loaded.get(at) {
+                    self.loaded_pos[moved as usize] = at as u32;
+                }
+            }
             self.mark_dirty(r);
             let at = self.pos_arena[off + k] as usize;
             debug_assert_eq!(self.incident[r][at], s, "incidence index out of sync");
@@ -769,49 +790,50 @@ impl FlowNetwork {
         self.flows.len()
     }
 
-    pub(crate) fn drain(&mut self, dt_secs: f64) {
+    /// Move every active flow forward by `dt_secs` at its current rate
+    /// and charge the bytes and busy time to its resources. `drained`
+    /// sees each active flow afterwards, in ascending slot order, as
+    /// `(slot, rate, remaining)`, so the caller can collect the flows
+    /// that finished in the same pass. Busy time goes to the loaded
+    /// resources, exactly those an active flow crosses, so the step
+    /// costs the active flows' paths plus the loaded resources, not
+    /// every resource of the network.
+    pub(crate) fn drain(&mut self, dt_secs: f64, mut drained: impl FnMut(u32, f64, f64)) {
         debug_assert!(dt_secs >= 0.0);
-        let n_res = self.resources.len();
-        self.scratch.touched.clear();
-        self.scratch.touched.resize(n_res, false);
-        for pos in 0..self.active.len() {
-            let i = self.active[pos] as usize;
-            let moved = self.flows[i].rate * dt_secs;
-            self.flows[i].remaining = (self.flows[i].remaining - moved).max(0.0);
-            let off = self.flows[i].path_off as usize;
-            let len = self.flows[i].path_len as usize;
-            for k in 0..len {
-                let r = self.path_arena[off + k].index();
-                self.resources[r].bytes_total += moved;
-                self.scratch.touched[r] = true;
+        for &s in &self.active {
+            let f = &mut self.flows[s as usize];
+            let moved = f.rate * dt_secs;
+            f.remaining = (f.remaining - moved).max(0.0);
+            drained(s, f.rate, f.remaining);
+            let path = &self.path_arena[f.path_off as usize..(f.path_off + f.path_len) as usize];
+            for r in path {
+                self.bytes_total[r.index()] += moved;
             }
         }
-        for r in 0..n_res {
-            if self.scratch.touched[r] {
-                self.resources[r].busy_secs += dt_secs;
-            }
+        for &r in &self.loaded {
+            self.busy_secs[r as usize] += dt_secs;
         }
     }
 
     /// Telemetry: total bytes that have crossed a resource so far.
     pub fn bytes_through(&self, r: ResourceId) -> f64 {
-        self.resources[r.index()].bytes_total
+        self.bytes_total[r.index()]
     }
 
     /// Telemetry: seconds during which the resource carried at least one
     /// active flow.
     pub fn busy_secs(&self, r: ResourceId) -> f64 {
-        self.resources[r.index()].busy_secs
+        self.busy_secs[r.index()]
     }
 
     /// Telemetry: mean throughput while busy, in bytes/second (0 if the
     /// resource never carried traffic).
     pub fn mean_busy_throughput(&self, r: ResourceId) -> f64 {
-        let res = &self.resources[r.index()];
-        if res.busy_secs == 0.0 {
+        let busy = self.busy_secs[r.index()];
+        if busy == 0.0 {
             0.0
         } else {
-            res.bytes_total / res.busy_secs
+            self.bytes_total[r.index()] / busy
         }
     }
 
@@ -1294,6 +1316,7 @@ impl FlowNetwork {
             path_arena: cleared(&mut self.path_arena),
             pos_arena: cleared(&mut self.pos_arena),
             active: cleared(&mut self.active),
+            loaded: cleared(&mut self.loaded),
             dirty: cleared(&mut self.dirty),
             incident,
         }
@@ -1314,6 +1337,7 @@ impl FlowNetwork {
             path_arena,
             pos_arena,
             active,
+            loaded,
             dirty,
             mut incident,
         } = buffers;
@@ -1322,6 +1346,7 @@ impl FlowNetwork {
         self.path_arena = refill(path_arena, &self.path_arena);
         self.pos_arena = refill(pos_arena, &self.pos_arena);
         self.active = refill(active, &self.active);
+        self.loaded = refill(loaded, &self.loaded);
         self.dirty = refill(dirty, &self.dirty);
         // Keep the recycled inner vectors (their capacities are the
         // point), aligned to this network's resource count.
@@ -1535,9 +1560,9 @@ mod tests {
         let f = net.add_flow(vec![r], 25.0, 0);
         net.activate(f);
         net.recompute_rates();
-        net.drain(2.0);
+        net.drain(2.0, |_, _, _| {});
         assert!((net.remaining(f) - 5.0).abs() < 1e-9);
-        net.drain(2.0);
+        net.drain(2.0, |_, _, _| {});
         assert_eq!(net.remaining(f), 0.0);
     }
 
@@ -1943,7 +1968,7 @@ mod telemetry_tests {
         let f = net.add_flow(vec![r], 1000.0, 0);
         net.activate(f);
         net.recompute_rates();
-        net.drain(2.0);
+        net.drain(2.0, |_, _, _| {});
         assert!((net.bytes_through(r) - 200.0).abs() < 1e-9);
         assert_eq!(net.busy_secs(r), 2.0);
         assert!((net.mean_busy_throughput(r) - 100.0).abs() < 1e-9);
@@ -1961,9 +1986,165 @@ mod telemetry_tests {
             net.activate(f);
         }
         net.recompute_rates();
-        net.drain(1.0);
+        net.drain(1.0, |_, _, _| {});
         // Both flows at 50 B/s each: 100 bytes total crossed the link.
         assert!((net.bytes_through(r) - 100.0).abs() < 1e-9);
         assert_eq!(net.busy_secs(r), 1.0);
+    }
+}
+
+#[cfg(test)]
+mod loaded_tests {
+    use super::*;
+    use rand::Rng;
+
+    /// The loaded list holds exactly the resources with active flows,
+    /// once each, and `loaded_pos` indexes it.
+    fn assert_loaded_matches_counts(net: &FlowNetwork, step: usize) {
+        let mut loaded = net.loaded.clone();
+        loaded.sort_unstable();
+        let expect: Vec<u32> = (0..net.resource_count() as u32)
+            .filter(|&r| net.active_count[r as usize] > 0)
+            .collect();
+        assert_eq!(loaded, expect, "step {step}: loaded list out of step");
+        for (at, &r) in net.loaded.iter().enumerate() {
+            assert_eq!(net.loaded_pos[r as usize] as usize, at, "step {step}");
+        }
+    }
+
+    /// Random activate, deactivate, retire, compact and drain steps on
+    /// small networks. After every step the loaded list equals {r :
+    /// active count > 0}, and every resource's bytes and busy seconds
+    /// equal, bit for bit, a model that charges busy time by marking
+    /// the resources the active flows cross and then scanning all of
+    /// them.
+    #[test]
+    fn loaded_list_and_telemetry_follow_a_full_scan_model() {
+        let mut rng = crate::rng::RngFactory::new(0x5EED).stream("loaded-list", 0);
+        for case in 0..40 {
+            let mut net = FlowNetwork::new();
+            let n_res = 2 + rng.gen_range(0..10usize);
+            let res: Vec<ResourceId> = (0..n_res)
+                .map(|i| {
+                    let model = if i % 3 == 0 {
+                        CapacityModel::Saturating {
+                            peak: 200.0 + 50.0 * i as f64,
+                            q_half: 1.5,
+                        }
+                    } else {
+                        CapacityModel::Fixed(100.0 + 13.0 * i as f64)
+                    };
+                    net.add_resource(format!("r{i}"), model)
+                })
+                .collect();
+            let mut ids: Vec<FlowId> = Vec::new();
+            let mut model_bytes = vec![0.0f64; n_res];
+            let mut model_busy = vec![0.0f64; n_res];
+            let mut drains = 0;
+            for step in 0..400 {
+                // The stored, unretired flows in one state or the other.
+                let live = |net: &FlowNetwork, active: bool| -> Vec<u32> {
+                    ids.iter()
+                        .filter_map(|&f| net.slot_of(f))
+                        .filter(|&s| {
+                            let fl = &net.flows[s as usize];
+                            !fl.retired && fl.active == active
+                        })
+                        .collect()
+                };
+                match rng.gen_range(0..8u32) {
+                    0 | 1 => {
+                        let len = 1 + rng.gen_range(0..n_res.min(4));
+                        let mut path: Vec<ResourceId> = Vec::new();
+                        while path.len() < len {
+                            let r = res[rng.gen_range(0..n_res)];
+                            if !path.contains(&r) {
+                                path.push(r);
+                            }
+                        }
+                        let bytes = 1e3 * f64::from(1 + rng.gen_range(0..50u32));
+                        ids.push(net.add_flow(path, bytes, step as u64));
+                    }
+                    2 | 3 => {
+                        let idle = live(&net, false);
+                        if !idle.is_empty() {
+                            net.activate_slot(idle[rng.gen_range(0..idle.len())]);
+                        }
+                    }
+                    4 => {
+                        let busy = live(&net, true);
+                        if !busy.is_empty() {
+                            net.deactivate_slot(busy[rng.gen_range(0..busy.len())]);
+                        }
+                    }
+                    5 => {
+                        let mut busy = live(&net, true);
+                        if rng.gen_bool(0.5) {
+                            if !busy.is_empty() {
+                                net.retire(busy[rng.gen_range(0..busy.len())]);
+                            }
+                        } else {
+                            busy.retain(|_| rng.gen_bool(0.5));
+                            net.retire_batch(&busy);
+                        }
+                    }
+                    6 => net.compact(),
+                    _ => {
+                        net.recompute_rates();
+                        let dt = 0.001 * f64::from(1 + rng.gen_range(0..900u32));
+                        let mut touched = vec![false; n_res];
+                        for &s in &net.active {
+                            let moved = net.flows[s as usize].rate * dt;
+                            for r in net.path_of(s as usize) {
+                                model_bytes[r.index()] += moved;
+                                touched[r.index()] = true;
+                            }
+                        }
+                        for r in 0..n_res {
+                            if touched[r] {
+                                model_busy[r] += dt;
+                            }
+                        }
+                        net.drain(dt, |_, _, _| {});
+                        drains += 1;
+                    }
+                }
+                assert_loaded_matches_counts(&net, step);
+                for (r, &id) in res.iter().enumerate() {
+                    assert_eq!(
+                        net.bytes_through(id).to_bits(),
+                        model_bytes[r].to_bits(),
+                        "case {case} step {step}: bytes of r{r}"
+                    );
+                    assert_eq!(
+                        net.busy_secs(id).to_bits(),
+                        model_busy[r].to_bits(),
+                        "case {case} step {step}: busy seconds of r{r}"
+                    );
+                }
+            }
+            assert!(drains > 20, "case {case}: only {drains} drains");
+        }
+    }
+
+    #[test]
+    fn recycled_loaded_list_starts_from_the_new_networks_state() {
+        let mut first = FlowNetwork::new();
+        let a = first.add_resource("a", CapacityModel::Fixed(10.0));
+        let f = first.add_flow([a], 1.0, 0);
+        first.activate(f);
+        let buffers = first.take_recycled();
+
+        let mut second = FlowNetwork::new();
+        let b = second.add_resource("b", CapacityModel::Fixed(10.0));
+        let c = second.add_resource("c", CapacityModel::Fixed(10.0));
+        let g = second.add_flow([c], 1.0, 0);
+        second.activate(g);
+        second.install_recycled(buffers);
+        assert_eq!(second.loaded, vec![c.0]);
+        second.recompute_rates();
+        second.drain(0.5, |_, _, _| {});
+        assert_eq!(second.busy_secs(b), 0.0);
+        assert_eq!(second.busy_secs(c), 0.5);
     }
 }

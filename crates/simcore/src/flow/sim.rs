@@ -146,7 +146,7 @@ pub struct FluidSim<'r> {
     scratch_loads: Vec<f64>,
     /// Scratch list of the slots of flows that drained this step, so
     /// finishing them (which edits the network's active list) never
-    /// iterates it.
+    /// iterates it. Empty between steps.
     scratch_finished: Vec<u32>,
     /// Solve through [`FlowNetwork::reference_recompute_rates`] instead
     /// of the incremental solver (differential tests and benches).
@@ -480,13 +480,13 @@ impl<'r> FluidSim<'r> {
 
             self.ensure_rates();
 
-            // Zero-size flows that are already due.
-            if self.finish_drained(false) {
+            // One pass: flows already drained (zero-size ones, or the
+            // residue of a drain to an event instant) finish now;
+            // otherwise the earliest completion sets the next step.
+            let min_dt = self.scan_active();
+            if self.retire_finished() {
                 continue;
             }
-
-            // Earliest completion among active flows.
-            let min_dt = self.min_time_to_completion();
             let next_start = self.queue.peek_time();
 
             if min_dt.is_infinite() {
@@ -526,14 +526,7 @@ impl<'r> FluidSim<'r> {
                     self.advance_to(t);
                     self.process_events_at(t);
                 }
-                _ => {
-                    self.advance_to(completion_time);
-                    self.finish_drained(true);
-                    debug_assert!(
-                        !self.ready.is_empty(),
-                        "advanced to completion time but nothing finished"
-                    );
-                }
+                _ => self.advance_to_completion(completion_time),
             }
         }
     }
@@ -575,14 +568,13 @@ impl<'r> FluidSim<'r> {
 
             self.ensure_rates();
 
-            // Zero-size flows that are already due.
-            if self.finish_drained(false) {
+            // Flows already drained finish now; otherwise the earliest
+            // completion, nanosecond-quantized upward exactly as in
+            // `try_next_completion`, competes with the calendar.
+            let min_dt = self.scan_active();
+            if self.retire_finished() {
                 continue;
             }
-
-            // Earliest completion among active flows, nanosecond-quantized
-            // upward exactly as in `try_next_completion`.
-            let min_dt = self.min_time_to_completion();
             let completion_time = if min_dt.is_finite() {
                 Some(self.now + SimDuration::from_nanos((min_dt * 1e9).ceil().max(1.0) as u64))
             } else {
@@ -600,14 +592,7 @@ impl<'r> FluidSim<'r> {
                 }
                 // A completion lands within the horizon: drain to it and
                 // finish every flow within the quantization tolerance.
-                (_, Some(c)) if c <= t => {
-                    self.advance_to(c);
-                    self.finish_drained(true);
-                    debug_assert!(
-                        !self.ready.is_empty(),
-                        "advanced to completion time but nothing finished"
-                    );
-                }
+                (_, Some(c)) if c <= t => self.advance_to_completion(c),
                 // Nothing due by the horizon — including the stalled case
                 // (active zero-rate flows): just move the clock to `t`.
                 _ => {
@@ -657,9 +642,30 @@ impl<'r> FluidSim<'r> {
         debug_assert!(t >= self.now);
         let dt = t.duration_since(self.now).as_secs_f64();
         if dt > 0.0 {
-            self.net.drain(dt);
+            self.net.drain(dt, |_, _, _| {});
         }
         self.now = t;
+    }
+
+    /// Advance to a computed completion instant `t` (always after
+    /// `now`, by at least the 1 ns quantum) and finish, in the same
+    /// drain pass, every flow left within the quantization tolerance:
+    /// the nanosecond rounding of the event time leaves residues of up
+    /// to rate x 1ns on flows that finish at the same true instant, so
+    /// the tolerance scales with the flow's rate and ties complete
+    /// together.
+    fn advance_to_completion(&mut self, t: SimTime) {
+        let dt = t.duration_since(self.now).as_secs_f64();
+        debug_assert!(dt > 0.0, "completion instants lie after now");
+        let finished = &mut self.scratch_finished;
+        self.net.drain(dt, |s, rate, remaining| {
+            if remaining <= rate * 4e-9 + EPS_BYTES {
+                finished.push(s);
+            }
+        });
+        self.now = t;
+        let any = self.retire_finished();
+        debug_assert!(any, "advanced to completion time but nothing finished");
     }
 
     fn process_events_at(&mut self, t: SimTime) {
@@ -695,44 +701,32 @@ impl<'r> FluidSim<'r> {
         }
     }
 
-    /// Earliest time (seconds from now) at which an active flow drains
-    /// at its current rate; infinite when no active flow is moving.
-    fn min_time_to_completion(&self) -> f64 {
+    /// The step's one pass over the active flows before the clock
+    /// moves: collect into `scratch_finished` the flows already drained
+    /// to `EPS_BYTES`, and return the earliest time (seconds from now)
+    /// at which a moving flow drains at its current rate — infinite
+    /// when none is moving.
+    fn scan_active(&mut self) -> f64 {
         let mut min_dt = f64::INFINITY;
         for &s in self.net.active_slots() {
+            let remaining = self.net.remaining_at(s);
+            if remaining <= EPS_BYTES {
+                self.scratch_finished.push(s);
+            }
             let rate = self.net.rate_at(s);
             if rate > 0.0 {
-                min_dt = min_dt.min(self.net.remaining_at(s) / rate);
+                min_dt = min_dt.min(remaining / rate);
             }
         }
         min_dt
     }
 
-    /// Finish every active flow that has drained and return whether any
-    /// did. Without `quantized`, a flow has drained at `EPS_BYTES`.
-    /// With it — right after advancing to a computed completion instant
-    /// — ties must complete together: the nanosecond quantization of
-    /// the event time leaves residues of up to rate x 1ns on flows that
-    /// finish at the same true instant, so the tolerance scales with
-    /// the flow's rate.
-    ///
-    /// Slots are collected first (finishing edits the active list being
-    /// scanned), completed in ascending slot order, and retired as one
-    /// batch; compaction, which moves slots, runs only once the batch
-    /// is done.
-    fn finish_drained(&mut self, quantized: bool) -> bool {
+    /// Finish the flows collected in `scratch_finished` (ascending slot
+    /// order) and return whether there were any. They complete in that
+    /// order and retire as one batch; compaction, which moves slots,
+    /// runs only once the batch is done.
+    fn retire_finished(&mut self) -> bool {
         let mut finished = std::mem::take(&mut self.scratch_finished);
-        finished.clear();
-        for &s in self.net.active_slots() {
-            let tolerance = if quantized {
-                self.net.rate_at(s) * 4e-9 + EPS_BYTES
-            } else {
-                EPS_BYTES
-            };
-            if self.net.remaining_at(s) <= tolerance {
-                finished.push(s);
-            }
-        }
         let any = !finished.is_empty();
         if any {
             for &s in &finished {
@@ -741,8 +735,8 @@ impl<'r> FluidSim<'r> {
             self.net.retire_batch(&finished);
             self.rates_dirty = true;
             self.net.compact_if_due();
+            finished.clear();
         }
-        finished.clear();
         self.scratch_finished = finished;
         any
     }

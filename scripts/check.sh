@@ -48,7 +48,7 @@ cargo bench --locked -p bench --bench trace_overhead
 echo "==> metrics overhead bench (writes BENCH_metrics_overhead.json; fails if metrics-off drops below 95% of the flow_hotpath baseline or overhead exceeds the committed bound)"
 cargo bench --locked -p bench --bench metrics_overhead
 
-echo "==> scheduler placement throughput bench (writes BENCH_sched_throughput.json; fails if any policy's per-decision time on the 1,000-target fleet exceeds 150x its time on the 8-target scenario-1 platform)"
+echo "==> scheduler placement throughput bench (writes BENCH_sched_throughput.json; fails if any policy's per-decision time on the 1,000-target fleet exceeds 150x its time on the 8-target scenario-1 platform, or 55x for UtilizationFeedback and StragglerAware)"
 cargo bench --locked -p bench --bench sched_throughput
 
 echo "==> solver hot-path bench (writes BENCH_flow_hotpath.json; fails on <2x speedup or >30% regression vs committed baseline)"

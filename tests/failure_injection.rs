@@ -7,7 +7,7 @@ use beegfs_repro::core::{
     plafrim_registration_order, BeeGfs, ChooserKind, DirConfig, FaultPlan, StripeError,
     StripePattern, TargetState,
 };
-use beegfs_repro::ior::{AppSpec, IorConfig, RetryPolicy, Run, RunError};
+use beegfs_repro::ior::{AppSpec, ConfigError, IorConfig, RetryPolicy, Run, RunError};
 use beegfs_repro::sched::{
     AdmissionMode, AppRequest, ArrivalStream, LeastLoadedServer, SchedError, Scheduler,
 };
@@ -565,6 +565,39 @@ fn invalid_retry_policies_fail_typed_in_both_admission_modes() {
                 "{mode:?} with {retry:?}: got {result:?}"
             );
             assert_eq!(states(&fs), before, "{mode:?} with {retry:?}");
+        }
+    }
+}
+
+/// A request the run engine would reject — no nodes, no processes per
+/// node, no bytes — is the same typed error in both admission modes,
+/// returned before the session touches the deployment. (The online
+/// engine once skipped the check: it panicked on zero nodes or ppn and
+/// served the zero-byte request.)
+#[test]
+fn invalid_requests_fail_typed_in_both_admission_modes() {
+    let base = IorConfig::paper_default(4).with_total_bytes(4 * GIB);
+    let bad = [
+        (base.with_nodes(0), ConfigError::ZeroNodes),
+        (base.with_ppn(0), ConfigError::ZeroPpn),
+        (base.with_total_bytes(0), ConfigError::ZeroBytes),
+    ];
+    for (config, expected) in bad {
+        let stream = ArrivalStream::from_trace(vec![AppRequest {
+            arrival_s: 0.0,
+            config,
+            stripe: 4,
+        }])
+        .unwrap();
+        for mode in [AdmissionMode::FrozenOracle, AdmissionMode::Online] {
+            let mut fs = deploy(4);
+            let result = Scheduler::new(&mut fs, Box::new(LeastLoadedServer))
+                .mode(mode)
+                .serve(&stream, &RngFactory::new(3));
+            assert!(
+                matches!(&result, Err(SchedError::Run(RunError::Config(e))) if *e == expected),
+                "{mode:?} with {config:?}: got {result:?}"
+            );
         }
     }
 }
