@@ -27,6 +27,7 @@ fn one_rep(registry: Option<&mut obs::metrics::MetricsRegistry>, arena: &mut Sim
     let metered = registry.is_some();
     hotpath_rep(
         arena,
+        false,
         |sim| {
             if metered {
                 sim.enable_metrics();

@@ -37,7 +37,7 @@ const RUNS_PER_REP: usize = 8;
 /// plan, no hedging — this is the path every healthy simulation takes,
 /// and it must not have slowed down.
 fn detector_off_rep(arena: &mut SimArena) -> f64 {
-    hotpath_rep(arena, |_| {}, |_| {})
+    hotpath_rep(arena, false, |_| {}, |_| {})
 }
 
 fn deploy() -> BeeGfs {

@@ -24,9 +24,17 @@ pub fn bench_ctx() -> ExpCtx {
 
 /// The median of a non-empty sample (the upper middle for an even
 /// count).
-pub fn median(mut xs: Vec<f64>) -> f64 {
+pub fn median(xs: Vec<f64>) -> f64 {
+    quartiles(xs)[1]
+}
+
+/// The lower quartile, median and upper quartile of a non-empty sample,
+/// each the sorted sample's entry at a quarter, a half and three
+/// quarters of its length.
+pub fn quartiles(mut xs: Vec<f64>) -> [f64; 3] {
     xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
+    let n = xs.len();
+    [xs[n / 4], xs[n / 2], xs[3 * n / 4]]
 }
 
 /// Pull `"key": <float>` out of a committed `BENCH_*.json` without a
@@ -43,12 +51,14 @@ pub const HOTPATH_FLOWS: u64 = 2000;
 
 /// One rep of the `flow_hotpath` workload: [`HOTPATH_FLOWS`] small flows
 /// in staggered batches over two links and eight targets, arriving
-/// slower than they drain, with one target flapping mid-stream. `setup`
-/// configures the fresh simulation before any flow is scheduled;
-/// `harvest` runs inside the timed region after the last completion.
-/// Returns the timed seconds.
+/// slower than they drain, with one target flapping mid-stream. With
+/// `dense` set, every flow also crosses one shared `switch`, so every
+/// solve covers the whole active set. `setup` configures the fresh
+/// simulation before any flow is scheduled; `harvest` runs inside the
+/// timed region after the last completion. Returns the timed seconds.
 pub fn hotpath_rep(
     arena: &mut SimArena,
+    dense: bool,
     setup: impl FnOnce(&mut FluidSim<'_>),
     harvest: impl FnOnce(&FluidSim<'_>),
 ) -> f64 {
@@ -66,14 +76,16 @@ pub fn hotpath_rep(
     }
     let links: Vec<_> = (0..2).map(ResourceId::from_index).collect();
     let targets: Vec<_> = (2..10).map(ResourceId::from_index).collect();
+    let switch = dense.then(|| net.add_resource("switch", CapacityModel::Fixed(6000.0)));
 
     let mut sim = FluidSim::with_arena(net, arena);
     setup(&mut sim);
     for i in 0..HOTPATH_FLOWS {
-        let path = vec![
+        let mut path = vec![
             links[(i % 2) as usize],
             targets[(i % targets.len() as u64) as usize],
         ];
+        path.extend(switch);
         let start = SimTime::from_secs_f64((i / 8) as f64 * 0.25);
         sim.start_flow_at(start, path, 10.0 + (i * 13 % 17) as f64, i);
     }

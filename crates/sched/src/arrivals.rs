@@ -54,6 +54,10 @@ impl ArrivalStream {
     /// benchmark `template` and target demand `stripe`. The first
     /// arrival sits one gap after `t = 0`.
     ///
+    /// A rate low enough to draw instants past the simulated clock
+    /// still builds a stream; [`crate::Scheduler::serve`] rejects it
+    /// with [`SchedError::ArrivalBeyondClock`].
+    ///
     /// # Panics
     /// Panics if `rate_per_s` is not a positive finite number (the
     /// exponential sampler's own contract).
@@ -89,20 +93,7 @@ impl ArrivalStream {
         if requests.is_empty() {
             return Err(SchedError::EmptyStream);
         }
-        let mut prev = 0.0f64;
-        for (app, r) in requests.iter().enumerate() {
-            let arrival_s = r.arrival_s;
-            if !(arrival_s.is_finite() && arrival_s >= prev) {
-                return Err(SchedError::InvalidArrival { app, arrival_s });
-            }
-            // `SimTime::from_secs_f64` saturates an instant past the
-            // clock to the `SimTime::MAX` "never" sentinel, and no
-            // earlier instant maps there.
-            if SimTime::from_secs_f64(arrival_s) == SimTime::MAX {
-                return Err(SchedError::ArrivalBeyondClock { app, arrival_s });
-            }
-            prev = arrival_s;
-        }
+        check_arrivals(&requests)?;
         Ok(ArrivalStream { requests })
     }
 
@@ -120,6 +111,29 @@ impl ArrivalStream {
     pub fn is_empty(&self) -> bool {
         self.requests.is_empty()
     }
+}
+
+/// Check the requests' arrival instants: [`SchedError::InvalidArrival`]
+/// for one that is non-finite, negative, or earlier than its
+/// predecessor, [`SchedError::ArrivalBeyondClock`] for one past the last
+/// instant simulated time can hold. Traces are checked when built,
+/// every stream again when served.
+pub(crate) fn check_arrivals(requests: &[AppRequest]) -> Result<(), SchedError> {
+    let mut prev = 0.0f64;
+    for (app, r) in requests.iter().enumerate() {
+        let arrival_s = r.arrival_s;
+        if !(arrival_s.is_finite() && arrival_s >= prev) {
+            return Err(SchedError::InvalidArrival { app, arrival_s });
+        }
+        // `SimTime::from_secs_f64` saturates an instant past the clock
+        // to the `SimTime::MAX` "never" sentinel, and no earlier
+        // instant maps there.
+        if SimTime::from_secs_f64(arrival_s) == SimTime::MAX {
+            return Err(SchedError::ArrivalBeyondClock { app, arrival_s });
+        }
+        prev = arrival_s;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

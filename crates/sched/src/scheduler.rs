@@ -314,6 +314,12 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
     /// `factory` seeds every RNG stream the session consumes (one per
     /// admission, retry, and solo run), so one factory seed fully
     /// determines the session.
+    ///
+    /// Every request is checked before the deployment is touched: its
+    /// arrival as [`ArrivalStream::from_trace`] checks it (so a
+    /// generated stream past the clock fails with
+    /// [`SchedError::ArrivalBeyondClock`]), then its layout, workload
+    /// mix and configuration.
     pub fn serve(
         mut self,
         stream: &ArrivalStream,
@@ -323,6 +329,8 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
         if reqs.is_empty() {
             return Err(SchedError::EmptyStream);
         }
+        // A generated stream is not checked when built.
+        crate::arrivals::check_arrivals(reqs)?;
         for (app, r) in reqs.iter().enumerate() {
             if r.config.layout != ior::FileLayout::SharedFile {
                 return Err(SchedError::UnsupportedLayout { app });

@@ -144,7 +144,9 @@ pub(crate) struct SolverScratch {
     /// Worklist of resource indices for the dirty-component walk.
     stack: Vec<u32>,
     /// Slots of the flows collected into the dirty components, sorted
-    /// ascending before solving.
+    /// ascending before solving. After a whole-set solve it holds what
+    /// the walk marked before it stopped, or, while touched resources
+    /// are tracked, a copy of the active list for the sampler.
     comp_flows: Vec<u32>,
     /// Resources collected into the dirty components, in walk order.
     comp_res: Vec<u32>,
@@ -265,6 +267,10 @@ pub struct FlowNetwork {
     /// Telemetry: recomputes skipped as identity transformations (no
     /// active flow crossed any dirty resource).
     skips: u64,
+    /// Telemetry: solves whose dirty components held a resource that
+    /// every active flow crosses, so they were solved as the whole
+    /// active set without finishing the walk.
+    whole_set_solves: u64,
     /// When set (a recorder is attached), every recompute captures the
     /// resources whose aggregate load may have changed, so the tracing
     /// sampler refreshes only those instead of scanning every resource.
@@ -514,11 +520,17 @@ impl FlowNetwork {
         );
         debug_assert!(!self.flows[i].retired, "retired flows never re-activate");
         self.flows[i].active = true;
-        let pos = self
-            .active
-            .binary_search(&s)
-            .expect_err("inactive flow already in active list");
-        self.active.insert(pos, s);
+        // Flows mostly start in registration order, so a slot past the
+        // tail is appended without a search.
+        if self.active.last().is_none_or(|&last| last < s) {
+            self.active.push(s);
+        } else {
+            let pos = self
+                .active
+                .binary_search(&s)
+                .expect_err("inactive flow already in active list");
+            self.active.insert(pos, s);
+        }
         let off = self.flows[i].path_off as usize;
         let len = self.flows[i].path_len as usize;
         for k in 0..len {
@@ -611,16 +623,43 @@ impl FlowNetwork {
         self.mark_retired(s);
     }
 
-    /// [`FlowNetwork::retire`] for a batch of slots, sorted ascending
-    /// and distinct: the per-path work runs flow by flow in that order,
-    /// exactly as one `retire` per slot would, and the sorted `active`
-    /// list is then pruned in one merge pass instead of one shifting
-    /// removal per flow.
+    /// [`FlowNetwork::retire`] for a batch of active flows' slots, sorted
+    /// ascending and distinct: the per-path work runs flow by flow in
+    /// that order, exactly as one `retire` per slot would, and the
+    /// sorted `active` list is then pruned in one merge pass instead of
+    /// one shifting removal per flow.
+    ///
+    /// A batch of every active flow (a run's last completions) leaves
+    /// no flow on any resource, so it skips the per-path unlinking: each
+    /// loaded resource drops its whole count from `registered`, empties
+    /// its incidence list and turns dirty, as the flow-by-flow path
+    /// would leave it.
     pub(crate) fn retire_batch(&mut self, slots: &[u32]) {
         debug_assert!(
             slots.windows(2).all(|w| w[0] < w[1]),
             "batch is not sorted ascending"
         );
+        if slots.len() == self.active.len() {
+            debug_assert_eq!(slots, &self.active[..], "batch is not the active set");
+            for &s in slots {
+                let f = &mut self.flows[s as usize];
+                f.active = false;
+                f.retired = true;
+                f.rate = 0.0;
+                f.remaining = 0.0;
+            }
+            self.retired += slots.len();
+            for k in 0..self.loaded.len() {
+                let r = self.loaded[k] as usize;
+                self.registered[r] -= self.active_count[r];
+                self.active_count[r] = 0;
+                self.incident[r].clear();
+                self.mark_dirty(r);
+            }
+            self.loaded.clear();
+            self.active.clear();
+            return;
+        }
         for &s in slots {
             self.unlink_slot(s);
             self.mark_retired(s);
@@ -902,6 +941,15 @@ impl FlowNetwork {
         self.skips
     }
 
+    /// Telemetry: solves that covered the whole active set because a
+    /// resource in the dirty components is crossed by every active flow
+    /// (a shared switch, say). Such a solve takes the active and loaded
+    /// lists as they are, without finishing the dirty-component walk;
+    /// each one also counts in [`FlowNetwork::solve_count`].
+    pub fn whole_set_solve_count(&self) -> u64 {
+        self.whole_set_solves
+    }
+
     /// Flow count of each connected component collected by the last
     /// [`FlowNetwork::recompute_rates`]: one entry per re-solved
     /// component, empty after a skipped recompute. Feeds the
@@ -966,6 +1014,12 @@ impl FlowNetwork {
     ///   operation order as the full solve: flows are put in ascending
     ///   slot order, the reference's iteration order, and the bottleneck
     ///   search breaks ties by resource index whatever the list order.
+    ///
+    /// When the walk meets a resource that every active flow crosses (a
+    /// shared switch), the dirty components are the whole active set
+    /// over the loaded resources. The solve then takes the sorted
+    /// `active` list and the `loaded` list as they are, with no marks,
+    /// sort or filter (see `walk_dirty`).
     fn solve_sharded(&mut self) {
         let mut scratch = std::mem::take(&mut self.scratch);
         let n_res = self.resources.len();
@@ -979,16 +1033,125 @@ impl FlowNetwork {
         scratch.comp_res.clear();
         scratch.comp_sizes.clear();
         scratch.stack.clear();
-        // One BFS per not-yet-absorbed dirty root, so the walk also
-        // counts the collected components and their flow populations
-        // (`comp_sizes`). The union of everything collected — and,
-        // after the sort below, the solve itself — is identical to a
-        // single walk seeded with every root at once.
-        for di in 0..self.dirty.len() {
-            let root = self.dirty[di];
+        let whole = self.walk_dirty(&mut scratch);
+        if whole {
+            if cfg!(debug_assertions) {
+                // The debug walk ran to the end: it must have collected
+                // one component, of exactly the active flows over
+                // exactly the loaded resources (the lists hold distinct
+                // entries, so equal lengths and full marks suffice).
+                assert_eq!(scratch.comp_sizes.len(), 1, "whole set split in two");
+                assert!(
+                    scratch.comp_flows.len() == self.active.len()
+                        && self.active.iter().all(|&s| scratch.flow_seen[s as usize]),
+                    "whole-set walk did not collect the active list"
+                );
+                assert!(
+                    scratch.comp_res.len() == self.loaded.len()
+                        && self.loaded.iter().all(|&r| scratch.res_seen[r as usize]),
+                    "whole-set walk did not collect the loaded set"
+                );
+            }
+            scratch.comp_sizes.clear();
+            scratch
+                .comp_sizes
+                .push(u32::try_from(self.active.len()).expect("component size fits u32"));
+        }
+        if self.track_touched {
+            // Loads can change on re-solved components and on dirty
+            // resources whose last flow just departed (not collected by
+            // the walk: they have no active flows). Everything else is
+            // provably unchanged.
+            self.touched_res.clear();
+            self.touched_res.extend_from_slice(&self.dirty);
+            if whole {
+                self.touched_res.extend_from_slice(&self.loaded);
+            } else {
+                self.touched_res.extend_from_slice(&scratch.comp_res);
+            }
+            self.touched_res.sort_unstable();
+            self.touched_res.dedup();
+            self.touched_valid = true;
+        }
+        self.clear_dirty();
+        if whole {
+            self.whole_set_solves += 1;
+            let active = std::mem::take(&mut self.active);
+            let loaded = std::mem::take(&mut self.loaded);
+            self.solve_subset(&active, &loaded, &mut scratch);
+            self.active = active;
+            self.loaded = loaded;
+        } else {
+            // Ascending slot order: the solver's flow iteration order is
+            // its floating-point accumulation order, and must match the
+            // reference solver's (slot = registration order) within the
+            // collected components. A component holding a large share
+            // of the active flows (k log2 k >= |active|) is read off the
+            // sorted active list by its marks in O(|active|); a small
+            // one is sorted in O(k log k). Both give the same list.
+            let k = scratch.comp_flows.len();
+            if k * (usize::BITS - k.leading_zeros()) as usize >= self.active.len() {
+                scratch.comp_flows.clear();
+                scratch.comp_flows.extend(
+                    self.active
+                        .iter()
+                        .copied()
+                        .filter(|&s| scratch.flow_seen[s as usize]),
+                );
+            } else {
+                scratch.comp_flows.sort_unstable();
+            }
+            let comp_flows = std::mem::take(&mut scratch.comp_flows);
+            let comp_res = std::mem::take(&mut scratch.comp_res);
+            self.solve_subset(&comp_flows, &comp_res, &mut scratch);
+            scratch.comp_flows = comp_flows;
+            scratch.comp_res = comp_res;
+        }
+        // Clear membership marks by walking only what was collected, so
+        // steady-state cost stays proportional to the dirty components.
+        for &f in &scratch.comp_flows {
+            scratch.flow_seen[f as usize] = false;
+        }
+        for &r in &scratch.comp_res {
+            scratch.res_seen[r as usize] = false;
+        }
+        if whole && self.track_touched {
+            // The tracing sampler re-reads the solved flows from here.
+            scratch.comp_flows.clear();
+            scratch.comp_flows.extend_from_slice(&self.active);
+        }
+        self.scratch = scratch;
+    }
+
+    /// Collect the dirty components into `scratch` — their flows, their
+    /// resources and each one's flow count (`comp_sizes`) — marking
+    /// what it collects in `res_seen` and `flow_seen`. One BFS per
+    /// not-yet-absorbed dirty root, so the walk also counts the
+    /// components; the union collected is identical to a single walk
+    /// seeded with every root at once.
+    ///
+    /// Returns whether the walk met a resource, dirty root or
+    /// discovered, whose active count is the number of active flows.
+    /// Every active flow then lies in one component, so the dirty
+    /// components are the whole active set and the caller needs nothing
+    /// more from the walk. A release build returns there, its partial
+    /// lists naming exactly the marks it set. A debug build walks on to
+    /// the end, so the caller can check that claim against the active
+    /// and loaded lists, and the freeze loop can check its marks.
+    fn walk_dirty(&self, scratch: &mut SolverScratch) -> bool {
+        let n_active = self.active.len();
+        let spans = |r: usize| self.active_count[r] as usize == n_active;
+        let mut whole = false;
+        for &root in &self.dirty {
             let ri = root as usize;
             if self.active_count[ri] == 0 || scratch.res_seen[ri] {
                 continue;
+            }
+            if spans(ri) {
+                whole = true;
+                if !cfg!(debug_assertions) {
+                    return true;
+                }
             }
             scratch.res_seen[ri] = true;
             scratch.comp_res.push(root);
@@ -1007,6 +1170,12 @@ impl FlowNetwork {
                             scratch.res_seen[pri] = true;
                             scratch.comp_res.push(pr.0);
                             scratch.stack.push(pr.0);
+                            if spans(pri) {
+                                whole = true;
+                                if !cfg!(debug_assertions) {
+                                    return true;
+                                }
+                            }
                         }
                     }
                 }
@@ -1016,53 +1185,7 @@ impl FlowNetwork {
                 .comp_sizes
                 .push(u32::try_from(size).expect("component size fits u32"));
         }
-        if self.track_touched {
-            // Loads can change on re-solved components and on dirty
-            // resources whose last flow just departed (not collected by
-            // the walk: they have no active flows). Everything else is
-            // provably unchanged.
-            self.touched_res.clear();
-            self.touched_res.extend_from_slice(&self.dirty);
-            self.touched_res.extend_from_slice(&scratch.comp_res);
-            self.touched_res.sort_unstable();
-            self.touched_res.dedup();
-            self.touched_valid = true;
-        }
-        self.clear_dirty();
-        // Ascending slot order: the solver's flow iteration order is its
-        // floating-point accumulation order, and must match the
-        // reference solver's (slot = registration order) within the
-        // collected components. A component holding a large share of
-        // the active flows (k log2 k >= |active|, e.g. a dense
-        // single-component grid) is read off the sorted active list by
-        // its marks in O(|active|); a small one is sorted in
-        // O(k log k). Both give the same list.
-        let k = scratch.comp_flows.len();
-        if k * (usize::BITS - k.leading_zeros()) as usize >= self.active.len() {
-            scratch.comp_flows.clear();
-            scratch.comp_flows.extend(
-                self.active
-                    .iter()
-                    .copied()
-                    .filter(|&s| scratch.flow_seen[s as usize]),
-            );
-        } else {
-            scratch.comp_flows.sort_unstable();
-        }
-        let comp_flows = std::mem::take(&mut scratch.comp_flows);
-        let comp_res = std::mem::take(&mut scratch.comp_res);
-        self.solve_subset(&comp_flows, &comp_res, &mut scratch);
-        // Clear membership marks by walking only what was collected, so
-        // steady-state cost stays proportional to the dirty components.
-        for &f in &comp_flows {
-            scratch.flow_seen[f as usize] = false;
-        }
-        for &r in &comp_res {
-            scratch.res_seen[r as usize] = false;
-        }
-        scratch.comp_flows = comp_flows;
-        scratch.comp_res = comp_res;
-        self.scratch = scratch;
+        whole
     }
 
     /// Progressive filling restricted to `flows` over `resources` — the
@@ -1073,9 +1196,10 @@ impl FlowNetwork {
     /// ties by resource index); every resource on a listed flow's path
     /// is listed; every listed flow is active, and every active flow
     /// crossing a listed resource is listed (a union of whole
-    /// components), with its slot marked in `scratch.flow_seen`. Loop structure and per-resource
-    /// floating-point operation order mirror
-    /// [`FlowNetwork::reference_recompute_rates`] exactly. The
+    /// components). In debug builds every listed flow's slot is also
+    /// marked in `scratch.flow_seen`, which the freeze loop checks.
+    /// Loop structure and per-resource floating-point operation order
+    /// mirror [`FlowNetwork::reference_recompute_rates`] exactly. The
     /// differences are buffer reuse, iterating the provided lists
     /// instead of filtering every registered flow, and freezing each
     /// round from the bottleneck's incidence list instead of testing
@@ -2012,15 +2136,47 @@ mod loaded_tests {
         }
     }
 
-    /// Random activate, deactivate, retire, compact and drain steps on
-    /// small networks. After every step the loaded list equals {r :
-    /// active count > 0}, and every resource's bytes and busy seconds
-    /// equal, bit for bit, a model that charges busy time by marking
-    /// the resources the active flows cross and then scanning all of
-    /// them.
+    /// `registered` and every incidence list (sorted) equal a model
+    /// rebuilt from the stored flows: per resource, the unretired flows
+    /// and the active flows' slots crossing it. Each active flow's
+    /// position entries index its own slot in those lists.
+    fn assert_incidence_matches_stored_flows(net: &FlowNetwork, step: usize) {
+        let n_res = net.resource_count();
+        let mut registered = vec![0u32; n_res];
+        let mut incident = vec![Vec::new(); n_res];
+        for (s, f) in net.flows.iter().enumerate() {
+            let off = f.path_off as usize;
+            for (k, r) in net.path_of(s).iter().enumerate() {
+                if !f.retired {
+                    registered[r.index()] += 1;
+                }
+                if f.active {
+                    incident[r.index()].push(s as u32);
+                    let at = net.pos_arena[off + k] as usize;
+                    assert_eq!(net.incident[r.index()][at], s as u32, "step {step}");
+                }
+            }
+        }
+        assert_eq!(net.registered, registered, "step {step}: registered");
+        for (r, expect) in incident.iter().enumerate() {
+            let mut got = net.incident[r].clone();
+            got.sort_unstable();
+            assert_eq!(&got, expect, "step {step}: incidence list of r{r}");
+        }
+    }
+
+    /// Random activate, deactivate, retire (one flow, a random batch or
+    /// every active flow at once), compact and drain steps on small
+    /// networks. After every step the loaded list equals {r : active
+    /// count > 0}, `registered` and the incidence lists match the
+    /// stored flows, and every resource's bytes and busy seconds equal,
+    /// bit for bit, a model that charges busy time by marking the
+    /// resources the active flows cross and then scanning all of them.
+    /// Each drain's rates equal the reference solver's, bit for bit.
     #[test]
     fn loaded_list_and_telemetry_follow_a_full_scan_model() {
         let mut rng = crate::rng::RngFactory::new(0x5EED).stream("loaded-list", 0);
+        let (mut solves, mut whole_set_solves) = (0, 0);
         for case in 0..40 {
             let mut net = FlowNetwork::new();
             let n_res = 2 + rng.gen_range(0..10usize);
@@ -2052,7 +2208,7 @@ mod loaded_tests {
                         })
                         .collect()
                 };
-                match rng.gen_range(0..8u32) {
+                match rng.gen_range(0..9u32) {
                     0 | 1 => {
                         let len = 1 + rng.gen_range(0..n_res.min(4));
                         let mut path: Vec<ResourceId> = Vec::new();
@@ -2089,8 +2245,24 @@ mod loaded_tests {
                         }
                     }
                     6 => net.compact(),
+                    7 => {
+                        let loaded = net.loaded.clone();
+                        net.retire_batch(&live(&net, true));
+                        // Their loads fell to zero: the next recompute
+                        // must see them (the tracing sampler does).
+                        assert!(loaded.iter().all(|&r| net.dirty_mark[r as usize]));
+                    }
                     _ => {
                         net.recompute_rates();
+                        let mut reference = net.clone();
+                        reference.reference_recompute_rates();
+                        for &s in &net.active {
+                            assert_eq!(
+                                net.rate_at(s).to_bits(),
+                                reference.rate_at(s).to_bits(),
+                                "case {case} step {step}: rate of slot {s}"
+                            );
+                        }
                         let dt = 0.001 * f64::from(1 + rng.gen_range(0..900u32));
                         let mut touched = vec![false; n_res];
                         for &s in &net.active {
@@ -2110,6 +2282,7 @@ mod loaded_tests {
                     }
                 }
                 assert_loaded_matches_counts(&net, step);
+                assert_incidence_matches_stored_flows(&net, step);
                 for (r, &id) in res.iter().enumerate() {
                     assert_eq!(
                         net.bytes_through(id).to_bits(),
@@ -2124,7 +2297,14 @@ mod loaded_tests {
                 }
             }
             assert!(drains > 20, "case {case}: only {drains} drains");
+            solves += net.solve_count();
+            whole_set_solves += net.whole_set_solve_count();
         }
+        // Both ways of collecting a component ran.
+        assert!(
+            0 < whole_set_solves && whole_set_solves < solves,
+            "{whole_set_solves} of {solves} solves took the whole set"
+        );
     }
 
     #[test]

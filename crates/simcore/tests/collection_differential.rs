@@ -2,15 +2,17 @@
 //! collection and batch retirement against the reference solver.
 //!
 //! The incremental solve must hand each dirty component's flows to the
-//! solver in ascending slot order, whichever way it collects them: read
-//! off the sorted active list when the component is a large share of
-//! it, sorted after the walk when it is small. Depth weights here are
-//! chosen so that summing a component's weights in any other order
-//! moves a bit (`0.1 + 0.2 + 0.3 + 0.4` is `1.0`; the reverse sum is
-//! not), and the saturating capacities pass that bit on to the rates.
+//! solver in ascending slot order, whichever way it collects them: the
+//! whole sorted active list when a resource in the component is crossed
+//! by every active flow, read off that list by the walk's marks when
+//! the component is a large share of it, sorted after the walk when it
+//! is small. Depth weights here are chosen so that summing a
+//! component's weights in any other order moves a bit (`0.1 + 0.2 +
+//! 0.3 + 0.4` is `1.0`; the reverse sum is not), and the saturating
+//! capacities pass that bit on to the rates.
 
-use simcore::flow::{CapacityModel, FlowId, FlowNetwork, FluidSim, ResourceId};
-use simcore::SimTime;
+use simcore::flow::{CapacityModel, Completion, FlowId, FlowNetwork, FluidSim, ResourceId};
+use simcore::{SimDuration, SimTime};
 
 /// Depth weights whose sum depends on the summation order.
 const WEIGHTS: [f64; 4] = [0.1, 0.2, 0.3, 0.4];
@@ -47,7 +49,9 @@ fn check_step(
 #[test]
 fn one_component_spanning_every_flow_with_tied_bottlenecks() {
     // A shared switch joins every flow into one component, so the
-    // solve reads its flows off the active list. Four targets of equal
+    // solve takes the whole active list: the walk stops at the switch,
+    // a dirty root after activation and departures, and reaches it
+    // from the target after the factor change. Four targets of equal
     // capacity carry equal weight, so they tie for the bottleneck.
     let build = || {
         let mut net = FlowNetwork::new();
@@ -158,4 +162,90 @@ fn a_large_batch_retired_at_one_instant_then_compacted() {
         inc == reference,
         "incremental sim diverged from the reference"
     );
+}
+
+/// One completion as the differential compares it: the flow, its
+/// instant and tag, then every active flow's rate bits.
+type Logged = (FlowId, SimTime, u64, Vec<u64>);
+
+fn logged(sim: &FluidSim<'_>, c: Completion) -> Logged {
+    let net = sim.network();
+    let rates = net.active_flows().map(|f| net.rate(f).to_bits()).collect();
+    (c.flow, c.time, c.tag, rates)
+}
+
+#[test]
+fn whole_set_retirement_a_mid_walk_switch_and_disjoint_components() {
+    // Phase 0: 24 flows share a switch over four targets that carry
+    // equal weights, so all of them finish at one instant, a batch of
+    // the whole active set. Phase 1 starts at that instant on the same
+    // resources. A factor change on one target dirties only it, so the
+    // walk meets the switch mid-walk. Phase 2 runs when phase 1 has
+    // finished: three disjoint link/target pairs, one target slowed
+    // while all three carry flows, so the walk collects one small
+    // component among several.
+    let run = |reference: bool| -> (Vec<Logged>, u64, u64) {
+        let mut net = FlowNetwork::new();
+        let switch = net.add_resource("switch", CapacityModel::Fixed(1e9));
+        let targets: Vec<ResourceId> = (0..4)
+            .map(|t| net.add_resource(format!("ost{t}"), saturating(400.0)))
+            .collect();
+        let pairs: Vec<[ResourceId; 2]> = (0..3)
+            .map(|c| {
+                let link = net.add_resource(format!("link{c}"), CapacityModel::Fixed(300.0));
+                let target = net.add_resource(format!("pair{c}"), saturating(500.0 + c as f64));
+                [link, target]
+            })
+            .collect();
+        let mut sim = FluidSim::new(net);
+        sim.set_reference_solver(reference);
+        for i in 0..24usize {
+            let path = [switch, targets[i % 4]];
+            sim.start_weighted_flow_at(SimTime::ZERO, path, 100.0, i as u64, WEIGHTS[i / 4 % 4]);
+        }
+        let mut log = Vec::new();
+        let mut phase = 0;
+        while let Some(c) = sim.next_completion() {
+            log.push(logged(&sim, c));
+            if sim.network().active_flows().next().is_some() {
+                continue;
+            }
+            // The rest of the batch is queued already.
+            while let Some(c) = sim.pop_ready() {
+                log.push(logged(&sim, c));
+            }
+            let now = sim.now();
+            phase += 1;
+            if phase == 1 {
+                for i in 0..12usize {
+                    let path = [targets[i % 4], switch];
+                    let bytes = 60.0 + 7.0 * i as f64;
+                    sim.start_weighted_flow_at(now, path, bytes, 100 + i as u64, WEIGHTS[i % 4]);
+                }
+                sim.schedule_factor_change(now + SimDuration::from_millis(50), targets[2], 0.5);
+            } else if phase == 2 {
+                for i in 0..12usize {
+                    let path = pairs[i % 3];
+                    let bytes = 80.0 + 5.0 * i as f64;
+                    sim.start_weighted_flow_at(now, path, bytes, 200 + i as u64, WEIGHTS[i / 3]);
+                }
+                sim.schedule_factor_change(now + SimDuration::from_millis(20), pairs[1][1], 0.25);
+            }
+        }
+        let net = sim.network();
+        (log, net.solve_count(), net.whole_set_solve_count())
+    };
+    let (inc, solves, whole_set_solves) = run(false);
+    let (reference, _, _) = run(true);
+    assert_eq!(inc.len(), 48);
+    let first_batch = inc.iter().filter(|c| c.1 == inc[0].1).count();
+    assert_eq!(first_batch, 24, "phase 0 did not finish as one batch");
+    assert!(
+        0 < whole_set_solves && whole_set_solves < solves,
+        "{whole_set_solves} of {solves} solves took the whole set"
+    );
+    assert_eq!(inc.len(), reference.len());
+    for (k, (a, b)) in inc.iter().zip(&reference).enumerate() {
+        assert_eq!(a, b, "completion {k} diverged from the reference sim");
+    }
 }

@@ -51,7 +51,7 @@ cargo bench --locked -p bench --bench metrics_overhead
 echo "==> scheduler placement throughput bench (writes BENCH_sched_throughput.json; fails if any policy's per-decision time on the 1,000-target fleet exceeds 150x its time on the 8-target scenario-1 platform, or 55x for UtilizationFeedback and StragglerAware)"
 cargo bench --locked -p bench --bench sched_throughput
 
-echo "==> solver hot-path bench (writes BENCH_flow_hotpath.json; fails on <2x speedup or >30% regression vs committed baseline)"
+echo "==> solver hot-path bench (writes BENCH_flow_hotpath.json; fails on <2x speedup, >30% regression vs committed baseline, or a dense-leg solve that does not take the whole active set)"
 cargo bench --locked -p bench --bench flow_hotpath
 
 echo "==> fleet-scale solver bench (writes BENCH_flow_scale.json; fails on <5x sharded speedup over the reference solver at 200k flows or >30% regression vs committed baseline)"

@@ -5,7 +5,7 @@
 
 use beegfs_repro::core::ChooserKind;
 use beegfs_repro::experiments::campaign::{
-    cell_key, Campaign, CampaignEngine, CampaignMetrics, CellConfig, MODEL_VERSION,
+    cell_key, Campaign, CampaignEngine, CampaignMetrics, CellConfig, ResultStore, MODEL_VERSION,
 };
 use beegfs_repro::experiments::Scenario;
 use beegfs_repro::ior::IorConfig;
@@ -172,6 +172,40 @@ fn run_metrics_are_serialized_next_to_the_cache() {
     assert_eq!(metrics.stats.reps_cached, 4);
     assert_eq!(metrics.stats.reps_computed, 0);
     assert_eq!(metrics.stats.sim_events, 0);
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_deeply_nested_record_is_recomputed() {
+    let dir = scratch_dir("deep");
+    let campaign = small_campaign(2);
+    let cold = CampaignEngine::with_store(&dir)
+        .unwrap()
+        .run(&campaign)
+        .unwrap();
+
+    // 200,000 nested brackets in place of the first cell's record: a
+    // cache miss, like any corrupt record, not a stack overflow.
+    let store = ResultStore::open(&dir).unwrap();
+    let key = cell_key("cache-test", 4242, &campaign.cells[0]);
+    assert!(store.load(&key).is_some());
+    std::fs::write(store.path_for(&key), "[".repeat(200_000)).unwrap();
+    assert!(store.load(&key).is_none());
+
+    let engine = CampaignEngine::with_store(&dir).unwrap();
+    let warm = engine.run(&campaign).unwrap();
+    assert_eq!(
+        engine.executed_reps(),
+        2,
+        "only the corrupt cell is simulated"
+    );
+    assert_eq!(warm.stats.cells_cached, 1);
+    assert_eq!(
+        serde_json::to_string(&warm.cells).unwrap(),
+        serde_json::to_string(&cold.cells).unwrap()
+    );
+    assert!(store.load(&key).is_some(), "the recomputed record is saved");
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

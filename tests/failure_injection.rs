@@ -602,6 +602,41 @@ fn invalid_requests_fail_typed_in_both_admission_modes() {
     }
 }
 
+/// A generated stream whose arrivals lie past the simulated clock fails
+/// typed in both admission modes, as a trace with such arrivals fails
+/// in `from_trace`. (Both engines once panicked with "SimTime
+/// overflow" on it.)
+#[test]
+fn generated_arrivals_past_the_clock_fail_typed_in_both_admission_modes() {
+    let config = IorConfig::paper_default(4).with_total_bytes(4 * GIB);
+    let mut rng = RngFactory::new(3).stream("late-arrivals", 0);
+    let stream = ArrivalStream::poisson(1e-12, 2, config, 4, &mut rng);
+    let first = stream.requests()[0].arrival_s;
+    assert!(
+        first > 2e10,
+        "the first arrival, {first} s, is within the clock"
+    );
+    for mode in [AdmissionMode::FrozenOracle, AdmissionMode::Online] {
+        let mut fs = deploy(4);
+        let result = Scheduler::new(&mut fs, Box::new(LeastLoadedServer))
+            .mode(mode)
+            .serve(&stream, &RngFactory::new(3));
+        assert!(
+            matches!(&result, Err(SchedError::ArrivalBeyondClock { app: 0, arrival_s }) if *arrival_s == first),
+            "{mode:?}: got {result:?}"
+        );
+    }
+}
+
+/// A fault plan nested 100,000 levels deep is a parse error, not a
+/// stack overflow that ends the process.
+#[test]
+fn a_deeply_nested_fault_plan_fails_typed() {
+    let text = format!("{{\"events\":{}", "[".repeat(100_000));
+    let err = serde_json::from_str::<FaultPlan>(&text).unwrap_err();
+    assert!(err.to_string().contains("recursion limit"), "{err}");
+}
+
 #[test]
 fn a_late_outage_with_a_fine_backoff_returns_in_both_admission_modes() {
     // At 1.5e10 s one ulp of the probe clock (~1.9e-6 s) exceeds twice
