@@ -1,7 +1,7 @@
 //! Solver hot-path benchmark: many small flows through the fluid loop,
 //! incremental allocation-free solver vs. the retained reference solver.
 //!
-//! Not a Criterion target: it times a fixed rep workload in both modes,
+//! It times a fixed rep workload in both modes,
 //! writes `BENCH_flow_hotpath.json` at the repository root, and enforces
 //! three gates so CI catches hot-path regressions:
 //!

@@ -1,7 +1,7 @@
 //! Fleet-scale solver benchmark: the sharded connected-component solver
 //! vs. the reference full solve on a datacenter fleet.
 //!
-//! Not a Criterion target: it drains staggered flow waves over a
+//! It drains staggered flow waves over a
 //! 100-server × 10-target [`cluster::FleetSpec`] fleet (non-blocking
 //! switch, so each server group is its own connected component) at
 //! 2 000, 20 000 and 200 000 total flows, with both solvers, writes

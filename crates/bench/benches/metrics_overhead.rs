@@ -2,7 +2,7 @@
 //! attached vs. with solver introspection enabled and harvested into a
 //! [`obs::metrics::MetricsRegistry`] every rep.
 //!
-//! Not a Criterion target: it runs a fixed rep workload in both modes,
+//! It runs a fixed rep workload in both modes,
 //! writes `BENCH_metrics_overhead.json` at the repository root, and
 //! enforces two gates so the "zero cost when disabled" claim stays true
 //! in CI instead of decaying the way the tracing overhead once did:

@@ -2,7 +2,7 @@
 //! continuous online admission engine, against the frozen-oracle
 //! reference at the scale where the oracle stops being usable.
 //!
-//! Not a Criterion target: it times fixed workloads in both admission
+//! It times fixed workloads in both admission
 //! modes, writes `BENCH_sched_scale.json` at the repository root, and
 //! enforces gates so CI catches scaling regressions. Two regimes,
 //! because the engines differ in *what* their per-admission cost scales

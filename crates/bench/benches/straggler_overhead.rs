@@ -2,7 +2,7 @@
 //! added for straggler mitigation must be free when disabled and cheap
 //! when enabled.
 //!
-//! Not a Criterion target: it times two legs, writes
+//! It times two legs, writes
 //! `BENCH_straggler_overhead.json` at the repository root, and gates the
 //! detector-off leg so CI catches the straggler machinery taxing the
 //! solver hot path:

@@ -1,7 +1,7 @@
 //! Tracing overhead check: the same scenario-1 stripe-4 run with no
 //! recorder attached vs. recording into an [`obs::Timeline`].
 //!
-//! Not a Criterion target: it runs a fixed number of seeded runs per
+//! It runs a fixed number of seeded runs per
 //! mode and writes `BENCH_trace_overhead.json` at the repository root.
 //! The run fails (exit 1) when the traced overhead exceeds the
 //! `max_overhead_frac` threshold committed in that file, so emission-path

@@ -1,26 +1,14 @@
-//! Shared helpers for the Criterion benchmark targets.
+//! Shared helpers for the gated benchmark targets under `benches/`.
 //!
-//! Each `benches/figXX_*.rs` target regenerates one paper table/figure at
-//! a reduced repetition count and reports how long the regeneration
-//! takes; the full-fidelity (100-repetition) regeneration lives in the
-//! `experiments` crate's `repro` binary. `benches/engine_micro.rs` covers
-//! the simulation kernel itself (max–min solver, fluid loop, choosers,
-//! statistics). The gated, non-Criterion benches share the helpers
-//! below.
+//! Each target times one layer or workload, writes its
+//! `BENCH_*.json` at the repository root and fails past its committed
+//! bound. Full-fidelity figure regeneration lives in the `experiments`
+//! crate's `repro` binary, and perfbench's `paper_grid` workload times
+//! every Fig 4/6/11 cell.
 
-use experiments::ExpCtx;
 use simcore::flow::{CapacityModel, FlowNetwork, FluidSim, ResourceId, SimArena};
 use simcore::SimTime;
 use std::time::Instant;
-
-/// Repetitions used inside the figure bench targets (the paper uses 100;
-/// benches use fewer so Criterion's own sampling stays tractable).
-pub const BENCH_REPS: usize = 5;
-
-/// The context every figure bench runs under.
-pub fn bench_ctx() -> ExpCtx {
-    ExpCtx::quick(BENCH_REPS)
-}
 
 /// The median of a non-empty sample (the upper middle for an even
 /// count).
@@ -103,16 +91,4 @@ pub fn hotpath_rep(
     assert_eq!(done, HOTPATH_FLOWS, "every flow must complete");
     sim.recycle_into(arena);
     elapsed
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_context_is_reduced_fidelity() {
-        let ctx = bench_ctx();
-        assert_eq!(ctx.reps, BENCH_REPS);
-        assert_eq!(ctx.seed, ExpCtx::default().seed);
-    }
 }

@@ -29,6 +29,7 @@ use cluster::{Platform, TargetId};
 use ior::Placement;
 use simcore::rng::StreamRng;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 /// The scheduler's view of the cluster at a placement instant.
 #[derive(Debug)]
@@ -58,17 +59,6 @@ impl ClusterView<'_> {
             Err(PolicyError::NoTargetsAvailable)
         }
     }
-
-    /// Online targets of every server, flat ids ascending within each.
-    fn online_targets_by_server(&self) -> Vec<Vec<TargetId>> {
-        let mut per_server = vec![Vec::new(); self.platform.server_count()];
-        for (i, s) in target_servers(self.platform).into_iter().enumerate() {
-            if self.online[i] {
-                per_server[s].push(TargetId(i as u32));
-            }
-        }
-        per_server
-    }
 }
 
 /// Each target's server index, by flat target id: one pass over
@@ -83,6 +73,21 @@ fn target_servers(platform: &Platform) -> Vec<usize> {
         .iter()
         .enumerate()
         .flat_map(|(s, server)| std::iter::repeat_n(s, server.osts.len()))
+        .collect()
+}
+
+/// Each server's flat target ids, by server index: one contiguous range
+/// per server, in server order. Built per call, like [`target_servers`].
+fn server_ranges(platform: &Platform) -> Vec<Range<usize>> {
+    let mut end = 0;
+    platform
+        .servers
+        .iter()
+        .map(|server| {
+            let start = end;
+            end += server.osts.len();
+            start..end
+        })
         .collect()
 }
 
@@ -253,104 +258,104 @@ pub trait PlacementPolicy {
     fn app_done(&mut self, _app: usize) {}
 }
 
-/// The shared greedy pick of [`UtilizationFeedback`]-family policies:
-/// `want` targets minimizing `busy_fraction + BALANCE_WEIGHT *
-/// picks_already_on_that_server + extra(target)`, ties to the lower
-/// target id, reusing online targets only once demand exceeds the
-/// online pool.
+/// The one greedy pick behind every load-aware policy: `want` targets,
+/// each minimizing `key(target, server, picks)` — `picks` being how many
+/// of this decision's targets the candidate's server already holds —
+/// ties to the lower target id, reusing online targets only once demand
+/// exceeds the online pool.
 ///
-/// A pick changes the scores of one server only — its pick count and
-/// the used mark of one of its targets — so each server keeps its best
+/// A pick changes the keys of one server only — its pick count and the
+/// used mark of one of its targets — so each server keeps its best
 /// candidate, and after a pick only that server is re-scored (every
 /// server once, when the unused pool runs out and used targets become
 /// candidates again). A server's targets are one contiguous flat-id
-/// range. Each score is the same expression as a scan of every
-/// candidate would compute, and the best of the servers' bests under
-/// (score, target id) is that scan's minimum, so the picks match it
-/// target for target at O(targets + want × servers) instead of
-/// O(want × targets).
-fn busy_balanced_pick(
+/// range. Each key is the same expression as a scan of every candidate
+/// would compute, and the best of the servers' bests under (key, target
+/// id) is that scan's minimum, so the picks match it target for target
+/// at O(targets + want × servers) instead of O(want × targets).
+fn per_server_pick(
     view: &ClusterView<'_>,
     want: u32,
-    extra: impl Fn(usize) -> f64,
+    key: impl Fn(usize, usize, u32) -> f64,
 ) -> Vec<TargetId> {
     /// One server: its flat-id range, its picks so far, and its best
-    /// (score, target) candidate under them.
+    /// (key, target) candidate under them.
     struct Server {
-        targets: std::ops::Range<usize>,
+        targets: Range<usize>,
         picks: u32,
         best: Option<(f64, TargetId)>,
     }
     let mut used = vec![false; view.online.len()];
     let mut unused = view.online.iter().filter(|&&o| o).count();
-    let best_on = |server: &Server, used: &[bool], reuse: bool| {
+    let best_on = |s: usize, server: &Server, used: &[bool], reuse: bool| {
         let ids = server.targets.clone();
-        let balance = BALANCE_WEIGHT * f64::from(server.picks);
-        let candidates = ids
-            .clone()
-            .zip(&view.online[ids.clone()])
-            .zip(&view.busy_fraction[ids.clone()])
-            .zip(&used[ids]);
+        let candidates = ids.clone().zip(&view.online[ids.clone()]).zip(&used[ids]);
         let mut best: Option<(f64, TargetId)> = None;
-        for (((i, &online), &busy), &was_used) in candidates {
+        for ((i, &online), &was_used) in candidates {
             if online && (reuse || !was_used) {
-                // Ids ascend, so keeping the first of equal scores is
-                // the (score, target id) order.
-                let score = busy + balance + extra(i);
-                if best.is_none_or(|(b, _)| score.total_cmp(&b).is_lt()) {
-                    best = Some((score, TargetId(i as u32)));
+                // Ids ascend, so keeping the first of equal keys is the
+                // (key, target id) order.
+                let k = key(i, s, server.picks);
+                if best.is_none_or(|(b, _)| k.total_cmp(&b).is_lt()) {
+                    best = Some((k, TargetId(i as u32)));
                 }
             }
         }
         best
     };
-    let mut end = 0;
-    let mut servers: Vec<Server> = view
-        .platform
-        .servers
-        .iter()
-        .map(|spec| {
-            let start = end;
-            end += spec.osts.len();
-            Server {
-                targets: start..end,
-                picks: 0,
-                best: None,
-            }
+    let mut servers: Vec<Server> = server_ranges(view.platform)
+        .into_iter()
+        .map(|targets| Server {
+            targets,
+            picks: 0,
+            best: None,
         })
         .collect();
-    for server in &mut servers {
-        server.best = best_on(server, &used, unused == 0);
+    for (s, server) in servers.iter_mut().enumerate() {
+        server.best = best_on(s, server, &used, unused == 0);
     }
     let mut chosen = Vec::with_capacity(want as usize);
     for _ in 0..want {
-        let (k, (_, t)) = servers
+        let (s, (_, t)) = servers
             .iter()
             .enumerate()
-            .filter_map(|(k, server)| server.best.map(|b| (k, b)))
-            .min_by(|a, b| by_score(&a.1, &b.1))
+            .filter_map(|(s, server)| server.best.map(|b| (s, b)))
+            .min_by(|a, b| by_key(&a.1, &b.1))
             .expect("any_online guarantees a candidate");
         chosen.push(t);
-        servers[k].picks += 1;
+        servers[s].picks += 1;
         if !used[t.index()] {
             used[t.index()] = true;
             unused -= 1;
             if unused == 0 {
-                for server in &mut servers {
-                    server.best = best_on(server, &used, true);
+                for (s, server) in servers.iter_mut().enumerate() {
+                    server.best = best_on(s, server, &used, true);
                 }
                 continue;
             }
         }
-        let server = &mut servers[k];
-        server.best = best_on(server, &used, unused == 0);
+        let server = &mut servers[s];
+        server.best = best_on(s, server, &used, unused == 0);
     }
     chosen
 }
 
-/// The pick order: lower score first, then lower target id.
-fn by_score(a: &(f64, TargetId), b: &(f64, TargetId)) -> std::cmp::Ordering {
+/// The pick order: lower key first, then lower target id.
+fn by_key(a: &(f64, TargetId), b: &(f64, TargetId)) -> std::cmp::Ordering {
     a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
+/// The pick of the [`UtilizationFeedback`] family: each target's key is
+/// `busy_fraction + BALANCE_WEIGHT * picks_already_on_that_server +
+/// extra(target)`.
+fn busy_balanced_pick(
+    view: &ClusterView<'_>,
+    want: u32,
+    extra: impl Fn(usize) -> f64,
+) -> Vec<TargetId> {
+    per_server_pick(view, want, |i, _, picks| {
+        view.busy_fraction[i] + BALANCE_WEIGHT * f64::from(picks) + extra(i)
+    })
 }
 
 /// The BeeGFS baseline: let the deployment's configured chooser decide
@@ -400,20 +405,24 @@ impl PlacementPolicy for RoundRobinServer {
         _rng: &mut StreamRng,
     ) -> Result<Placement, PolicyError> {
         view.any_online()?;
-        let servers = view.platform.server_count();
-        self.slot_cursors.resize(servers, 0);
-        let per_server = view.online_targets_by_server();
+        let ranges = server_ranges(view.platform);
+        self.slot_cursors.resize(ranges.len(), 0);
+        let online_on = |s: usize| ranges[s].clone().filter(|&i| view.online[i]);
         let mut chosen = Vec::with_capacity(want as usize);
         for _ in 0..want {
-            while per_server[self.server_cursor % servers].is_empty() {
-                self.server_cursor += 1;
-            }
-            let s = self.server_cursor % servers;
-            let list = &per_server[s];
-            let t = list[self.slot_cursors[s] % list.len()];
+            let (s, count) = loop {
+                let s = self.server_cursor % ranges.len();
+                match online_on(s).count() {
+                    0 => self.server_cursor += 1,
+                    count => break (s, count),
+                }
+            };
+            let i = online_on(s)
+                .nth(self.slot_cursors[s] % count)
+                .expect("the slot is below the server's online count");
             self.slot_cursors[s] += 1;
             self.server_cursor += 1;
-            chosen.push(t);
+            chosen.push(TargetId(i as u32));
         }
         Ok(Placement::Pinned(chosen))
     }
@@ -422,8 +431,9 @@ impl PlacementPolicy for RoundRobinServer {
 /// Greedy on outstanding allocated bytes per server: every pick goes to
 /// the server carrying the least admitted-but-unreleased volume,
 /// counting the bytes the placement itself adds as it goes (so one
-/// placement spreads even on an idle system). Within a server, the
-/// lowest-id unused online target is taken.
+/// placement spreads even on an idle system), ties to the lower server.
+/// Within a server, the lowest-id unused online target is taken, or its
+/// lowest online target once demand exceeds the online pool.
 #[derive(Debug, Default)]
 pub struct LeastLoadedServer;
 
@@ -441,32 +451,14 @@ impl PlacementPolicy for LeastLoadedServer {
     ) -> Result<Placement, PolicyError> {
         view.any_online()?;
         let share = bytes as f64 / f64::from(want.max(1));
-        let per_server = view.online_targets_by_server();
-        let mut tentative = vec![0.0f64; per_server.len()];
-        let mut used = vec![false; view.online.len()];
-        let mut chosen = Vec::with_capacity(want as usize);
-        for _ in 0..want {
-            // Prefer servers that still have an unused online target;
-            // fall back to reusing targets only when the demand exceeds
-            // the online pool (wrap-around striping).
-            let unused_somewhere = per_server.iter().flatten().any(|t| !used[t.index()]);
-            let mut best: Option<(f64, usize, TargetId)> = None;
-            for (s, tent) in tentative.iter().enumerate() {
-                let pick = per_server[s]
-                    .iter()
-                    .find(|t| !unused_somewhere || !used[t.index()])
-                    .copied();
-                let Some(t) = pick else { continue };
-                let load = view.outstanding_bytes[s] + tent;
-                if best.is_none_or(|(l, bs, _)| load < l || (load == l && s < bs)) {
-                    best = Some((load, s, t));
-                }
-            }
-            let (_, s, t) = best.expect("any_online guarantees a candidate");
-            used[t.index()] = true;
-            tentative[s] += share;
-            chosen.push(t);
-        }
+        // The bytes a server's first `k` picks add, summed share by share
+        // as a running total rounds them (`k * share` rounds otherwise).
+        let tentative: Vec<f64> = std::iter::successors(Some(0.0), |t| Some(t + share))
+            .take(want as usize + 1)
+            .collect();
+        let chosen = per_server_pick(view, want, |_, s, picks| {
+            view.outstanding_bytes[s] + tentative[picks as usize]
+        });
         Ok(Placement::Pinned(chosen))
     }
 }
@@ -1137,9 +1129,9 @@ mod tests {
             .is_some());
     }
 
-    /// The pick as a scan of every candidate per pick, O(want ×
-    /// targets): the reference the per-server [`busy_balanced_pick`]
-    /// must match target for target.
+    /// The busy-balanced pick as a scan of every candidate per pick,
+    /// O(want × targets): the reference [`per_server_pick`] must match
+    /// target for target under [`busy_balanced_pick`]'s key.
     fn reference_pick(
         view: &ClusterView<'_>,
         server_of: &[usize],
@@ -1173,6 +1165,81 @@ mod tests {
         chosen
     }
 
+    /// Online targets of every server, flat ids ascending within each.
+    fn online_targets_by_server(view: &ClusterView<'_>) -> Vec<Vec<TargetId>> {
+        let mut per_server = vec![Vec::new(); view.platform.server_count()];
+        for (i, s) in target_servers(view.platform).into_iter().enumerate() {
+            if view.online[i] {
+                per_server[s].push(TargetId(i as u32));
+            }
+        }
+        per_server
+    }
+
+    /// [`RoundRobinServer`] with each decision listing every server's
+    /// online targets: the reference its mask walk must match, cursor
+    /// state included.
+    #[derive(Default)]
+    struct ReferenceRoundRobin {
+        server_cursor: usize,
+        slot_cursors: Vec<usize>,
+    }
+
+    impl ReferenceRoundRobin {
+        fn place(&mut self, view: &ClusterView<'_>, want: u32) -> Vec<TargetId> {
+            let servers = view.platform.server_count();
+            self.slot_cursors.resize(servers, 0);
+            let per_server = online_targets_by_server(view);
+            let mut chosen = Vec::with_capacity(want as usize);
+            for _ in 0..want {
+                while per_server[self.server_cursor % servers].is_empty() {
+                    self.server_cursor += 1;
+                }
+                let s = self.server_cursor % servers;
+                let list = &per_server[s];
+                let t = list[self.slot_cursors[s] % list.len()];
+                self.slot_cursors[s] += 1;
+                self.server_cursor += 1;
+                chosen.push(t);
+            }
+            chosen
+        }
+    }
+
+    /// [`LeastLoadedServer`] as a scan of every server's online targets
+    /// per pick, O(want × targets), comparing loads with `<`: the
+    /// reference [`per_server_pick`] must match under its key.
+    fn reference_least_loaded(view: &ClusterView<'_>, want: u32, bytes: u64) -> Vec<TargetId> {
+        let share = bytes as f64 / f64::from(want.max(1));
+        let per_server = online_targets_by_server(view);
+        let mut tentative = vec![0.0f64; per_server.len()];
+        let mut used = vec![false; view.online.len()];
+        let mut chosen = Vec::with_capacity(want as usize);
+        for _ in 0..want {
+            // Prefer servers that still have an unused online target;
+            // fall back to reusing targets only when the demand exceeds
+            // the online pool (wrap-around striping).
+            let unused_somewhere = per_server.iter().flatten().any(|t| !used[t.index()]);
+            let mut best: Option<(f64, usize, TargetId)> = None;
+            for (s, tent) in tentative.iter().enumerate() {
+                let pick = per_server[s]
+                    .iter()
+                    .find(|t| !unused_somewhere || !used[t.index()])
+                    .copied();
+                let Some(t) = pick else { continue };
+                let load = view.outstanding_bytes[s] + tent;
+                if best.is_none_or(|(l, bs, _)| load < l || (load == l && s < bs)) {
+                    best = Some((load, s, t));
+                }
+            }
+            let (_, s, t) = best.expect("any_online guarantees a candidate");
+            used[t.index()] = true;
+            tentative[s] += share;
+            chosen.push(t);
+        }
+        chosen
+    }
+
     /// splitmix64: a dependency-free seeded stream for random views.
     struct Mix(u64);
 
@@ -1186,18 +1253,24 @@ mod tests {
         }
     }
 
-    /// The per-server pick against the full scan, through its four
-    /// callers: `UtilizationFeedback`, `StragglerAware`,
-    /// `AdaptiveStriping`'s placement and its rule-3 re-place. Views
-    /// are random: 1–100 servers with 1–12 targets each, busy
-    /// fractions from a few values (so scores tie), random offline and
-    /// suspected masks, and `want` from 1 to past the online pool (so
-    /// targets wrap around).
+    /// Every per-server policy against its full-scan reference, target
+    /// for target: `UtilizationFeedback`, `StragglerAware`,
+    /// `AdaptiveStriping`'s placement and its rule-3 re-place against
+    /// [`reference_pick`], `LeastLoadedServer` against
+    /// [`reference_least_loaded`], and `RoundRobinServer` against
+    /// [`ReferenceRoundRobin`], one instance of each driven through
+    /// every view so the cursors carry across calls. Views are random:
+    /// 1–100 servers with 1–12 targets each, busy fractions from a few
+    /// values and outstanding bytes from a few shares (so keys tie),
+    /// random offline and suspected masks, and `want` from 1 to past
+    /// the online pool (so targets wrap around).
     #[test]
     fn per_server_pick_matches_the_full_scan_for_every_caller() {
         let template = presets::plafrim_ethernet();
         let mut mix = Mix(20);
         let mut replaces = 0;
+        let mut round_robin = RoundRobinServer::default();
+        let mut round_robin_reference = ReferenceRoundRobin::default();
         for case in 0..400 {
             let mut platform = template.clone();
             let servers = 1 + mix.below(100);
@@ -1217,10 +1290,17 @@ mod tests {
             online[mix.below(n)] = true;
             let suspect_odds = 2 + mix.below(6);
             let suspected: Vec<bool> = (0..n).map(|_| mix.below(suspect_odds) == 0).collect();
-            let outstanding = vec![0.0; servers];
-            let v = view(&platform, &online, &outstanding, &busy, &suspected);
             let pool = online.iter().filter(|&&o| o).count();
             let want = 1 + mix.below(pool + 6) as u32;
+            // No bytes, a power of two per pick, or an arbitrary volume.
+            let bytes = [0, u64::from(want) << 30, mix.below(1 << 40) as u64][mix.below(3)];
+            // Loads of a few shares each, summed share by share as
+            // `ClusterLoad::of` sums them, so loads tie across servers.
+            let share = bytes as f64 / f64::from(want);
+            let outstanding: Vec<f64> = (0..servers)
+                .map(|_| (0..mix.below(8)).fold(0.0, |load, _| load + share))
+                .collect();
+            let v = view(&platform, &online, &outstanding, &busy, &suspected);
 
             let plain = reference_pick(&v, &server_of, want, &|_| 0.0);
             let penalized = reference_pick(&v, &server_of, want, &|i| {
@@ -1248,6 +1328,16 @@ mod tests {
                 pinned(AdaptiveStriping::default().place(&v, want, 0, &mut rng())),
                 plain,
                 "case {case}: AdaptiveStriping placement"
+            );
+            assert_eq!(
+                pinned(LeastLoadedServer.place(&v, want, bytes, &mut rng())),
+                reference_least_loaded(&v, want, bytes),
+                "case {case}: LeastLoadedServer"
+            );
+            assert_eq!(
+                pinned(round_robin.place(&v, want, bytes, &mut rng())),
+                round_robin_reference.place(&v, want),
+                "case {case}: RoundRobinServer"
             );
 
             // Rule 3: an allocation of `want` online targets (repeats
