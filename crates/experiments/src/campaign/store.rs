@@ -55,7 +55,7 @@ pub struct CellRecord {
 /// The identity tuple that is hashed into a cell key. `reps` is *not*
 /// part of it: asking for more repetitions must land on the same key so
 /// the existing prefix can be reused.
-#[derive(Serialize)]
+#[derive(Debug, Serialize)]
 struct CellIdentity {
     model_version: u32,
     seed: u64,
@@ -78,8 +78,11 @@ pub fn cell_key(campaign: &str, seed: u64, spec: &CellSpec) -> String {
         config: spec.config.clone(),
     };
     // Derive-generated serialization emits fields in declaration order,
-    // so this string is canonical for a given identity.
-    let canon = serde_json::to_string(&identity).expect("cell identity serializes");
+    // so this string is canonical for a given identity. Only a
+    // non-finite float (an arrival rate its reps reject) has no JSON
+    // form; its Debug form keys the cell instead, and a cell that fails
+    // at rep 0 never reaches the store.
+    let canon = serde_json::to_string(&identity).unwrap_or_else(|_| format!("{identity:?}"));
     let bytes = canon.as_bytes();
     format!(
         "{:016x}{:016x}",

@@ -15,6 +15,11 @@ pub enum SchedError {
         /// Its arrival time, seconds.
         arrival_s: f64,
     },
+    /// A Poisson stream's arrival rate must be a positive finite number.
+    InvalidRate {
+        /// The offending rate, applications per second.
+        rate_per_s: f64,
+    },
     /// An arrival lies past the last instant simulated time can hold
     /// (`u64` nanoseconds, about 1.8e10 s).
     ArrivalBeyondClock {
@@ -70,6 +75,11 @@ impl std::fmt::Display for SchedError {
                 f,
                 "request {app} has invalid arrival time {arrival_s}s: \
                  arrivals must be finite, non-negative and non-decreasing"
+            ),
+            SchedError::InvalidRate { rate_per_s } => write!(
+                f,
+                "arrival rate {rate_per_s}/s is invalid: a Poisson stream \
+                 needs a positive finite rate"
             ),
             SchedError::ArrivalBeyondClock { app, arrival_s } => write!(
                 f,
