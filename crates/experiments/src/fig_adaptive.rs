@@ -129,7 +129,7 @@ fn cell_config(scenario: Scenario, adaptive: bool) -> CellConfig {
         rate_per_s: RATE_PER_S,
         count: COUNT,
         stripe: STRIPE,
-        hedge: None,
+        hedge: false,
         mode: sched::AdmissionMode::Online,
     })
 }

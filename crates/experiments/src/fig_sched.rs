@@ -118,7 +118,7 @@ pub fn campaign_with_mode(ctx: &ExpCtx, mode: AdmissionMode) -> Campaign {
                 rate_per_s: RATE_PER_S,
                 count: COUNT,
                 stripe: STRIPE,
-                hedge: None,
+                hedge: false,
                 mode,
             }),
             ctx.reps,

@@ -26,7 +26,7 @@ use crate::campaign::{
 use crate::context::{ExpCtx, Scenario};
 use beegfs_core::{ChooserKind, FaultPlan};
 use cluster::TargetId;
-use ior::{HedgeConfig, IorConfig};
+use ior::IorConfig;
 use serde::{Deserialize, Serialize};
 use simcore::units::GIB;
 
@@ -132,7 +132,7 @@ fn cell_config(hedged: bool) -> CellConfig {
         rate_per_s: RATE_PER_S,
         count: COUNT,
         stripe: STRIPE,
-        hedge: hedged.then(HedgeConfig::default),
+        hedge: hedged,
         mode: sched::AdmissionMode::FrozenOracle,
     })
 }

@@ -98,41 +98,6 @@ impl fmt::Display for PolicyError {
 
 impl std::error::Error for PolicyError {}
 
-/// A [`HedgeConfig`](crate::runner::HedgeConfig) failed validation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum HedgeError {
-    /// The detection threshold must be finite and in `(0, 1]`.
-    InvalidThreshold(f64),
-    /// The reference quantile must be finite and in `[0, 1]`.
-    InvalidQuantile(f64),
-    /// Streams must be split into at least two chunks for the detector
-    /// to have both a signal and remaining work to redirect.
-    TooFewChunks(u32),
-    /// The detector needs at least one sample per target.
-    ZeroMinSamples,
-}
-
-impl fmt::Display for HedgeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            HedgeError::InvalidThreshold(x) => {
-                write!(f, "hedge threshold {x} must be finite and in (0, 1]")
-            }
-            HedgeError::InvalidQuantile(x) => {
-                write!(f, "hedge quantile {x} must be finite and in [0, 1]")
-            }
-            HedgeError::TooFewChunks(c) => {
-                write!(f, "hedged streams need at least 2 chunks, got {c}")
-            }
-            HedgeError::ZeroMinSamples => {
-                write!(f, "hedge detector needs at least 1 sample per target")
-            }
-        }
-    }
-}
-
-impl std::error::Error for HedgeError {}
-
 /// A run could not start or could not finish.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunError {
@@ -142,8 +107,6 @@ pub enum RunError {
     Stripe(StripeError),
     /// The retry policy failed validation.
     Policy(PolicyError),
-    /// The hedging configuration failed validation.
-    Hedge(HedgeError),
     /// The fault plan failed validation.
     FaultPlan(FaultPlanError),
     /// The run was submitted with an empty application list.
@@ -210,7 +173,6 @@ impl fmt::Display for RunError {
             RunError::Config(e) => write!(f, "invalid configuration: {e}"),
             RunError::Stripe(e) => write!(f, "file creation failed: {e}"),
             RunError::Policy(e) => write!(f, "invalid retry policy: {e}"),
-            RunError::Hedge(e) => write!(f, "invalid hedge config: {e}"),
             RunError::FaultPlan(e) => write!(f, "invalid fault plan: {e}"),
             RunError::NoApplications => write!(f, "need at least one application"),
             RunError::InvalidStartTime { app, start_s } => write!(
@@ -273,7 +235,6 @@ impl std::error::Error for RunError {
             RunError::Config(e) => Some(e),
             RunError::Stripe(e) => Some(e),
             RunError::Policy(e) => Some(e),
-            RunError::Hedge(e) => Some(e),
             RunError::FaultPlan(e) => Some(e),
             RunError::Stalled(e) => Some(e),
             _ => None,
@@ -296,12 +257,6 @@ impl From<StripeError> for RunError {
 impl From<PolicyError> for RunError {
     fn from(e: PolicyError) -> Self {
         RunError::Policy(e)
-    }
-}
-
-impl From<HedgeError> for RunError {
-    fn from(e: HedgeError) -> Self {
-        RunError::Hedge(e)
     }
 }
 

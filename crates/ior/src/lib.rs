@@ -18,6 +18,8 @@
 //! * [`runner::AppSpec`] — one application within a run: its
 //!   [`IorConfig`] plus how its file(s) pick targets
 //!   ([`runner::Placement`]);
+//! * [`plan::write_plan`] — the fluid flows one application's write
+//!   issues, which both `Run` and the scheduler's online engine start;
 //! * [`protocol::Schedule`] — the randomized execution protocol
 //!   (100 repetitions, blocks of ten, shuffled, random waits);
 //! * [`error`] — the typed errors every fallible entry point returns
@@ -52,18 +54,19 @@
 pub mod config;
 pub mod error;
 pub mod faults;
+mod hedge;
+pub mod plan;
 pub mod protocol;
 pub mod runner;
 pub mod telemetry;
 
 pub use config::{FileLayout, IorConfig};
-pub use error::{ConfigError, HedgeError, PolicyError, RunError};
+pub use error::{ConfigError, PolicyError, RunError};
 pub use faults::{
     compound_target_states, CapacityChange, FaultResource, FaultTimeline, NoiseBaseline, Outage,
 };
+pub use plan::{write_plan, WriteFlow};
 pub use protocol::{Schedule, ScheduledRun};
-pub use runner::{
-    AppResult, AppSpec, HedgeConfig, HedgeReport, Placement, RetryPolicy, Run, RunOutcome,
-};
+pub use runner::{AppResult, AppSpec, HedgeReport, Placement, RetryPolicy, Run, RunOutcome};
 pub use simcore::flow::SimArena;
 pub use telemetry::{ResourceUsage, UtilizationReport};

@@ -1,0 +1,168 @@
+//! The write plan: the fluid flows one application's write issues, which
+//! both [`Run`](crate::Run) and the scheduler's online engine start.
+
+use crate::config::{FileLayout, IorConfig};
+use beegfs_core::FileHandle;
+use cluster::{ComputeSpec, TargetId};
+
+/// One flow of an application's write: the bytes one process sends to
+/// one storage target.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WriteFlow {
+    /// Process rank within the application.
+    pub process: usize,
+    /// Compute node the process runs on.
+    pub node: usize,
+    /// Index of the written file in the application's file list: 0 for
+    /// N-1, the process rank for N-N.
+    pub file: usize,
+    /// Storage target receiving the bytes.
+    pub target: TargetId,
+    /// Bytes the process writes to `target`; never zero.
+    pub bytes: u64,
+    /// Queue-depth weight ([`ComputeSpec::flow_depth_weight`]).
+    pub weight: f64,
+}
+
+/// The flows of `cfg`'s write over `files` from `nodes`, in issue order:
+/// process by process, and within a process its file's targets in
+/// stripe-slot order, skipping targets that receive no bytes.
+///
+/// Process `p` runs on `nodes[p / ppn]` and writes
+/// [`IorConfig::block_size`] bytes contiguously: at offset `p × block`
+/// of `files[0]` for [`FileLayout::SharedFile`], at offset 0 of
+/// `files[p]` for [`FileLayout::FilePerProcess`].
+///
+/// # Panics
+/// Panics if `nodes` has fewer than `cfg.nodes` entries, or `files`
+/// fewer than the layout writes.
+pub fn write_plan<'a>(
+    cfg: &IorConfig,
+    files: &'a [FileHandle],
+    nodes: &'a [usize],
+    compute: &'a ComputeSpec,
+) -> impl Iterator<Item = WriteFlow> + 'a {
+    let (ppn, layout, block) = (cfg.ppn, cfg.layout, cfg.block_size());
+    (0..cfg.processes()).flat_map(move |process| {
+        let (file, offset) = match layout {
+            FileLayout::SharedFile => (0, process as u64 * block),
+            FileLayout::FilePerProcess => (process, 0),
+        };
+        let node = nodes[process / ppn as usize];
+        let weight = compute.flow_depth_weight(ppn, files[file].pattern.stripe_count);
+        files[file]
+            .bytes_per_target(offset, block)
+            .into_iter()
+            .filter(|&(_, bytes)| bytes > 0)
+            .map(move |(target, bytes)| WriteFlow {
+                process,
+                node,
+                file,
+                target,
+                bytes,
+                weight,
+            })
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use beegfs_core::StripePattern;
+    use cluster::presets;
+    use simcore::units::{GIB, MIB};
+
+    fn file(id: u64, targets: &[u32], chunk: u64) -> FileHandle {
+        FileHandle::new(
+            id,
+            targets.iter().map(|&t| TargetId(t)).collect(),
+            StripePattern::new(targets.len() as u32, chunk),
+        )
+    }
+
+    #[test]
+    fn a_shared_file_splits_each_block_over_its_stripe() {
+        let compute = presets::plafrim_ethernet().compute;
+        // 2 nodes x 2 processes, 4 MiB each over a 4-target stripe with
+        // 1 MiB chunks: every process writes 1 MiB to every target.
+        let cfg = IorConfig {
+            nodes: 2,
+            ppn: 2,
+            total_bytes: 16 * MIB,
+            ..IorConfig::paper_default(2)
+        };
+        let files = [file(1, &[3, 1, 4, 5], MIB)];
+        let flows: Vec<WriteFlow> = write_plan(&cfg, &files, &[7, 2], &compute).collect();
+        assert_eq!(flows.len(), 16);
+        let weight = compute.flow_depth_weight(2, 4);
+        for (i, f) in flows.iter().enumerate() {
+            assert_eq!(f.process, i / 4);
+            assert_eq!(f.node, [7, 2][i / 8]);
+            assert_eq!(f.file, 0);
+            assert_eq!(f.target, files[0].targets[i % 4]);
+            assert_eq!(f.bytes, MIB);
+            assert_eq!(f.weight.to_bits(), weight.to_bits());
+        }
+    }
+
+    #[test]
+    fn empty_targets_are_skipped_and_bytes_are_conserved() {
+        let compute = presets::plafrim_ethernet().compute;
+        // One 1 MiB block per process over 4 targets with 512 KiB
+        // chunks: each process touches two targets, at its own offset.
+        let cfg = IorConfig {
+            nodes: 1,
+            ppn: 4,
+            total_bytes: 4 * MIB,
+            ..IorConfig::paper_default(1)
+        };
+        let files = [file(1, &[0, 1, 2, 3], 512 * 1024)];
+        let flows: Vec<WriteFlow> = write_plan(&cfg, &files, &[0], &compute).collect();
+        let pairs: Vec<(usize, u32)> = flows.iter().map(|f| (f.process, f.target.0)).collect();
+        assert_eq!(
+            pairs,
+            vec![
+                (0, 0),
+                (0, 1),
+                (1, 2),
+                (1, 3),
+                (2, 0),
+                (2, 1),
+                (3, 2),
+                (3, 3)
+            ]
+        );
+        assert!(flows.iter().all(|f| f.bytes == 512 * 1024));
+        assert_eq!(flows.iter().map(|f| f.bytes).sum::<u64>(), 4 * MIB);
+    }
+
+    #[test]
+    fn file_per_process_writes_each_process_file_from_offset_zero() {
+        let compute = presets::plafrim_omnipath().compute;
+        let cfg = IorConfig {
+            nodes: 2,
+            ppn: 1,
+            total_bytes: 2 * GIB,
+            layout: FileLayout::FilePerProcess,
+            ..IorConfig::paper_default(2)
+        };
+        let files = [file(1, &[0, 1], MIB), file(2, &[4, 5, 6], MIB)];
+        let flows: Vec<WriteFlow> = write_plan(&cfg, &files, &[0, 1], &compute).collect();
+        assert_eq!(flows.len(), 5);
+        for f in &flows {
+            assert_eq!((f.file, f.node), (f.process, f.process));
+            assert!(files[f.file].targets.contains(&f.target));
+            let stripe = files[f.file].pattern.stripe_count;
+            assert_eq!(f.weight, compute.flow_depth_weight(1, stripe));
+        }
+        let per_process = |p: usize| -> u64 {
+            flows
+                .iter()
+                .filter(|f| f.process == p)
+                .map(|f| f.bytes)
+                .sum()
+        };
+        assert_eq!(per_process(0), GIB);
+        assert_eq!(per_process(1), GIB);
+    }
+}

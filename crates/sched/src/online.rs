@@ -54,7 +54,7 @@
 
 use beegfs_core::{restripe_split, BeeGfs, FileHandle, TargetState};
 use cluster::{Fabric, FabricNoise, FabricPaths, Platform, TargetId};
-use ior::{compound_target_states, FaultTimeline, IorConfig, Placement, RunError};
+use ior::{compound_target_states, write_plan, FaultTimeline, IorConfig, Placement, RunError};
 use serde::{Deserialize, Serialize};
 use simcore::dist::LogNormal;
 use simcore::flow::{FlowId, FluidSim};
@@ -246,38 +246,27 @@ impl LiveSim {
         nodes: &[usize],
         platform: &Platform,
     ) -> (Vec<LiveFlow>, f64) {
-        let block = cfg.block_size();
-        let weight = platform
-            .compute
-            .flow_depth_weight(cfg.ppn, file.pattern.stripe_count);
-        let now = self.sim.now();
-        let shadow_t0 = self.shadow.now();
+        let (now, shadow_t0, tag) = (self.sim.now(), self.shadow.now(), app as u64);
+        // SharedFile only (validated up front): one file for every process.
+        let plan = write_plan(cfg, std::slice::from_ref(file), nodes, &platform.compute);
         let mut flows = Vec::new();
-        for p in 0..cfg.processes() {
-            let node = nodes[p / cfg.ppn as usize];
-            // SharedFile only (validated up front): processes interleave
-            // into one file at block-sized offsets.
-            let offset = p as u64 * block;
-            for (target, bytes) in file.bytes_per_target(offset, block) {
-                if bytes == 0 {
-                    continue;
-                }
-                let id = self.sim.start_weighted_flow_at(
-                    now,
-                    self.paths.write_path(node, target),
-                    bytes as f64,
-                    app as u64,
-                    weight,
-                );
-                self.shadow.start_weighted_flow_at(
-                    shadow_t0,
-                    self.shadow_paths.write_path(node, target),
-                    bytes as f64,
-                    app as u64,
-                    weight,
-                );
-                flows.push(LiveFlow { id, target });
-            }
+        for f in plan {
+            let (bytes, target) = (f.bytes as f64, f.target);
+            let id = self.sim.start_weighted_flow_at(
+                now,
+                self.paths.write_path(f.node, target),
+                bytes,
+                tag,
+                f.weight,
+            );
+            self.shadow.start_weighted_flow_at(
+                shadow_t0,
+                self.shadow_paths.write_path(f.node, target),
+                bytes,
+                tag,
+                f.weight,
+            );
+            flows.push(LiveFlow { id, target });
         }
         let ideal_end = self
             .shadow
@@ -752,7 +741,7 @@ pub(crate) fn serve_online(
         suspected,
         ..
     } = sched;
-    if hedge.is_some() {
+    if hedge {
         return Err(SchedError::OnlineUnsupported {
             feature: "hedged writes",
         });
@@ -1140,7 +1129,7 @@ mod tests {
         let mut fs = deploy(ChooserKind::RoundRobin);
         let err = Scheduler::new(&mut fs, Box::new(LeastLoadedServer))
             .mode(AdmissionMode::Online)
-            .hedge(ior::HedgeConfig::default())
+            .hedge()
             .serve(&stream, &factory)
             .unwrap_err();
         assert!(matches!(err, SchedError::OnlineUnsupported { .. }));

@@ -41,7 +41,7 @@
 
 use beegfs_core::{BeeGfs, FaultPlan, TargetState};
 use cluster::TargetId;
-use ior::{AppSpec, HedgeConfig, Placement, RetryPolicy, Run, RunError, SimArena};
+use ior::{AppSpec, Placement, RetryPolicy, Run, RunError, SimArena};
 use serde::{Deserialize, Serialize};
 use simcore::rng::RngFactory;
 use simcore::units::Bandwidth;
@@ -213,7 +213,7 @@ pub struct Scheduler<'fs, 'r> {
     pub(crate) policy: Box<dyn PlacementPolicy>,
     pub(crate) faults: FaultPlan,
     pub(crate) retry: RetryPolicy,
-    pub(crate) hedge: Option<HedgeConfig>,
+    pub(crate) hedge: bool,
     pub(crate) max_concurrent: usize,
     pub(crate) recorder: Option<&'r mut dyn obs::Recorder>,
     pub(crate) metrics: Option<&'r mut obs::metrics::MetricsRegistry>,
@@ -236,7 +236,7 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
             policy,
             faults: FaultPlan::new(),
             retry: RetryPolicy::default(),
-            hedge: None,
+            hedge: false,
             max_concurrent: usize::MAX,
             recorder: None,
             metrics: None,
@@ -271,14 +271,14 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
 
     /// Hedge every measurement run: write in chunks, detect straggling
     /// targets from per-chunk completion times, and redirect the
-    /// remaining chunks of affected streams (see [`ior::HedgeConfig`]).
+    /// remaining chunks of affected streams (see [`Run::hedge`]).
     /// Targets flagged by any committed run accumulate into
     /// [`ClusterView::suspected`](crate::ClusterView::suspected), which
     /// straggler-aware policies use to route subsequent placements
     /// around suspect hardware. Solo baseline runs stay unhedged — the
     /// slowdown denominator keeps meaning "an idle, healthy system".
-    pub fn hedge(mut self, config: HedgeConfig) -> Self {
-        self.hedge = Some(config);
+    pub fn hedge(mut self) -> Self {
+        self.hedge = true;
         self
     }
 
@@ -449,8 +449,8 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
                 })
                 .faults(self.faults.clone())
                 .policy(self.retry);
-            if let Some(cfg) = self.hedge {
-                run = run.hedge(cfg);
+            if self.hedge {
+                run = run.hedge();
             }
             let mut rng = factory.stream("sched-run", (i as u64) << 8 | attempt as u64);
             let result = run.execute(&mut rng);
@@ -803,7 +803,7 @@ mod tests {
         let mut fs = deploy_s2();
         let out = Scheduler::new(&mut fs, Box::new(StragglerAware))
             .faults(plan)
-            .hedge(ior::HedgeConfig::default())
+            .hedge()
             .serve(&stream, &factory)
             .unwrap();
         assert_eq!(out.apps.len(), 2);
@@ -834,7 +834,7 @@ mod tests {
             let mut fs = deploy_s2();
             Scheduler::new(&mut fs, Box::new(StragglerAware))
                 .faults(plan.clone())
-                .hedge(ior::HedgeConfig::default())
+                .hedge()
                 .serve(&stream, &factory)
                 .unwrap()
                 .decision_log_json()

@@ -20,7 +20,7 @@ use beegfs_repro::core::{
     plafrim_registration_order, BeeGfs, ChooserKind, DirConfig, FaultPlan, StripePattern,
     TargetState,
 };
-use beegfs_repro::ior::{HedgeConfig, IorConfig, Run};
+use beegfs_repro::ior::{IorConfig, Run};
 use beegfs_repro::sched::{AppRequest, ArrivalStream, Random, Scheduler, StragglerAware};
 use beegfs_repro::simcore::rng::RngFactory;
 
@@ -111,8 +111,12 @@ fn main() {
 
 /// The straggler drill: target 5 slow-drifts to 15% speed over two
 /// seconds, and a stream of four applications is served twice under
-/// identical seeds — plain (blind placement, no hedging) and hedged
-/// (chunked writes, online detection, redirects, quarantine). The
+/// identical seeds — plain (blind placement, no hedging) and hedged.
+/// A hedged measurement run writes each (process, target) stream in
+/// four chunks; a target whose mean chunk rate falls below half the
+/// median target's is flagged, streams on it redirect their remaining
+/// chunks (at most 32 redirects a run), and the session quarantines it.
+/// The detector's thresholds are fixed constants, not settings. The
 /// decision log shows the hedged session routing around the straggler
 /// from the second admission on.
 fn straggler_drill(factory: &RngFactory) {
@@ -127,7 +131,8 @@ fn straggler_drill(factory: &RngFactory) {
         })
         .collect();
 
-    println!("straggler drill: target 5 drifts to 15% speed over t=0.3..2.3s\n");
+    println!("straggler drill: target 5 drifts to 15% speed over t=0.3..2.3s");
+    println!("(hedged: 4 chunks a stream; flag below half the median target's chunk rate)\n");
 
     let stream = ArrivalStream::from_trace(requests.clone()).unwrap();
     let mut fs = deploy(4);
@@ -140,7 +145,7 @@ fn straggler_drill(factory: &RngFactory) {
     let mut fs = deploy(4);
     let hedged = Scheduler::new(&mut fs, Box::new(StragglerAware))
         .faults(plan)
-        .hedge(HedgeConfig::default())
+        .hedge()
         .serve(&stream, factory)
         .expect("hedged session");
 
