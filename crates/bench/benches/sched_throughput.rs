@@ -4,13 +4,16 @@
 //! targets).
 //!
 //! It times the pure decision loop (no fluid simulation — the cluster
-//! view is synthesized and perturbed between calls) over a fixed number
-//! of arrivals per round, and writes `BENCH_sched_throughput.json` at
-//! the repository root. The two legs run interleaved round by round in
-//! this one process, and the gate compares them: a policy whose
-//! per-decision time grows more than [`MAX_FLEET_OVER_PLAFRIM`]× from
-//! the 8-target platform to the 1,000-target fleet (125× the targets)
-//! fails the bench. Every load-aware policy picks through one
+//! view is synthesized and perturbed between calls) and writes
+//! `BENCH_sched_throughput.json` at the repository root. Each round
+//! times every policy's PlaFRIM leg and then its fleet leg back to back,
+//! so both see the same host phase, and the PlaFRIM leg makes twenty
+//! times the fleet leg's decisions so that, for the load-aware policies,
+//! the two last about as long. The gate takes each policy's median over
+//! the rounds of its per-decision time ratio, fleet over PlaFRIM: a
+//! policy whose decisions grow more than [`MAX_FLEET_OVER_PLAFRIM`]×
+//! from the 8-target platform to the 1,000-target fleet (125× the
+//! targets) fails the bench. Every load-aware policy picks through one
 //! per-server kernel that re-scores one server per pick, and
 //! `RoundRobinServer` walks one server's targets per pick, so every
 //! policy is held to the same bound.
@@ -25,21 +28,20 @@ use sched::{
 use simcore::rng::RngFactory;
 use std::time::Instant;
 
-/// Placement decisions per timed round on the scenario-1 platform.
-const ARRIVALS: usize = 10_000;
-/// Placement decisions per timed round on the fleet.
-const FLEET_ARRIVALS: usize = 1_000;
-/// Timed rounds per policy and leg (interleaved; the median is
-/// reported).
-const ROUNDS: usize = 5;
-/// Largest allowed ratio of a policy's per-decision time on the fleet
-/// to its time on the scenario-1 platform. The per-server pick costs
-/// O(targets + picks × servers) a decision; six runs on a 2-vCPU x86-64
-/// VM read 18–26× for its three policies here and 2.4–2.6× for
-/// `RoundRobinServer`, and this is more than twice the highest. A pick
-/// that rescans every target for each of a decision's four picks read
-/// 65–76×, and a `RoundRobinServer` that listed every server's online
-/// targets for each decision read 68–111×; both fail it.
+/// Placement decisions per round on the scenario-1 platform.
+const ARRIVALS: usize = 40_000;
+/// Placement decisions per round on the fleet.
+const FLEET_ARRIVALS: usize = 2_000;
+/// Timed rounds per policy (interleaved; medians are reported).
+const ROUNDS: usize = 9;
+/// Largest allowed median ratio of a policy's per-decision time on the
+/// fleet to its time on the scenario-1 platform. The per-server pick
+/// costs O(targets + picks × servers) a decision; six runs on a 2-vCPU
+/// x86-64 VM read 19–29× for its three policies and 2.1–2.6× for
+/// `RoundRobinServer`. A `RoundRobinServer` that lists every server's
+/// online targets for each decision read 66–74× in six runs and fails
+/// it; so did a pick that rescans every target for each of a decision's
+/// four picks (65–76× when each leg's median was compared).
 const MAX_FLEET_OVER_PLAFRIM: f64 = 55.0;
 
 fn policies() -> Vec<Box<dyn PlacementPolicy>> {
@@ -95,21 +97,19 @@ fn main() {
     let fleet = fig_interference::fleet_spec()
         .build()
         .expect("the interference fleet is valid");
-    let legs = [(&plafrim, ARRIVALS), (&fleet, FLEET_ARRIVALS)];
-    // Warm-up round per policy and leg before timing anything.
-    for &(platform, arrivals) in &legs {
-        for p in policies().iter_mut() {
-            one_round(p.as_mut(), platform, arrivals);
-        }
-    }
-    // Interleave rounds across legs and policies so drift hits all of
-    // them alike.
+    // Per policy: decisions/s on PlaFRIM and on the fleet, and their
+    // ratio, one entry per round. Every leg starts a fresh policy; the
+    // first round only warms up.
     let names: Vec<&'static str> = policies().iter().map(|p| p.name()).collect();
-    let mut series: [Vec<Vec<f64>>; 2] = std::array::from_fn(|_| vec![Vec::new(); names.len()]);
-    for _ in 0..ROUNDS {
-        for (leg, &(platform, arrivals)) in legs.iter().enumerate() {
-            for (i, p) in policies().iter_mut().enumerate() {
-                series[leg][i].push(one_round(p.as_mut(), platform, arrivals));
+    let mut series = vec![(Vec::new(), Vec::new(), Vec::new()); names.len()];
+    for round in 0..=ROUNDS {
+        for (i, (small, large, ratios)) in series.iter_mut().enumerate() {
+            let s = one_round(policies()[i].as_mut(), &plafrim, ARRIVALS);
+            let l = one_round(policies()[i].as_mut(), &fleet, FLEET_ARRIVALS);
+            if round > 0 {
+                small.push(s);
+                large.push(l);
+                ratios.push(s / l);
             }
         }
     }
@@ -122,17 +122,16 @@ fn main() {
         format!("  \"max_fleet_over_plafrim\": {MAX_FLEET_OVER_PLAFRIM:.0}"),
     ];
     let mut failures = Vec::new();
-    for (i, name) in names.iter().enumerate() {
-        let small = median(series[0][i].clone());
-        let large = median(series[1][i].clone());
-        // Per-decision time ratio: decisions/s on PlaFRIM over the fleet.
-        let ratio = small / large;
+    for (name, (small, large, ratios)) in names.iter().zip(series) {
+        let (small, large) = (median(small), median(large));
+        // Per-decision time ratio, fleet over PlaFRIM, within a round.
+        let ratio = median(ratios);
         entries.push(format!("  \"{name}_decisions_per_sec\": {small:.0}"));
         entries.push(format!("  \"{name}_fleet_decisions_per_sec\": {large:.0}"));
         entries.push(format!("  \"{name}_fleet_over_plafrim\": {ratio:.1}"));
         println!(
             "{name}: {small:.0} decisions/sec on {} targets, {large:.0} on {} \
-             (per decision {ratio:.1}x, median of {ROUNDS})",
+             (per decision {ratio:.1}x, median of {ROUNDS} rounds)",
             plafrim.total_targets(),
             fleet.total_targets()
         );

@@ -53,7 +53,7 @@ cargo bench --locked -p bench --bench trace_overhead
 echo "==> metrics overhead bench (writes BENCH_metrics_overhead.json; fails if metrics-off drops below 95% of the flow_hotpath baseline or overhead exceeds the committed bound)"
 cargo bench --locked -p bench --bench metrics_overhead
 
-echo "==> scheduler placement throughput bench (writes BENCH_sched_throughput.json; fails if any policy's per-decision time on the 1,000-target fleet exceeds 55x its time on the 8-target scenario-1 platform)"
+echo "==> scheduler placement throughput bench (writes BENCH_sched_throughput.json; fails if any policy's median over rounds of its per-decision time on the 1,000-target fleet over its time on the 8-target scenario-1 platform, both timed back to back, exceeds 55x)"
 cargo bench --locked -p bench --bench sched_throughput
 
 echo "==> solver hot-path bench (writes BENCH_flow_hotpath.json; fails on <2x speedup, >30% regression vs committed baseline, or a dense-leg solve that does not take the whole active set)"
@@ -74,7 +74,7 @@ cargo run --release --locked -p experiments --bin repro -- --reps 1 straggler
 echo "==> adaptive restriping smoke cell (1 rep, scenario-blind feedback vs fixed placement in both scenarios)"
 cargo run --release --locked -p experiments --bin repro -- --reps 1 adaptive
 
-echo "==> straggler machinery overhead bench (writes BENCH_straggler_overhead.json; fails if detector-off drops below 70% of the flow_hotpath baseline)"
+echo "==> straggler machinery overhead bench (writes BENCH_straggler_overhead.json; fails if the median over rounds of a hedged run's time over a plain run's, both timed back to back, exceeds 5.4x)"
 cargo bench --locked -p bench --bench straggler_overhead
 
 echo "All checks passed."
