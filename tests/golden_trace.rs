@@ -119,6 +119,29 @@ fn check_golden(rel_path: &str, actual: &[u8]) {
 }
 
 #[test]
+fn utilization_report_is_byte_identical_to_the_committed_golden() {
+    // The aggregate side of the same scenario: every resource's label
+    // and the bits of its bytes, busy seconds and mean busy rate, in
+    // fabric order, then the I/O phase length.
+    let (_, report) = traced_run(7);
+    let mut out = String::new();
+    for r in &report.resources {
+        out.push_str(&format!(
+            "{} {:016x} {:016x} {:016x}\n",
+            r.label,
+            r.bytes.to_bits(),
+            r.busy_secs.to_bits(),
+            r.mean_busy_bps.to_bits()
+        ));
+    }
+    out.push_str(&format!("io_secs {:016x}\n", report.io_secs.to_bits()));
+    check_golden(
+        "tests/golden/utilization_scenario1_seed7.txt",
+        out.as_bytes(),
+    );
+}
+
+#[test]
 fn chrome_trace_is_byte_identical_to_the_pre_rework_golden() {
     // The full Perfetto rendering of the pinned fault/retry scenario:
     // every timestamp, rate sample, and retry event must match the bytes
