@@ -20,8 +20,11 @@ pub struct Completion {
     pub tag: u64,
 }
 
-/// The simulation stalled: active flows exist, all have zero rate, and no
-/// scheduled event could ever unblock them.
+/// The simulation stalled: active flows exist, none of them can finish
+/// within the simulated clock, and no scheduled event could change that.
+/// Either every one has zero rate, or the earliest would finish past the
+/// clock's range (about 1.8e10 s), as a flow of a gigabyte at a
+/// micro-byte per second would.
 ///
 /// Returned by [`FluidSim::try_next_completion`]. This is how a
 /// permanently failed resource (speed factor forced to zero with no
@@ -42,7 +45,7 @@ impl std::fmt::Display for StallError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "fluid simulation stalled at {}: {} active flows with zero rate",
+            "fluid simulation stalled at {}: {} active flows cannot finish within the clock",
             self.at,
             self.flows.len()
         )
@@ -464,8 +467,9 @@ impl<'r> FluidSim<'r> {
     ///
     /// Returns `Ok(Some(c))` for a completion, `Ok(None)` when no active
     /// flows remain and nothing is scheduled, and `Err(StallError)` when
-    /// active flows exist but none can ever progress (all rates are zero
-    /// and the event calendar is empty). A stall leaves the simulation at
+    /// active flows exist but none can finish within the clock (all rates
+    /// are zero, or the earliest completion lies past the clock's range)
+    /// and the event calendar is empty. A stall leaves the simulation at
     /// the instant progress stopped; the stalled flows stay registered, so
     /// the caller can still inspect the network state.
     pub fn try_next_completion(&mut self) -> Result<Option<Completion>, StallError> {
@@ -488,47 +492,50 @@ impl<'r> FluidSim<'r> {
                 continue;
             }
             let next_start = self.queue.peek_time();
+            let completion_time = self.completion_instant(min_dt);
 
-            if min_dt.is_infinite() {
-                // No active flow can finish: either wait for a scheduled
-                // event (a start, or a factor change that may restore a
-                // dead resource) or declare a stall.
-                match next_start {
-                    Some(t) => {
-                        self.advance_to(t);
-                        self.process_events_at(t);
-                        continue;
-                    }
-                    None => {
-                        if self.net.active_slots().is_empty() {
-                            continue; // only start events existed; loop re-checks
-                        }
-                        // Cold path: allocating the error payload is fine.
-                        let slots = self.net.active_slots();
-                        let flows = slots.iter().map(|&s| self.net.id_at(s)).collect();
-                        let tags = slots.iter().map(|&s| self.net.tag_at(s)).collect();
-                        return Err(StallError {
-                            at: self.now,
-                            flows,
-                            tags,
-                        });
-                    }
-                }
-            }
-
-            // Quantize the completion instant up to the next nanosecond so
-            // the chosen flow is guaranteed to have drained by then.
-            let dt = SimDuration::from_nanos((min_dt * 1e9).ceil().max(1.0) as u64);
-            let completion_time = self.now + dt;
-
-            match next_start {
-                Some(t) if t <= completion_time => {
+            match (next_start, completion_time) {
+                // A scheduled event comes first (a start, or a factor
+                // change that may restore a dead resource), or no active
+                // flow can finish within the clock: process the event.
+                (Some(t), c) if c.is_none_or(|c| t <= c) => {
                     self.advance_to(t);
                     self.process_events_at(t);
                 }
-                _ => self.advance_to_completion(completion_time),
+                (_, Some(c)) => self.advance_to_completion(c),
+                // No event and no completion within the clock.
+                _ => {
+                    if self.net.active_slots().is_empty() {
+                        continue; // only start events existed; loop re-checks
+                    }
+                    // Cold path: allocating the error payload is fine.
+                    let slots = self.net.active_slots();
+                    let flows = slots.iter().map(|&s| self.net.id_at(s)).collect();
+                    let tags = slots.iter().map(|&s| self.net.tag_at(s)).collect();
+                    return Err(StallError {
+                        at: self.now,
+                        flows,
+                        tags,
+                    });
+                }
             }
         }
+    }
+
+    /// The instant the earliest active flow finishes, `min_dt` seconds
+    /// from now (as [`FluidSim::scan_active`] returns it): quantized up
+    /// to the next nanosecond, and at least one on, so that flow has
+    /// surely drained by then. `None` when no flow is moving or the
+    /// instant lies past the clock's range, where the float-to-integer
+    /// cast would saturate and the addition overflow.
+    fn completion_instant(&self, min_dt: f64) -> Option<SimTime> {
+        let nanos = (min_dt * 1e9).ceil().max(1.0);
+        if nanos >= u64::MAX as f64 {
+            return None;
+        }
+        self.now
+            .checked_add(SimDuration::from_nanos(nanos as u64))
+            .filter(|&t| t < SimTime::MAX)
     }
 
     /// Run to the end, returning all completions in time order.
@@ -570,16 +577,13 @@ impl<'r> FluidSim<'r> {
 
             // Flows already drained finish now; otherwise the earliest
             // completion, nanosecond-quantized upward exactly as in
-            // `try_next_completion`, competes with the calendar.
+            // `try_next_completion`, competes with the calendar. One past
+            // the clock is never due.
             let min_dt = self.scan_active();
             if self.retire_finished() {
                 continue;
             }
-            let completion_time = if min_dt.is_finite() {
-                Some(self.now + SimDuration::from_nanos((min_dt * 1e9).ceil().max(1.0) as u64))
-            } else {
-                None
-            };
+            let completion_time = self.completion_instant(min_dt);
 
             let next_event = self.queue.peek_time().filter(|&e| e <= t);
 
@@ -594,7 +598,8 @@ impl<'r> FluidSim<'r> {
                 // finish every flow within the quantization tolerance.
                 (_, Some(c)) if c <= t => self.advance_to_completion(c),
                 // Nothing due by the horizon — including the stalled case
-                // (active zero-rate flows): just move the clock to `t`.
+                // (active zero-rate flows, or a completion past the
+                // clock): just move the clock to `t`.
                 _ => {
                     self.advance_to(t);
                     return false;
@@ -933,6 +938,23 @@ mod tests {
         assert_eq!(err.flows.len(), 1);
         assert_eq!(err.tags, vec![42]);
         assert!(err.to_string().contains("stalled"));
+    }
+
+    #[test]
+    fn a_completion_past_the_clock_is_a_typed_error() {
+        // A gigabyte at a micro-byte per second would finish ~1e15 s
+        // out, past the clock's ~1.8e10 s.
+        let mut net = FlowNetwork::new();
+        let r = net.add_resource("trickle", fixed(1e-6));
+        let mut sim = FluidSim::new(net);
+        sim.start_flow_at(SimTime::from_secs_f64(3.0), vec![r], 1e9, 5);
+        let err = sim.try_next_completion().unwrap_err();
+        assert_eq!(err.at, SimTime::from_secs_f64(3.0));
+        assert_eq!(err.tags, vec![5]);
+        // `run_until` reads it as not due: the clock reaches the horizon.
+        assert!(!sim.run_until(SimTime::from_secs_f64(60.0)));
+        assert_eq!(sim.now(), SimTime::from_secs_f64(60.0));
+        assert!(sim.try_next_completion().is_err());
     }
 
     #[test]

@@ -71,6 +71,11 @@ impl SimTime {
         SimDuration(self.0 - earlier.0)
     }
 
+    /// Checked addition of a duration: `None` past the clock's range.
+    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
+        self.0.checked_add(d.0).map(SimTime)
+    }
+
     /// Saturating addition of a duration.
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
