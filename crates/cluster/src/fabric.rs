@@ -101,14 +101,20 @@ impl Fabric {
         );
         assert!(ppn > 0, "need at least one process per node");
 
-        let mut net = FlowNetwork::new();
+        // Size the network once: no label below is longer than eleven
+        // bytes of text plus two indices of at most `digits` digits.
+        let (servers, targets) = (platform.server_count(), platform.total_targets());
+        let resources = 2 * n_nodes + 1 + 2 * servers + targets;
+        let widest = n_nodes.max(servers).max(targets);
+        let digits = widest.checked_ilog10().map_or(1, |d| d as usize + 1);
+        let mut net = FlowNetwork::with_capacity(resources, resources * (11 + 2 * digits));
         let cap = platform.compute.injection_cap(ppn);
 
         let node_cap: Vec<ResourceId> = (0..n_nodes)
-            .map(|i| net.add_link(format!("node{i}.client"), cap))
+            .map(|i| net.add_link(format_args!("node{i}.client"), cap))
             .collect();
         let node_nic: Vec<ResourceId> = (0..n_nodes)
-            .map(|i| net.add_link(format!("node{i}.nic"), platform.compute.nic))
+            .map(|i| net.add_link(format_args!("node{i}.nic"), platform.compute.nic))
             .collect();
         // The switch resource is always *created* (stable resource ids
         // and counts regardless of policy) but a provably non-blocking
@@ -119,25 +125,27 @@ impl Fabric {
         let switch_in_path =
             platform.network.switch_policy == crate::spec::SwitchPolicy::Constraining;
 
-        let mut server_link = Vec::with_capacity(platform.server_count());
-        let mut server_backend = Vec::with_capacity(platform.server_count());
+        let mut server_link = Vec::with_capacity(servers);
+        let mut server_backend = Vec::with_capacity(servers);
         for (s, server) in platform.servers.iter().enumerate() {
-            let link = net.add_link(format!("oss{s}.link"), platform.network.server_link);
+            let link = net.add_link(format_args!("oss{s}.link"), platform.network.server_link);
             net.set_factor(link, noise.link.device(s));
             server_link.push(link);
-            let backend =
-                net.add_resource(format!("oss{s}.backend"), server.backend.capacity_model());
+            let backend = net.add_resource(
+                format_args!("oss{s}.backend"),
+                server.backend.capacity_model(),
+            );
             net.set_factor(backend, noise.backend.device(s));
             server_backend.push(backend);
         }
 
-        let mut ost = Vec::with_capacity(platform.total_targets());
-        let mut target_server = Vec::with_capacity(platform.total_targets());
+        let mut ost = Vec::with_capacity(targets);
+        let mut target_server = Vec::with_capacity(targets);
         let mut flat = 0usize;
         for (s, server) in platform.servers.iter().enumerate() {
             for (slot, profile) in server.osts.iter().enumerate() {
                 let r = net.add_resource(
-                    format!("oss{s}.ost{slot}"),
+                    format_args!("oss{s}.ost{slot}"),
                     profile.capacity_model_for(mode),
                 );
                 net.set_factor(r, noise.storage.device(flat));

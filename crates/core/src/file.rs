@@ -41,14 +41,13 @@ impl FileHandle {
     }
 
     /// Bytes each *target* receives from the contiguous write
-    /// `[offset, offset + len)`: the per-slot distribution mapped through
-    /// the file's target list. Zero-byte targets are included.
+    /// `[offset, offset + len)`: [`StripePattern::slot_bytes`] mapped
+    /// through the file's target list. Zero-byte targets are included.
     pub fn bytes_per_target(&self, offset: u64, len: u64) -> Vec<(TargetId, u64)> {
-        self.pattern
-            .bytes_per_slot(offset, len)
-            .into_iter()
-            .enumerate()
-            .map(|(slot, bytes)| (self.targets[slot], bytes))
+        self.targets
+            .iter()
+            .copied()
+            .zip(self.pattern.slot_bytes(offset, len))
             .collect()
     }
 }
@@ -87,7 +86,7 @@ impl RestripeSplit {
 /// is redirected onto `new`'s.
 ///
 /// Pure byte math — no services, no RNG — so the exact-conservation
-/// guarantee reduces to [`StripePattern::bytes_per_slot`]'s.
+/// guarantee reduces to [`StripePattern::slot_bytes`]'s.
 ///
 /// # Panics
 /// Panics if `issued_bytes > total_bytes`; callers validate progress

@@ -50,42 +50,42 @@ impl StripePattern {
     }
 
     /// Bytes each target slot receives from the contiguous range
-    /// `[offset, offset + len)`. The returned vector has `stripe_count`
-    /// entries and sums exactly to `len`.
-    pub fn bytes_per_slot(&self, offset: u64, len: u64) -> Vec<u64> {
+    /// `[offset, offset + len)`, in slot order: `stripe_count` values
+    /// that sum exactly to `len`. Each slot's share is computed on its
+    /// own, so the split allocates nothing.
+    ///
+    /// The range covers a partial head chunk, whole middle chunks and a
+    /// partial tail chunk (one chunk holds the whole range when it fits).
+    /// The `n` middle chunks go round the slots from the one after the
+    /// head's: every slot gets `n / stripe_count` of them, and the
+    /// `n % stripe_count` slots starting there one more.
+    pub fn slot_bytes(&self, offset: u64, len: u64) -> impl ExactSizeIterator<Item = u64> {
         let sc = u64::from(self.stripe_count);
-        let mut out = vec![0u64; self.stripe_count as usize];
-        if len == 0 {
-            return out;
-        }
-        let first_chunk = self.chunk_of(offset);
-        let last_chunk = self.chunk_of(offset + len - 1);
-        if first_chunk == last_chunk {
-            out[(first_chunk % sc) as usize] = len;
-            return out;
-        }
-        // Partial head chunk.
-        let head = (first_chunk + 1) * self.chunk_size - offset;
-        out[(first_chunk % sc) as usize] += head;
-        // Partial tail chunk.
-        let tail = offset + len - last_chunk * self.chunk_size;
-        out[(last_chunk % sc) as usize] += tail;
-        // Whole chunks in between: distribute by counting how many of the
-        // chunk indices in (first, last) land on each slot.
-        let n_mid = last_chunk - first_chunk - 1;
-        if n_mid > 0 {
-            let per_slot = n_mid / sc;
-            for slot_bytes in out.iter_mut() {
-                *slot_bytes += per_slot * self.chunk_size;
+        let chunk = self.chunk_size;
+        // (head slot, head bytes, tail slot, tail bytes, middle chunks)
+        let (head_slot, head, tail_slot, tail, middle) = if len == 0 {
+            (0, 0, 0, 0, 0)
+        } else {
+            let first = self.chunk_of(offset);
+            let last = self.chunk_of(offset + len - 1);
+            if first == last {
+                (first % sc, len, 0, 0, 0)
+            } else {
+                let head = (first + 1) * chunk - offset;
+                let tail = offset + len - last * chunk;
+                (first % sc, head, last % sc, tail, last - first - 1)
             }
-            let rem = n_mid % sc;
-            for k in 0..rem {
-                let chunk = first_chunk + 1 + per_slot * sc + k;
-                out[(chunk % sc) as usize] += self.chunk_size;
-            }
-        }
-        debug_assert_eq!(out.iter().sum::<u64>(), len);
-        out
+        };
+        let (per_slot, extra) = (middle / sc, middle % sc);
+        let extra_from = (head_slot + 1) % sc;
+        (0..self.stripe_count).map(move |slot| {
+            let slot = u64::from(slot);
+            let rank = (slot + sc - extra_from) % sc;
+            let chunks = per_slot + u64::from(rank < extra);
+            chunks * chunk
+                + if slot == head_slot { head } else { 0 }
+                + if slot == tail_slot { tail } else { 0 }
+        })
     }
 }
 
@@ -93,6 +93,10 @@ impl StripePattern {
 mod tests {
     use super::*;
     use simcore::units::{GIB, KIB, MIB};
+
+    fn split(p: StripePattern, offset: u64, len: u64) -> Vec<u64> {
+        p.slot_bytes(offset, len).collect()
+    }
 
     #[test]
     fn plafrim_default_matches_paper() {
@@ -117,9 +121,9 @@ mod tests {
         // The paper uses 1 MiB transfers over 512 KiB chunks precisely so
         // each request touches more than one OST.
         let p = StripePattern::PLAFRIM_DEFAULT;
-        let slots = p.bytes_per_slot(0, MIB);
+        let slots = split(p, 0, MIB);
         assert_eq!(slots, vec![512 * KIB, 512 * KIB, 0, 0]);
-        let slots = p.bytes_per_slot(MIB, MIB);
+        let slots = split(p, MIB, MIB);
         assert_eq!(slots, vec![0, 0, 512 * KIB, 512 * KIB]);
     }
 
@@ -127,7 +131,7 @@ mod tests {
     fn aligned_range_distributes_evenly() {
         let p = StripePattern::new(4, 512 * KIB);
         // 4 GiB aligned: exactly 1 GiB per slot.
-        let slots = p.bytes_per_slot(0, 4 * GIB);
+        let slots = split(p, 0, 4 * GIB);
         assert!(slots.iter().all(|&b| b == GIB));
     }
 
@@ -135,7 +139,7 @@ mod tests {
     fn unaligned_range_conserves_bytes() {
         let p = StripePattern::new(3, 512 * KIB);
         let len = 7 * MIB + 123;
-        let slots = p.bytes_per_slot(1000, len);
+        let slots = split(p, 1000, len);
         assert_eq!(slots.iter().sum::<u64>(), len);
         assert_eq!(slots.len(), 3);
     }
@@ -143,7 +147,7 @@ mod tests {
     #[test]
     fn sub_chunk_range_hits_single_slot() {
         let p = StripePattern::new(8, 512 * KIB);
-        let slots = p.bytes_per_slot(100, 1000);
+        let slots = split(p, 100, 1000);
         assert_eq!(slots[0], 1000);
         assert!(slots[1..].iter().all(|&b| b == 0));
     }
@@ -153,7 +157,7 @@ mod tests {
         let p = StripePattern::new(4, 512 * KIB);
         // 1000 bytes starting 500 before a chunk boundary.
         let start = 512 * KIB - 500;
-        let slots = p.bytes_per_slot(start, 1000);
+        let slots = split(p, start, 1000);
         assert_eq!(slots[0], 500);
         assert_eq!(slots[1], 500);
     }
@@ -161,13 +165,13 @@ mod tests {
     #[test]
     fn zero_length_range_is_empty() {
         let p = StripePattern::new(4, 512 * KIB);
-        assert_eq!(p.bytes_per_slot(12345, 0), vec![0, 0, 0, 0]);
+        assert_eq!(split(p, 12345, 0), vec![0, 0, 0, 0]);
     }
 
     #[test]
     fn stripe_count_one_puts_everything_on_slot_zero() {
         let p = StripePattern::new(1, 512 * KIB);
-        let slots = p.bytes_per_slot(999, 10 * MIB);
+        let slots = split(p, 999, 10 * MIB);
         assert_eq!(slots, vec![10 * MIB]);
     }
 

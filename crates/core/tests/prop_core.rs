@@ -8,18 +8,76 @@ use cluster::{presets, TargetId};
 use proptest::prelude::*;
 use simcore::rng::RngFactory;
 
+/// The reference split: the per-slot distribution built chunk range by
+/// chunk range into a vector, as `StripePattern` computed it before its
+/// non-allocating `slot_bytes`.
+fn reference_bytes_per_slot(p: &StripePattern, offset: u64, len: u64) -> Vec<u64> {
+    let sc = u64::from(p.stripe_count);
+    let mut out = vec![0u64; p.stripe_count as usize];
+    if len == 0 {
+        return out;
+    }
+    let first_chunk = p.chunk_of(offset);
+    let last_chunk = p.chunk_of(offset + len - 1);
+    if first_chunk == last_chunk {
+        out[(first_chunk % sc) as usize] = len;
+        return out;
+    }
+    // Partial head chunk.
+    let head = (first_chunk + 1) * p.chunk_size - offset;
+    out[(first_chunk % sc) as usize] += head;
+    // Partial tail chunk.
+    let tail = offset + len - last_chunk * p.chunk_size;
+    out[(last_chunk % sc) as usize] += tail;
+    // Whole chunks in between: distribute by counting how many of the
+    // chunk indices in (first, last) land on each slot.
+    let n_mid = last_chunk - first_chunk - 1;
+    if n_mid > 0 {
+        let per_slot = n_mid / sc;
+        for slot_bytes in out.iter_mut() {
+            *slot_bytes += per_slot * p.chunk_size;
+        }
+        let rem = n_mid % sc;
+        for k in 0..rem {
+            let chunk = first_chunk + 1 + per_slot * sc + k;
+            out[(chunk % sc) as usize] += p.chunk_size;
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn bytes_per_slot_conserves_and_bounds(
+    fn slot_bytes_matches_the_reference_split(
+        stripe in 1u32..=1000,
+        chunk in 1u64..(1 << 30),
+        offset in 0u64..(1 << 50),
+        shape in 0u32..4,
+        raw_len in 0u64..(1 << 40),
+    ) {
+        // Empty, sub-chunk, a few stripe rounds, or anything.
+        let p = StripePattern::new(stripe, chunk);
+        let len = match shape {
+            0 => 0,
+            1 => raw_len % chunk,
+            2 => raw_len % (3 * chunk * u64::from(stripe)),
+            _ => raw_len,
+        };
+        let split: Vec<u64> = p.slot_bytes(offset, len).collect();
+        prop_assert_eq!(split, reference_bytes_per_slot(&p, offset, len));
+    }
+
+    #[test]
+    fn slot_bytes_conserves_and_bounds(
         stripe in 1u32..=16,
         chunk_pow in 12u32..=21, // 4 KiB .. 2 MiB chunks
         offset in 0u64..(1 << 36),
         len in 0u64..(1 << 32),
     ) {
         let p = StripePattern::new(stripe, 1 << chunk_pow);
-        let slots = p.bytes_per_slot(offset, len);
+        let slots: Vec<u64> = p.slot_bytes(offset, len).collect();
         prop_assert_eq!(slots.len(), stripe as usize);
         prop_assert_eq!(slots.iter().sum::<u64>(), len);
         // No slot exceeds its ideal share by more than one chunk.
@@ -31,7 +89,7 @@ proptest! {
     }
 
     #[test]
-    fn bytes_per_slot_is_additive_in_ranges(
+    fn slot_bytes_is_additive_in_ranges(
         stripe in 1u32..=8,
         offset in 0u64..(1 << 30),
         a in 0u64..(1 << 26),
@@ -40,22 +98,22 @@ proptest! {
         // Splitting a contiguous write anywhere distributes identically:
         // per-slot(o, a+b) == per-slot(o, a) + per-slot(o+a, b).
         let p = StripePattern::new(stripe, 512 * 1024);
-        let whole = p.bytes_per_slot(offset, a + b);
-        let first = p.bytes_per_slot(offset, a);
-        let second = p.bytes_per_slot(offset + a, b);
+        let whole: Vec<u64> = p.slot_bytes(offset, a + b).collect();
+        let first: Vec<u64> = p.slot_bytes(offset, a).collect();
+        let second: Vec<u64> = p.slot_bytes(offset + a, b).collect();
         for i in 0..stripe as usize {
             prop_assert_eq!(whole[i], first[i] + second[i], "slot {}", i);
         }
     }
 
     #[test]
-    fn slot_of_is_consistent_with_bytes_per_slot(
+    fn slot_of_is_consistent_with_slot_bytes(
         stripe in 1u32..=8,
         offset in 0u64..(1 << 30),
     ) {
         // A 1-byte write lands exactly on slot_of(offset).
         let p = StripePattern::new(stripe, 512 * 1024);
-        let slots = p.bytes_per_slot(offset, 1);
+        let slots: Vec<u64> = p.slot_bytes(offset, 1).collect();
         let hit: Vec<usize> = slots.iter().enumerate()
             .filter(|(_, &b)| b > 0).map(|(i, _)| i).collect();
         prop_assert_eq!(hit, vec![p.slot_of(offset) as usize]);
@@ -71,7 +129,7 @@ proptest! {
         let targets: Vec<TargetId> = (0..stripe).map(TargetId).collect();
         let f = FileHandle::new(0, targets.clone(), p);
         let by_target = f.bytes_per_target(offset, len);
-        let by_slot = p.bytes_per_slot(offset, len);
+        let by_slot: Vec<u64> = p.slot_bytes(offset, len).collect();
         for (slot, (t, bytes)) in by_target.iter().enumerate() {
             prop_assert_eq!(*t, targets[slot]);
             prop_assert_eq!(*bytes, by_slot[slot]);

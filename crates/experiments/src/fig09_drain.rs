@@ -10,7 +10,7 @@
 use crate::context::Scenario;
 use beegfs_core::{plafrim_registration_order, BeeGfs, ChooserKind, DirConfig, StripePattern};
 use cluster::{Fabric, FabricNoise, TargetId};
-use ior::IorConfig;
+use ior::{write_plan, IorConfig};
 use serde::{Deserialize, Serialize};
 use simcore::flow::FluidSim;
 use simcore::time::SimTime;
@@ -64,24 +64,16 @@ fn drain(selection: Vec<TargetId>) -> DrainTimeline {
     let mut sim = FluidSim::new(net);
     sim.set_recorder(&mut timeline);
 
-    let block = cfg.block_size();
-    let weight = platform
-        .compute
-        .flow_depth_weight(cfg.ppn, file.pattern.stripe_count);
-    for p in 0..cfg.processes() {
-        let node = p / cfg.ppn as usize;
-        for (target, bytes) in file.bytes_per_target(p as u64 * block, block) {
-            if bytes == 0 {
-                continue;
-            }
-            sim.start_weighted_flow_at(
-                SimTime::ZERO,
-                paths.write_path(node, target),
-                bytes as f64,
-                p as u64,
-                weight,
-            );
-        }
+    let nodes: Vec<usize> = (0..cfg.nodes).collect();
+    let files = std::slice::from_ref(&file);
+    for f in write_plan(&cfg, files, &nodes, &platform.compute) {
+        sim.start_weighted_flow_at(
+            SimTime::ZERO,
+            paths.write_path(f.node, f.target),
+            f.bytes as f64,
+            f.process as u64,
+            f.weight,
+        );
     }
     let done = sim.run_to_completion();
     let makespan_s = done.last().expect("flows complete").time.as_secs_f64();

@@ -69,4 +69,4 @@ pub use plan::{write_plan, WriteFlow};
 pub use protocol::{Schedule, ScheduledRun};
 pub use runner::{AppResult, AppSpec, HedgeReport, Placement, RetryPolicy, Run, RunOutcome};
 pub use simcore::flow::SimArena;
-pub use telemetry::{ResourceUsage, UtilizationReport};
+pub use telemetry::{ResourceLabel, ResourceUsage, UtilizationReport};

@@ -49,10 +49,13 @@ pub fn write_plan<'a>(
             FileLayout::FilePerProcess => (process, 0),
         };
         let node = nodes[process / ppn as usize];
-        let weight = compute.flow_depth_weight(ppn, files[file].pattern.stripe_count);
-        files[file]
-            .bytes_per_target(offset, block)
-            .into_iter()
+        let handle = &files[file];
+        let weight = compute.flow_depth_weight(ppn, handle.pattern.stripe_count);
+        handle
+            .targets
+            .iter()
+            .copied()
+            .zip(handle.pattern.slot_bytes(offset, block))
             .filter(|&(_, bytes)| bytes > 0)
             .map(move |(target, bytes)| WriteFlow {
                 process,

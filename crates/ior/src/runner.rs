@@ -505,11 +505,11 @@ fn execute_run(
     }
     let total_nodes: usize = apps.iter().map(|s| s.config.nodes).sum();
 
-    let platform = fs.platform().clone();
-    if total_nodes > platform.compute.max_nodes {
+    let available = fs.platform().compute.max_nodes;
+    if total_nodes > available {
         return Err(RunError::Oversubscribed {
             requested: total_nodes,
-            available: platform.compute.max_nodes,
+            available,
         });
     }
     let timeline = FaultTimeline::compile(fs, &plan, &policy)?;
@@ -517,8 +517,9 @@ fn execute_run(
     fs.randomize_selection_state(rng);
 
     // --- sample this run's noise and overheads -------------------------
-    let noise = FabricNoise::sample(&platform, rng);
-    let overhead_dist = LogNormal::unit_mean(platform.run_overhead_sigma);
+    let noise = FabricNoise::sample(fs.platform(), rng);
+    let overhead_mean_s = fs.platform().run_overhead_mean_s;
+    let overhead_dist = LogNormal::unit_mean(fs.platform().run_overhead_sigma);
 
     // --- create files ---------------------------------------------------
     let mut plans = Vec::with_capacity(apps.len());
@@ -546,7 +547,7 @@ fn execute_run(
             create_s += latency.as_secs_f64();
             files.push(file);
         }
-        let overhead_s = create_s + platform.run_overhead_mean_s * overhead_dist.sample(rng);
+        let overhead_s = create_s + overhead_mean_s * overhead_dist.sample(rng);
         plans.push(AppPlan {
             cfg: *cfg,
             files,
@@ -558,7 +559,9 @@ fn execute_run(
     }
 
     // --- build the fabric and start the writes --------------------------
-    let fabric = Fabric::build_for(&platform, total_nodes, ppn, &noise, mode);
+    // The deployment is only read from here on.
+    let platform = fs.platform();
+    let fabric = Fabric::build_for(platform, total_nodes, ppn, &noise, mode);
     let (mut net, paths) = fabric.into_parts();
     let base = compound_target_states(fs, &mut net, &paths);
 
@@ -617,15 +620,23 @@ fn execute_run(
             });
         }
     }
+    // A hedged run writes each stream in chunks; the drain issues all
+    // but the first. A process writes one stream per stripe slot of its
+    // file at most, so both tables are sized once.
+    let chunks = if hedge { CHUNKS } else { 1 };
+    let max_streams: usize = plans
+        .iter()
+        .map(|p| {
+            let widest = p.files.iter().map(|f| f.pattern.stripe_count);
+            p.cfg.processes() * widest.max().unwrap_or(0) as usize
+        })
+        .sum();
     let mut flows = Flows {
         paths,
-        streams: Vec::new(),
-        stream_of: Vec::new(),
+        streams: Vec::with_capacity(max_streams),
+        stream_of: Vec::with_capacity(max_streams * chunks as usize),
         totals: vec![(0.0, 0); platform.total_targets()],
     };
-    // A hedged run writes each stream in chunks; the drain issues all
-    // but the first.
-    let chunks = if hedge { CHUNKS } else { 1 };
     let rec = recorder.as_deref_mut();
     flows.start_apps(&mut sim, &plans, &platform.compute, chunks, rec);
 
@@ -793,7 +804,7 @@ fn execute_run(
             duration_s,
             bytes,
             file_targets: app_plan.files.iter().map(|f| f.targets.clone()).collect(),
-            allocation: Allocation::classify(&platform, &app_plan.files[0].targets),
+            allocation: Allocation::classify(platform, &app_plan.files[0].targets),
             overhead_s: app_plan.overhead_s,
         });
     }

@@ -249,7 +249,8 @@ impl LiveSim {
         let (now, shadow_t0, tag) = (self.sim.now(), self.shadow.now(), app as u64);
         // SharedFile only (validated up front): one file for every process.
         let plan = write_plan(cfg, std::slice::from_ref(file), nodes, &platform.compute);
-        let mut flows = Vec::new();
+        // At most one flow per (process, stripe slot).
+        let mut flows = Vec::with_capacity(cfg.processes() * file.pattern.stripe_count as usize);
         for f in plan {
             let (bytes, target) = (f.bytes as f64, f.target);
             let id = self.sim.start_weighted_flow_at(
@@ -268,13 +269,11 @@ impl LiveSim {
             );
             flows.push(LiveFlow { id, target });
         }
-        let ideal_end = self
-            .shadow
-            .run_to_completion()
-            .iter()
-            .map(|c| c.time)
-            .max()
-            .expect("an application emits at least one flow");
+        let mut ideal_end = None;
+        while let Some(c) = self.shadow.next_completion() {
+            ideal_end = ideal_end.max(Some(c.time));
+        }
+        let ideal_end = ideal_end.expect("an application emits at least one flow");
         (flows, ideal_end.duration_since(shadow_t0).as_secs_f64())
     }
 }

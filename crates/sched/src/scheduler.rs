@@ -470,16 +470,23 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
                         let n = self.suspected.iter().filter(|&&s| s).count();
                         reg.gauge_max("sched.suspected_targets", n as f64);
                     }
-                    // Refresh the per-target utilization feedback.
-                    let platform = self.fs.platform().clone();
-                    for t in platform.all_targets() {
-                        let label = format!(
-                            "oss{}.ost{}",
-                            platform.server_of(t).index(),
-                            platform.slot_of(t)
-                        );
-                        if let Some(r) = telemetry.resources.iter().find(|r| r.label == label) {
-                            busy_fraction[t.index()] = r.utilization(telemetry.io_secs);
+                    // Refresh the per-target utilization feedback from
+                    // the report's OST entries, in one pass.
+                    let servers = &self.fs.platform().servers;
+                    let first_target: Vec<usize> = servers
+                        .iter()
+                        .scan(0, |next, server| {
+                            let first = *next;
+                            *next += server.osts.len();
+                            Some(first)
+                        })
+                        .collect();
+                    for r in &telemetry.resources {
+                        if let Some((s, slot)) = ost_of(&r.label) {
+                            if s < servers.len() && slot < servers[s].osts.len() {
+                                busy_fraction[first_target[s] + slot] =
+                                    r.utilization(telemetry.io_secs);
+                            }
                         }
                     }
                     // Re-placed incumbents take their new completion
@@ -560,6 +567,13 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
         }
         Err(SchedError::ReplacementExhausted { app: i })
     }
+}
+
+/// The (server, slot) an OST's `oss{s}.ost{slot}` resource label names
+/// (see `cluster::Fabric`); `None` for every other resource.
+fn ost_of(label: &str) -> Option<(usize, usize)> {
+    let (server, slot) = label.strip_prefix("oss")?.split_once(".ost")?;
+    Some((server.parse().ok()?, slot.parse().ok()?))
 }
 
 #[cfg(test)]
