@@ -628,6 +628,28 @@ fn generated_arrivals_past_the_clock_fail_typed_in_both_admission_modes() {
     }
 }
 
+/// A target degraded to a millionth of a millionth of its speed passes
+/// validation, but the run's writes to it would finish past the end of
+/// the simulated clock (~1.8e10 s): the run fails with the typed stall
+/// naming them. (It once panicked with "SimTime overflow".)
+#[test]
+fn a_run_finishing_past_the_clock_fails_typed() {
+    let mut fs = deploy(4);
+    fs.set_target_state(TargetId(0), TargetState::Degraded(1e-12))
+        .unwrap();
+    let pinned = vec![TargetId(0), TargetId(1), TargetId(4), TargetId(5)];
+    let result = Run::new(&mut fs)
+        .app(AppSpec::pinned(IorConfig::paper_default(4), pinned))
+        .execute(&mut RngFactory::new(5).stream("past-the-clock", 0));
+    match result {
+        Err(RunError::Stalled(stall)) => {
+            assert!(!stall.flows.is_empty());
+            assert!(stall.at.as_secs_f64() < 1e10, "stalled at {}", stall.at);
+        }
+        other => panic!("expected a typed stall, got {other:?}"),
+    }
+}
+
 /// A fault plan nested 100,000 levels deep is a parse error, not a
 /// stack overflow that ends the process.
 #[test]
