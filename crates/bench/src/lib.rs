@@ -34,6 +34,52 @@ pub fn extract_f64(json: &str, key: &str) -> Option<f64> {
     rest[..end].trim().parse().ok()
 }
 
+/// `getrusage(RUSAGE_SELF)`: process CPU seconds (user + system) and
+/// peak resident set size in KiB (`ru_maxrss`). `None` off Linux or on
+/// failure.
+pub fn rusage() -> Option<(f64, i64)> {
+    #[cfg(target_os = "linux")]
+    {
+        #[repr(C)]
+        struct Timeval {
+            sec: i64,
+            usec: i64,
+        }
+        #[repr(C)]
+        struct Rusage {
+            utime: Timeval,
+            stime: Timeval,
+            // ru_maxrss .. ru_nivcsw: 14 more longs on Linux.
+            rest: [i64; 14],
+        }
+        extern "C" {
+            fn getrusage(who: i32, usage: *mut Rusage) -> i32;
+        }
+        let mut r = Rusage {
+            utime: Timeval { sec: 0, usec: 0 },
+            stime: Timeval { sec: 0, usec: 0 },
+            rest: [0; 14],
+        };
+        // SAFETY: RUSAGE_SELF (0) with a properly sized, writable struct.
+        if unsafe { getrusage(0, &mut r) } == 0 {
+            let cpu =
+                (r.utime.sec + r.stime.sec) as f64 + (r.utime.usec + r.stime.usec) as f64 * 1e-6;
+            return Some((cpu, r.rest[0]));
+        }
+    }
+    None
+}
+
+/// Process CPU seconds, the benches' one CPU clock, falling back to wall
+/// time since `wall_anchor` off Linux. The timed workloads are
+/// deterministic and single-threaded, so their CPU time is a stable
+/// quantity on shared CI hosts where wall-clock throughput swings by
+/// 2-3x with neighbour load — gating on it measures the engine, not the
+/// host.
+pub fn cpu_seconds(wall_anchor: Instant) -> f64 {
+    rusage().map_or_else(|| wall_anchor.elapsed().as_secs_f64(), |(cpu, _)| cpu)
+}
+
 /// Flows per [`hotpath_rep`].
 pub const HOTPATH_FLOWS: u64 = 2000;
 

@@ -47,7 +47,7 @@ cargo run --release --locked -p experiments --bin repro -- --seed 7 --metrics ta
 cargo run --release --locked -p experiments --bin repro -- --seed 7 --metrics target/metrics-b.json > /dev/null
 cmp target/metrics-a.json target/metrics-b.json
 
-echo "==> tracing overhead bench (writes BENCH_trace_overhead.json; fails above the committed overhead bound)"
+echo "==> tracing overhead bench (writes BENCH_trace_overhead.json; fails if the median over rounds of traced over untraced CPU time per repetition, both legs timed back to back, exceeds 1 + the committed bound)"
 cargo bench --locked -p bench --bench trace_overhead
 
 echo "==> metrics overhead bench (writes BENCH_metrics_overhead.json; fails if metrics-off drops below 95% of the flow_hotpath baseline or overhead exceeds the committed bound)"
