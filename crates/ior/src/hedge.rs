@@ -37,7 +37,7 @@ impl Detector {
             rate_sum: vec![0.0; targets],
             rate_count: vec![0; targets],
             flagged: vec![false; targets],
-            means: Vec::new(),
+            means: Vec::with_capacity(targets),
             report: HedgeReport::default(),
         }
     }
