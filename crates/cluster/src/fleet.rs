@@ -269,11 +269,6 @@ impl FleetSpec {
         self
     }
 
-    /// The fleet's name.
-    pub fn fleet_name(&self) -> &str {
-        &self.name
-    }
-
     /// Number of racks the servers are grouped into.
     pub fn rack_count(&self) -> u32 {
         self.racks

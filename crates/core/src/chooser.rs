@@ -125,11 +125,6 @@ impl TargetSelector {
         self.online[t.index()] = online;
     }
 
-    /// Whether a target is currently eligible.
-    pub fn is_online(&self, t: TargetId) -> bool {
-        self.online[t.index()]
-    }
-
     /// Number of currently eligible targets.
     pub fn online_count(&self) -> usize {
         self.online.iter().filter(|&&o| o).count()

@@ -95,7 +95,8 @@ pub enum FaultPlanError {
     InvalidDuration(f64),
     /// An event instant, or the end of its ramp or straggle, lies past
     /// the last instant simulated time can hold (`u64` nanoseconds,
-    /// about 1.8e10 s).
+    /// about 1.8e10 s). Compiled against a retry policy, so may an
+    /// outage's observation, probe or give-up instant.
     TimeBeyondClock(f64),
 }
 
@@ -168,14 +169,12 @@ impl Deserialize for FaultPlan {
     }
 }
 
-/// Reject an instant `SimTime` cannot hold: `SimTime::from_secs_f64`
-/// saturates it to the `SimTime::MAX` "never" sentinel, and no earlier
-/// instant maps there.
+/// Reject an instant the simulated clock cannot hold.
 fn on_clock(at_s: f64) -> Result<(), FaultPlanError> {
-    if simcore::time::SimTime::from_secs_f64(at_s) == simcore::time::SimTime::MAX {
-        return Err(FaultPlanError::TimeBeyondClock(at_s));
+    match simcore::time::SimTime::try_from_secs_f64(at_s) {
+        Some(_) => Ok(()),
+        None => Err(FaultPlanError::TimeBeyondClock(at_s)),
     }
-    Ok(())
 }
 
 fn validate_event(ev: &FaultEvent) -> Result<(), FaultPlanError> {

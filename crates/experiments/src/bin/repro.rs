@@ -1173,6 +1173,36 @@ fn scale_cmd(args: &Args) {
     );
 }
 
+/// A section: the names that select it, what it runs, and whether `all`
+/// runs it.
+type Section = (&'static [&'static str], fn(&Args), bool);
+
+/// Every section, in the order `all` runs them.
+const SECTIONS: &[Section] = &[
+    (&["fig2"], fig2, true),
+    (&["fig4"], fig4, true),
+    (&["fig5"], fig5, true),
+    (&["fig6"], |args| fig6(args, false), false),
+    (&["fig8", "fig10"], |args| fig6(args, true), true),
+    (&["fig9"], fig9, true),
+    (&["fig11"], fig11, true),
+    (&["fig12"], fig12, true),
+    (&["fig13"], fig13, true),
+    (&["chowdhury"], chowdhury_cmd, true),
+    (&["policy"], policy_cmd, true),
+    (&["reads"], reads_cmd, true),
+    (&["nn"], nn_cmd, true),
+    (&["tune"], tune_cmd, true),
+    (&["metadata"], metadata_cmd, true),
+    (&["sensitivity"], sensitivity_cmd, true),
+    (&["sched"], sched_cmd, true),
+    (&["scale"], scale_cmd, false),
+    (&["straggler"], straggler_cmd, true),
+    (&["adaptive"], adaptive_cmd, true),
+    (&["interference"], interference_cmd, true),
+    (&["lessons"], lessons_cmd, true),
+];
+
 fn main() {
     simcore::alloc_tuning::tune_for_long_sessions();
     let args = parse_args().unwrap_or_else(|reason| {
@@ -1195,54 +1225,20 @@ fn main() {
         Some(root) => eprintln!("repro: result cache at {}", root.display()),
         None => eprintln!("repro: result cache disabled"),
     }
-    for which in args.which.clone() {
-        match which.as_str() {
-            "fig2" => fig2(&args),
-            "fig4" => fig4(&args),
-            "fig5" => fig5(&args),
-            "fig6" => fig6(&args, false),
-            "fig8" | "fig10" => fig6(&args, true),
-            "fig9" => fig9(&args),
-            "fig11" => fig11(&args),
-            "fig12" => fig12(&args),
-            "fig13" => fig13(&args),
-            "chowdhury" => chowdhury_cmd(&args),
-            "policy" => policy_cmd(&args),
-            "reads" => reads_cmd(&args),
-            "nn" => nn_cmd(&args),
-            "tune" => tune_cmd(&args),
-            "metadata" => metadata_cmd(&args),
-            "sensitivity" => sensitivity_cmd(&args),
-            "sched" => sched_cmd(&args),
-            "scale" => scale_cmd(&args),
-            "straggler" => straggler_cmd(&args),
-            "adaptive" => adaptive_cmd(&args),
-            "interference" => interference_cmd(&args),
-            "lessons" => lessons_cmd(&args),
-            "all" => {
-                fig2(&args);
-                fig4(&args);
-                fig5(&args);
-                fig6(&args, true);
-                fig9(&args);
-                fig11(&args);
-                fig12(&args);
-                fig13(&args);
-                chowdhury_cmd(&args);
-                policy_cmd(&args);
-                reads_cmd(&args);
-                nn_cmd(&args);
-                tune_cmd(&args);
-                metadata_cmd(&args);
-                sensitivity_cmd(&args);
-                sched_cmd(&args);
-                straggler_cmd(&args);
-                adaptive_cmd(&args);
-                interference_cmd(&args);
-                lessons_cmd(&args);
+    for which in &args.which {
+        if which == "all" {
+            for &(_, section, _) in SECTIONS.iter().filter(|s| s.2) {
+                section(&args);
             }
-            other => {
-                eprintln!("unknown experiment '{other}'; see --help");
+            continue;
+        }
+        match SECTIONS
+            .iter()
+            .find(|(names, ..)| names.contains(&which.as_str()))
+        {
+            Some((_, section, _)) => section(&args),
+            None => {
+                eprintln!("unknown experiment '{which}'; see --help");
                 std::process::exit(2);
             }
         }

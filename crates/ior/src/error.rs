@@ -111,7 +111,8 @@ pub enum RunError {
     FaultPlan(FaultPlanError),
     /// The run was submitted with an empty application list.
     NoApplications,
-    /// An application's simulated start time was negative or non-finite.
+    /// An application's simulated start time was negative, non-finite or
+    /// past the simulated clock.
     InvalidStartTime {
         /// Index of the application in the submission order.
         app: usize,
@@ -177,8 +178,8 @@ impl fmt::Display for RunError {
             RunError::NoApplications => write!(f, "need at least one application"),
             RunError::InvalidStartTime { app, start_s } => write!(
                 f,
-                "application {app} has invalid start time {start_s}s: must be finite and \
-                 non-negative"
+                "application {app} has invalid start time {start_s}s: must be non-negative \
+                 and within the simulated clock"
             ),
             RunError::MixedPpn => write!(
                 f,

@@ -22,7 +22,7 @@
 use crate::error::RunError;
 use crate::runner::RetryPolicy;
 use beegfs_core::faults::FaultKind;
-use beegfs_core::{BeeGfs, FaultPlan, TargetState};
+use beegfs_core::{BeeGfs, FaultPlan, FaultPlanError, TargetState};
 use cluster::{FabricPaths, TargetId};
 use simcore::flow::{FlowNetwork, FluidSim};
 use simcore::time::SimTime;
@@ -120,8 +120,12 @@ pub struct FaultTimeline {
 
 impl FaultTimeline {
     /// Validate `retry` and every server and target `plan` names against
-    /// `fs`'s platform, then compile the plan. Reads only the platform
-    /// and the management service's heartbeat: `fs` is left untouched.
+    /// `fs`'s platform, then compile the plan. Every instant it emits —
+    /// a capacity change, an outage's observation and its end — must lie
+    /// on the simulated clock, or the plan fails with
+    /// [`FaultPlanError::TimeBeyondClock`]: a give-up instant past it
+    /// would never come. Reads only the platform and the management
+    /// service's heartbeat: `fs` is left untouched.
     pub fn compile(
         fs: &BeeGfs,
         plan: &FaultPlan,
@@ -234,6 +238,14 @@ impl FaultTimeline {
                     }
                 }
             }
+        }
+        let instants = changes.iter().map(|c| c.at_s);
+        let ends = outages.iter().flat_map(|o| [o.observe_s, o.end_s]);
+        if let Some(at_s) = instants
+            .chain(ends)
+            .find(|&at_s| SimTime::try_from_secs_f64(at_s).is_none())
+        {
+            return Err(RunError::FaultPlan(FaultPlanError::TimeBeyondClock(at_s)));
         }
         Ok(FaultTimeline { changes, outages })
     }

@@ -488,7 +488,7 @@ fn execute_run(
     }
     for (i, spec) in apps.iter().enumerate() {
         spec.config.validate()?;
-        if !(spec.start_s.is_finite() && spec.start_s >= 0.0) {
+        if SimTime::try_from_secs_f64(spec.start_s).is_none() {
             return Err(RunError::InvalidStartTime {
                 app: i,
                 start_s: spec.start_s,

@@ -20,6 +20,7 @@
 //! recorded stream.
 
 use crate::event::{Event, Nanos};
+use crate::{json_str, num};
 
 const PID_SPANS: u32 = 0;
 const PID_RESOURCES: u32 = 1;
@@ -152,14 +153,14 @@ pub fn render(events: &[Event]) -> String {
                 push(mark(*at, &format!("t{target} offline")), &mut out)
             }
             Event::TargetDegraded { at, target, factor } => push(
-                mark(*at, &format!("t{target} degraded x{}", Disp(*factor))),
+                mark(*at, &format!("t{target} degraded x{}", num(*factor))),
                 &mut out,
             ),
             Event::TargetOnline { at, target } => {
                 push(mark(*at, &format!("t{target} online")), &mut out)
             }
             Event::LinkDegraded { at, server, factor } => push(
-                mark(*at, &format!("s{server}.link degraded x{}", Disp(*factor))),
+                mark(*at, &format!("s{server}.link degraded x{}", num(*factor))),
                 &mut out,
             ),
             Event::LinkRestored { at, server } => {
@@ -295,47 +296,6 @@ fn ts(at: Nanos) -> String {
 /// Duration between two sim-time stamps in trace microseconds.
 fn dur(start: Nanos, end: Nanos) -> String {
     ts(end.saturating_sub(start))
-}
-
-/// A finite float as JSON; non-finite values render as 0 (JSON has no
-/// NaN/Infinity). Rust's `Display` for `f64` is shortest-roundtrip and
-/// never uses exponent notation for these magnitudes.
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
-}
-
-/// Display adapter so event names embed floats the same way `num` does.
-struct Disp(f64);
-
-impl std::fmt::Display for Disp {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", num(self.0))
-    }
-}
-
-/// Minimal JSON string escaping (quotes, backslash, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

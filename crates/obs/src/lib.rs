@@ -49,6 +49,36 @@ pub mod timeline;
 pub use event::{Event, EventKind, Nanos};
 pub use timeline::{RateIntegral, Timeline};
 
+/// A float as every deterministic export of this crate writes it: Rust's
+/// shortest round-trip `Display`, with non-finite values as 0 (JSON has
+/// no NaN or Infinity).
+pub(crate) fn num(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "0".to_string()
+    }
+}
+
+/// Minimal JSON string escaping (quotes, backslash, control chars).
+pub(crate) fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 /// A sink for structured simulation events.
 ///
 /// Implementors receive every event an instrumented component emits, in

@@ -45,6 +45,7 @@
 //! relative error of **1/32 ≈ 3.2%** of some exact sample value at that
 //! rank (half the bucket's relative width).
 
+use crate::{json_str, num};
 use std::fmt::Write as _;
 
 /// Subdivisions per binary order of magnitude.
@@ -583,7 +584,7 @@ impl MetricsRegistry {
                     let _ = write!(out, ",\"value\":{c}");
                 }
                 Metric::Gauge(g) => {
-                    let _ = write!(out, ",\"value\":{}", fmt_f64(*g));
+                    let _ = write!(out, ",\"value\":{}", num(*g));
                 }
                 Metric::Histogram(h) => {
                     let _ = write!(
@@ -627,7 +628,7 @@ impl MetricsRegistry {
                 }
                 Metric::Gauge(g) => {
                     let _ = writeln!(out, "# TYPE {pname} gauge");
-                    let _ = writeln!(out, "{pname} {}", fmt_f64(*g));
+                    let _ = writeln!(out, "{pname} {}", num(*g));
                 }
                 Metric::Histogram(h) => {
                     let _ = writeln!(out, "# TYPE {pname} histogram");
@@ -637,50 +638,18 @@ impl MetricsRegistry {
                         let _ = writeln!(
                             out,
                             "{pname}_bucket{{le=\"{}\"}} {cum}",
-                            fmt_f64(Histogram::bucket_hi(idx))
+                            num(Histogram::bucket_hi(idx))
                         );
                     }
                     cum += h.overflow;
                     let _ = writeln!(out, "{pname}_bucket{{le=\"+Inf\"}} {cum}");
-                    let _ = writeln!(out, "{pname}_sum {}", fmt_f64(h.estimated_sum()));
+                    let _ = writeln!(out, "{pname}_sum {}", num(h.estimated_sum()));
                     let _ = writeln!(out, "{pname}_count {}", h.count());
                 }
             }
         }
         out
     }
-}
-
-/// Format a float the way every deterministic export in this workspace
-/// does: shortest round-trip `Display`, non-finite mapped to 0.
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
-}
-
-/// Minimal JSON string escaping (metric names are ASCII identifiers,
-/// but stay correct for anything).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Sanitize a dotted metric name into a Prometheus identifier.

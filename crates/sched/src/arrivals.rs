@@ -125,10 +125,7 @@ pub(crate) fn check_arrivals(requests: &[AppRequest]) -> Result<(), SchedError> 
         if !(arrival_s.is_finite() && arrival_s >= prev) {
             return Err(SchedError::InvalidArrival { app, arrival_s });
         }
-        // `SimTime::from_secs_f64` saturates an instant past the clock
-        // to the `SimTime::MAX` "never" sentinel, and no earlier
-        // instant maps there.
-        if SimTime::from_secs_f64(arrival_s) == SimTime::MAX {
+        if SimTime::try_from_secs_f64(arrival_s).is_none() {
             return Err(SchedError::ArrivalBeyondClock { app, arrival_s });
         }
         prev = arrival_s;

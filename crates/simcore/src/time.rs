@@ -40,13 +40,27 @@ impl SimTime {
     /// Build an instant from (possibly fractional) seconds since the epoch.
     ///
     /// # Panics
-    /// Panics if `secs` is negative or non-finite.
+    /// Panics if `secs` is negative, non-finite or past the clock; see
+    /// [`SimTime::try_from_secs_f64`] for input from outside the program.
+    #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
-        assert!(
-            secs.is_finite() && secs >= 0.0,
-            "SimTime::from_secs_f64: invalid seconds {secs}"
-        );
-        SimTime((secs * NANOS_PER_SEC as f64).round() as u64)
+        match Self::try_from_secs_f64(secs) {
+            Some(t) => t,
+            None => invalid_seconds(secs),
+        }
+    }
+
+    /// Build an instant from (possibly fractional) seconds since the
+    /// epoch, rounded to the nanosecond: `None` if `secs` is negative or
+    /// NaN, or if the instant lies past the clock's last nanosecond
+    /// (about 1.8e10 s; infinity included).
+    #[inline]
+    pub fn try_from_secs_f64(secs: f64) -> Option<Self> {
+        // 2^64 ns: the first instant `u64` nanoseconds cannot hold. The
+        // cast below is exact short of it, where `as` would saturate.
+        const END_NS: f64 = 18_446_744_073_709_551_616.0;
+        let ns = (secs * NANOS_PER_SEC as f64).round();
+        (secs >= 0.0 && ns < END_NS).then_some(SimTime(ns as u64))
     }
 
     /// Raw nanoseconds since the epoch.
@@ -80,6 +94,15 @@ impl SimTime {
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
     }
+}
+
+/// [`SimTime::from_secs_f64`]'s panic, kept out of line so the accepted
+/// path, which the schedulers take once per event, stays two compares
+/// and a cast wherever it is inlined.
+#[cold]
+#[inline(never)]
+fn invalid_seconds(secs: f64) -> ! {
+    panic!("SimTime::from_secs_f64: invalid seconds {secs}")
 }
 
 impl SimDuration {
@@ -128,11 +151,6 @@ impl SimDuration {
     /// Seconds as `f64`.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / NANOS_PER_SEC as f64
-    }
-
-    /// True if this is the zero duration.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
     }
 
     /// Checked subtraction.
@@ -242,6 +260,42 @@ mod tests {
         let t = SimTime::from_secs_f64(1.5);
         assert_eq!(t.as_nanos(), 1_500_000_000);
         assert!((t.as_secs_f64() - 1.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn try_from_secs_rejects_what_the_clock_cannot_hold() {
+        // The first seconds value whose nanoseconds round to 2^64, and
+        // the largest one below it.
+        let first_rejected = 18_446_744_073.709_553_f64;
+        let last_accepted = f64::from_bits(first_rejected.to_bits() - 1);
+        assert_eq!((first_rejected * 1e9).round(), 2f64.powi(64));
+        assert_eq!(
+            SimTime::try_from_secs_f64(last_accepted).map(SimTime::as_nanos),
+            Some((last_accepted * 1e9).round() as u64)
+        );
+        assert!(SimTime::try_from_secs_f64(last_accepted).unwrap() < SimTime::MAX);
+        assert_eq!(SimTime::try_from_secs_f64(first_rejected), None);
+        for bad in [
+            -1e-12,
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e300,
+        ] {
+            assert_eq!(SimTime::try_from_secs_f64(bad), None, "{bad}");
+        }
+        assert_eq!(SimTime::try_from_secs_f64(0.0), Some(SimTime::ZERO));
+        assert_eq!(
+            SimTime::try_from_secs_f64(1.5),
+            Some(SimTime::from_nanos(1_500_000_000))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid seconds")]
+    fn from_secs_panics_past_the_clock() {
+        let _ = SimTime::from_secs_f64(1e300);
     }
 
     #[test]

@@ -91,11 +91,6 @@ impl Bandwidth {
     pub fn max(self, other: Bandwidth) -> Bandwidth {
         Bandwidth(self.0.max(other.0))
     }
-
-    /// True if the rate is exactly zero.
-    pub fn is_zero(self) -> bool {
-        self.0 == 0.0
-    }
 }
 
 // Deserialization applies `from_bytes_per_sec`'s check as a typed error,

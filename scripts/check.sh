@@ -4,9 +4,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# The benches below rewrite their BENCH_*.json baselines at the repository
-# root. Put the committed ones back on exit, pass or fail: re-baselining
-# stays a deliberate act.
+# The benches below rewrite their BENCH_*.json reports at the repository
+# root. Put the committed ones back on exit, pass or fail: no gate reads
+# them, and refreshing the committed reports stays a deliberate act.
 bench_saved=$(mktemp -d)
 cp BENCH_*.json "$bench_saved"/
 trap 'cp "$bench_saved"/BENCH_*.json . && rm -rf "$bench_saved"' EXIT
@@ -47,22 +47,19 @@ cargo run --release --locked -p experiments --bin repro -- --seed 7 --metrics ta
 cargo run --release --locked -p experiments --bin repro -- --seed 7 --metrics target/metrics-b.json > /dev/null
 cmp target/metrics-a.json target/metrics-b.json
 
-echo "==> tracing overhead bench (writes BENCH_trace_overhead.json; fails if the median over rounds of traced over untraced CPU time per repetition, both legs timed back to back, exceeds 1 + the committed bound)"
+echo "==> tracing overhead bench (writes BENCH_trace_overhead.json; fails if the median over rounds of traced over untraced CPU time, less one, exceeds 0.25)"
 cargo bench --locked -p bench --bench trace_overhead
 
-echo "==> metrics overhead bench (writes BENCH_metrics_overhead.json; fails if metrics-off drops below 95% of the flow_hotpath baseline or overhead exceeds the committed bound)"
-cargo bench --locked -p bench --bench metrics_overhead
-
-echo "==> scheduler placement throughput bench (writes BENCH_sched_throughput.json; fails if any policy's median over rounds of its per-decision time on the 1,000-target fleet over its time on the 8-target scenario-1 platform, both timed back to back, exceeds 55x)"
+echo "==> scheduler placement throughput bench (writes BENCH_sched_throughput.json; fails if any policy's median over rounds of its per-decision CPU time on the 1,000-target fleet over its time on the 8-target scenario-1 platform exceeds 55x)"
 cargo bench --locked -p bench --bench sched_throughput
 
-echo "==> solver hot-path bench (writes BENCH_flow_hotpath.json; fails on <2x speedup, >30% regression vs committed baseline, or a dense-leg solve that does not take the whole active set)"
+echo "==> solver hot-path bench (writes BENCH_flow_hotpath.json; fails if the median over rounds of reference over incremental CPU time falls below 7.8x, if metrics-on over metrics-off CPU time, less one, exceeds 0.10, or if a dense-leg solve does not take the whole active set)"
 cargo bench --locked -p bench --bench flow_hotpath
 
-echo "==> fleet-scale solver bench (writes BENCH_flow_scale.json; fails on <5x sharded speedup over the reference solver at 200k flows or >30% regression vs committed baseline)"
+echo "==> fleet-scale solver bench (writes BENCH_flow_scale.json; fails if the median over rounds of the reference solver's over the sharded solver's CPU time per completion at 200k flows falls below 84x)"
 cargo bench --locked -p bench --bench flow_scale
 
-echo "==> online-engine scaling bench (writes BENCH_sched_scale.json; fails on <10x online-vs-frozen speedup at 1e4 arrivals, >2x work-per-admission growth to 1e6, >1.5x adaptive-feedback overhead, peak RSS above 1024 MiB after the 1e6 rung, or throughput collapse)"
+echo "==> online-engine scaling bench (writes BENCH_sched_scale.json; single-shot rungs: fails on <10x online-vs-frozen throughput on the contended 1e4 burst, >2x work-per-admission growth to 1e6, 1e6 throughput below 0.1x the 1e4 re-measure, >1.5x adaptive-feedback time or >2x its events, or peak RSS above 1024 MiB after the 1e6 rung)"
 cargo bench --locked -p bench --bench sched_scale
 
 echo "==> interference smoke cell (1 rep, 50 apps on the 100x10 FleetSpec fleet: packed vs spread vs random)"
@@ -74,7 +71,7 @@ cargo run --release --locked -p experiments --bin repro -- --reps 1 straggler
 echo "==> adaptive restriping smoke cell (1 rep, scenario-blind feedback vs fixed placement in both scenarios)"
 cargo run --release --locked -p experiments --bin repro -- --reps 1 adaptive
 
-echo "==> straggler machinery overhead bench (writes BENCH_straggler_overhead.json; fails if the median over rounds of a hedged run's time over a plain run's, both timed back to back, exceeds 5.4x)"
+echo "==> straggler machinery overhead bench (writes BENCH_straggler_overhead.json; fails if the median over rounds of a hedged run's CPU time over a plain run's exceeds 5.4x)"
 cargo bench --locked -p bench --bench straggler_overhead
 
 echo "All checks passed."

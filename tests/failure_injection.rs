@@ -4,8 +4,8 @@
 
 use beegfs_repro::cluster::{presets, TargetId};
 use beegfs_repro::core::{
-    plafrim_registration_order, BeeGfs, ChooserKind, DirConfig, FaultPlan, StripeError,
-    StripePattern, TargetState,
+    plafrim_registration_order, BeeGfs, ChooserKind, DirConfig, FaultPlan, FaultPlanError,
+    StripeError, StripePattern, TargetState,
 };
 use beegfs_repro::ior::{AppSpec, ConfigError, IorConfig, RetryPolicy, Run, RunError};
 use beegfs_repro::sched::{
@@ -647,6 +647,66 @@ fn a_run_finishing_past_the_clock_fails_typed() {
             assert!(stall.at.as_secs_f64() < 1e10, "stalled at {}", stall.at);
         }
         other => panic!("expected a typed stall, got {other:?}"),
+    }
+}
+
+/// A retry deadline so long that an outage's give-up instant lies past
+/// the clock passes `RetryPolicy::validate`, but no engine can schedule
+/// that instant: the plan fails typed in a traced run and in both
+/// admission modes. (The online engine once stalled on it and panicked,
+/// and a traced run recorded the give-up at `u64::MAX` ns.)
+#[test]
+fn an_outage_given_up_past_the_clock_fails_typed() {
+    let endless = RetryPolicy {
+        initial_backoff_s: 0.5,
+        backoff_multiplier: 2.0,
+        max_backoff_s: 1e296,
+        deadline_s: 1e300,
+    };
+    assert!(endless.validate().is_ok());
+    let plan = FaultPlan::new().target_offline(2.0, TargetId(1)).unwrap();
+    let past_the_clock = |e: &RunError| matches!(e, RunError::FaultPlan(FaultPlanError::TimeBeyondClock(t)) if *t == 2.0 + 1e300);
+    let scenario1 = || {
+        BeeGfs::new(
+            presets::plafrim_ethernet(),
+            DirConfig {
+                pattern: StripePattern::new(4, 512 * 1024),
+                chooser: ChooserKind::RoundRobin,
+            },
+            plafrim_registration_order(),
+        )
+    };
+    let mut fs = scenario1();
+    let mut timeline = beegfs_repro::obs::Timeline::new();
+    let pinned = [0, 1, 4, 5].map(TargetId).to_vec();
+    let result = Run::new(&mut fs)
+        .app(AppSpec::pinned(IorConfig::paper_default(4), pinned))
+        .faults(plan.clone())
+        .policy(endless)
+        .trace(&mut timeline)
+        .execute(&mut RngFactory::new(5).stream("endless-retry", 0));
+    assert!(matches!(&result, Err(e) if past_the_clock(e)), "{result:?}");
+    let request = AppRequest {
+        arrival_s: 0.0,
+        config: IorConfig::paper_default(4).with_total_bytes(4 * GIB),
+        stripe: 4,
+    };
+    let second = AppRequest {
+        arrival_s: 1.0,
+        ..request
+    };
+    let stream = ArrivalStream::from_trace(vec![request, second]).unwrap();
+    for mode in [AdmissionMode::FrozenOracle, AdmissionMode::Online] {
+        let mut fs = scenario1();
+        let result = Scheduler::new(&mut fs, Box::new(LeastLoadedServer))
+            .mode(mode)
+            .faults(plan.clone())
+            .retry(endless)
+            .serve(&stream, &RngFactory::new(5));
+        assert!(
+            matches!(&result, Err(SchedError::Run(e)) if past_the_clock(e)),
+            "{mode:?}: {result:?}"
+        );
     }
 }
 
