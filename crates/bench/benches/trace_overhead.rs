@@ -1,5 +1,6 @@
-//! Tracing overhead check: the same scenario-1 stripe-4 run with no
-//! recorder attached vs. recording into an [`obs::Timeline`].
+//! Tracing overhead check: the `repro --trace` outage run
+//! ([`experiments::context::outage_run`]) with no recorder attached vs.
+//! recording into an [`obs::Timeline`].
 //!
 //! Each round times a batch of untraced repetitions and a batch of
 //! traced ones over the same seeds, back to back on the process CPU
@@ -9,10 +10,8 @@
 //! its untraced leg's, less one, exceeds [`MAX_OVERHEAD`], so
 //! emission-path regressions fail CI instead of silently accumulating.
 
-use beegfs_core::{BeeGfs, FaultPlan};
 use bench::{rounds, Report};
-use cluster::TargetId;
-use ior::{AppSpec, IorConfig, RetryPolicy, Run};
+use experiments::context::outage_run;
 use simcore::rng::RngFactory;
 
 /// Timed rounds.
@@ -26,43 +25,23 @@ const RUNS: usize = 400;
 /// read 0.324 and fails.
 const MAX_OVERHEAD: f64 = 0.25;
 
-fn scenario() -> BeeGfs {
-    experiments::context::deploy(
-        experiments::Scenario::S1Ethernet,
-        4,
-        beegfs_core::ChooserKind::RoundRobin,
-    )
-}
-
-fn plan() -> FaultPlan {
-    FaultPlan::new()
-        .target_offline(2.0, TargetId(1))
-        .expect("valid fault time")
-        .target_recovers(9.0, TargetId(1))
-        .expect("valid recovery time")
-}
-
-/// One leg: a repetition per seed, as a campaign runs them — a fresh
-/// deployment and its run, traced into a fresh timeline or not.
-/// Returns the simulation events of all repetitions.
+/// One leg: the `repro --trace` outage run once per seed, as a
+/// campaign runs repetitions — a fresh deployment and its run, traced
+/// into a fresh timeline or not. Returns the simulation events of all
+/// repetitions.
 fn leg(traced: bool) -> u64 {
-    let plan = plan();
     let mut events = 0;
     for seed in 0..RUNS as u64 {
-        let mut fs = scenario();
-        let mut rng = RngFactory::new(seed).stream("trace-overhead", 0);
         let mut timeline = obs::Timeline::new();
-        let mut run = Run::new(&mut fs)
-            .app(AppSpec::pinned(
-                IorConfig::paper_default(8),
-                vec![TargetId(0), TargetId(1), TargetId(4), TargetId(5)],
-            ))
-            .faults(plan.clone())
-            .policy(RetryPolicy::default());
-        if traced {
-            run = run.trace(&mut timeline);
-        }
-        let (out, _) = run.execute(&mut rng).expect("bench run");
+        let mut rng = RngFactory::new(seed).stream("trace-overhead", 0);
+        let (out, _) = outage_run(&mut rng, |run| {
+            if traced {
+                run.trace(&mut timeline)
+            } else {
+                run
+            }
+        })
+        .expect("bench run");
         assert_eq!(timeline.is_empty(), !traced, "traced runs record events");
         events += out.sim_events;
     }

@@ -135,6 +135,13 @@ impl Rounds {
             .unwrap_or_else(|| panic!("no leg `{name}`"))
     }
 
+    /// The median over rounds of leg `name`'s CPU seconds, and the work
+    /// each of its runs did.
+    pub fn median(&self, name: &str) -> (f64, u64) {
+        let i = self.leg(name);
+        (quartiles(self.secs[i].clone())[1], self.work[i])
+    }
+
     /// Quartiles over rounds of leg `a`'s time over leg `b`'s, each
     /// ratio taken within one round.
     pub fn ratio(&self, a: &str, b: &str) -> [f64; 3] {
@@ -280,6 +287,7 @@ mod tests {
         let (r, _) = logged_rounds(3, [a, b, c], [w, w, w]);
         assert_eq!(r.secs[0], vec![1.0, 2.0, 9.0]);
         assert_eq!(r.ratio("a", "b")[1], 2.0);
+        assert_eq!((r.median("a"), r.median("b")), ((2.0, 1), (3.0, 1)));
         assert_eq!(r.ratio("b", "c"), [1.0, 3.0, 3.0]);
     }
 

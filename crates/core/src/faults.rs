@@ -47,7 +47,7 @@ pub enum FaultKind {
     /// express. From `at_s` the target ramps linearly from full speed
     /// to `floor` over `ramp_s` seconds and then stays there; the ramp
     /// is compiled into a [`SLOW_DRIFT_STEPS`]-step staircase of
-    /// `Degraded` states (see [`FaultPlan::target_state_curve`]).
+    /// `Degraded` states (see [`FaultPlan::target_steps`]).
     SlowDrift {
         /// The affected target.
         target: TargetId,
@@ -390,47 +390,24 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// The piecewise-constant state curve this plan compiles to for one
-    /// target: every `(time, state)` step in time order, with
-    /// [`FaultKind::SlowDrift`] ramps expanded into their `Degraded`
-    /// staircase and [`FaultKind::TransientStraggler`] episodes into
-    /// their onset/recovery pair. Same-instant steps keep plan order
-    /// (last write wins when applied), and steps from *different*
-    /// events interleave freely — an offline/recovery pair in the
-    /// middle of a drift ramp yields exactly the merged timeline, with
-    /// the remaining ramp steps still landing after the recovery.
-    pub fn target_state_curve(&self, target: TargetId) -> Vec<(f64, TargetState)> {
+    /// Every target step the plan compiles to, expanded once, as
+    /// `(time, target, state)` sorted by target, then time: a
+    /// [`FaultKind::SlowDrift`] ramp becomes its `Degraded` staircase and
+    /// a [`FaultKind::TransientStraggler`] episode its onset/recovery
+    /// pair. One target's run of steps is its piecewise-constant state
+    /// curve. Same-instant steps keep plan order (last write wins when
+    /// applied), and steps from *different* events interleave freely —
+    /// an offline/recovery pair in the middle of a drift ramp yields
+    /// exactly the merged timeline, with the remaining ramp steps still
+    /// landing after the recovery.
+    pub fn target_steps(&self) -> Vec<(f64, TargetId, TargetState)> {
         let mut steps = Vec::new();
         for ev in &self.events {
             expand_target_steps(ev, &mut steps);
         }
-        let mut curve: Vec<(f64, TargetState)> = steps
-            .into_iter()
-            .filter(|&(_, t, _)| t == target)
-            .map(|(at_s, _, state)| (at_s, state))
-            .collect();
-        // Stable: same-instant steps keep event (insertion) order.
-        curve.sort_by(|a, b| a.0.total_cmp(&b.0));
-        curve
-    }
-
-    /// Every target any event of the plan touches, in first-touch order.
-    pub fn touched_targets(&self) -> Vec<TargetId> {
-        let mut seen = Vec::new();
-        for ev in &self.events {
-            let t = match ev.kind {
-                FaultKind::SetTargetState { target, .. }
-                | FaultKind::SlowDrift { target, .. }
-                | FaultKind::TransientStraggler { target, .. } => target,
-                FaultKind::DegradeServerLink { .. } | FaultKind::RestoreServerLink { .. } => {
-                    continue
-                }
-            };
-            if !seen.contains(&t) {
-                seen.push(t);
-            }
-        }
-        seen
+        // Stable: same-instant steps of a target keep plan order.
+        steps.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.total_cmp(&b.0)));
+        steps
     }
 
     /// The state a target ends up in once the whole timeline has played
@@ -438,9 +415,11 @@ impl FaultPlan {
     /// Drift ramps count: a plan ending in a [`FaultKind::SlowDrift`]
     /// leaves the target `Degraded` at the drift floor.
     pub fn final_target_state(&self, target: TargetId) -> Option<TargetState> {
-        self.target_state_curve(target)
-            .pop()
-            .map(|(_, state)| state)
+        self.target_steps()
+            .iter()
+            .rev()
+            .find(|&&(_, t, _)| t == target)
+            .map(|&(_, _, state)| state)
     }
 
     /// Emit the plan's *physical* timeline into an event recorder:
@@ -754,12 +733,21 @@ mod tests {
         assert!(serde_json::from_str::<FaultPlan>(&json).is_err());
     }
 
+    /// One target's state curve: its run of the plan's expansion.
+    fn curve_of(plan: &FaultPlan, target: TargetId) -> Vec<(f64, TargetState)> {
+        plan.target_steps()
+            .into_iter()
+            .filter(|&(_, t, _)| t == target)
+            .map(|(at_s, _, state)| (at_s, state))
+            .collect()
+    }
+
     #[test]
     fn slow_drift_expands_to_a_monotone_staircase() {
         let plan = FaultPlan::new()
             .target_slow_drift(10.0, TargetId(2), 0.25, 8.0)
             .unwrap();
-        let curve = plan.target_state_curve(TargetId(2));
+        let curve = curve_of(&plan, TargetId(2));
         assert_eq!(curve.len(), SLOW_DRIFT_STEPS as usize);
         // First step one increment after onset, last step at the floor
         // exactly when the ramp ends.
@@ -784,7 +772,7 @@ mod tests {
         let plan = FaultPlan::new()
             .target_transient_straggler(3.0, TargetId(4), 0.2, 6.0)
             .unwrap();
-        let curve = plan.target_state_curve(TargetId(4));
+        let curve = curve_of(&plan, TargetId(4));
         assert_eq!(
             curve,
             vec![
@@ -796,7 +784,7 @@ mod tests {
             plan.final_target_state(TargetId(4)),
             Some(TargetState::Online)
         );
-        assert!(plan.target_state_curve(TargetId(0)).is_empty());
+        assert!(curve_of(&plan, TargetId(0)).is_empty());
     }
 
     #[test]
@@ -812,7 +800,7 @@ mod tests {
             .unwrap()
             .target_recovers(4.5, TargetId(1))
             .unwrap();
-        let curve = plan.target_state_curve(TargetId(1));
+        let curve = curve_of(&plan, TargetId(1));
         assert_eq!(curve.len(), SLOW_DRIFT_STEPS as usize + 2);
         let times: Vec<f64> = curve.iter().map(|&(t, _)| t).collect();
         assert!(times.windows(2).all(|w| w[0] <= w[1]), "curve time-sorted");
@@ -823,14 +811,18 @@ mod tests {
             plan.final_target_state(TargetId(1)),
             Some(TargetState::Degraded(0.5))
         );
-        assert_eq!(plan.touched_targets(), vec![TargetId(1)]);
+        assert_eq!(
+            plan.target_steps().len(),
+            curve.len(),
+            "only target 1 is touched"
+        );
 
         // And the overlapping plan survives a JSON round trip intact
         // (deserialization re-validates and re-sorts).
         let json = serde_json::to_string(&plan).unwrap();
         let back: FaultPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(back, plan);
-        assert_eq!(back.target_state_curve(TargetId(1)), curve);
+        assert_eq!(back.target_steps(), plan.target_steps());
     }
 
     #[test]

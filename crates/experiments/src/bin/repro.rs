@@ -118,40 +118,17 @@ fn positive(flag: &str, v: &str) -> Result<usize, String> {
     }
 }
 
-/// `--trace OUT.json`: run the paper's scenario-1 stripe-4 workload with
-/// a pinned balanced allocation, a mid-run target outage and the default
-/// retry policy, recording every event into a [`obs::Timeline`], then
-/// export it as a Chrome trace for `ui.perfetto.dev`.
+/// `--trace OUT.json`: run [`experiments::context::outage_run`], the
+/// paper's scenario-1 stripe-4 workload with a pinned balanced
+/// allocation, a mid-run target outage and the default retry policy,
+/// recording every event into a [`obs::Timeline`], then export it as a
+/// Chrome trace for `ui.perfetto.dev`.
 fn trace_cmd(args: &Args, out: &std::path::Path) {
-    use beegfs_core::FaultPlan;
-    use cluster::TargetId;
-    use ior::{AppSpec, IorConfig, RetryPolicy, Run};
-    use simcore::rng::RngFactory;
-
-    let mut fs = experiments::context::deploy(
-        Scenario::S1Ethernet,
-        4,
-        beegfs_core::ChooserKind::RoundRobin,
-    );
-    // One target goes dark at t=2s and returns at t=9s: long enough past
-    // the 3s heartbeat that clients observe the stall and retry.
-    let plan = FaultPlan::new()
-        .target_offline(2.0, TargetId(1))
-        .expect("valid fault time")
-        .target_recovers(9.0, TargetId(1))
-        .expect("valid recovery time");
-    let mut rng = RngFactory::new(args.ctx.seed).stream("trace", 0);
     let mut timeline = obs::Timeline::new();
-    let (outcome, report) = Run::new(&mut fs)
-        .app(AppSpec::pinned(
-            IorConfig::paper_default(8),
-            vec![TargetId(0), TargetId(1), TargetId(4), TargetId(5)],
-        ))
-        .faults(plan)
-        .policy(RetryPolicy::default())
-        .trace(&mut timeline)
-        .execute(&mut rng)
-        .expect("trace run");
+    let mut rng = simcore::rng::RngFactory::new(args.ctx.seed).stream("trace", 0);
+    let (outcome, report) =
+        experiments::context::outage_run(&mut rng, |run| run.trace(&mut timeline))
+            .expect("trace run");
     std::fs::write(out, timeline.to_chrome_trace()).expect("write trace file");
     let app = outcome.try_single().expect("single app");
     println!(
@@ -174,38 +151,15 @@ fn trace_cmd(args: &Args, out: &std::path::Path) {
     );
 }
 
-/// `--metrics OUT.json`: run the same pinned scenario-1 fault/retry
-/// workload as `--trace`, but with a [`obs::metrics::MetricsRegistry`]
-/// attached. The registry's byte-stable JSON snapshot goes to `out`
-/// (two runs with the same seed write identical bytes — the golden
-/// tests pin this) and the Prometheus text exposition goes to stdout.
+/// `--metrics OUT.json`: run the same outage run as `--trace`, but with
+/// a [`obs::metrics::MetricsRegistry`] attached. The registry's
+/// byte-stable JSON snapshot goes to `out` (two runs with the same seed
+/// write identical bytes — the golden tests pin this) and the
+/// Prometheus text exposition goes to stdout.
 fn metrics_cmd(args: &Args, out: &std::path::Path) {
-    use beegfs_core::FaultPlan;
-    use cluster::TargetId;
-    use ior::{AppSpec, IorConfig, RetryPolicy, Run};
-    use simcore::rng::RngFactory;
-
-    let mut fs = experiments::context::deploy(
-        Scenario::S1Ethernet,
-        4,
-        beegfs_core::ChooserKind::RoundRobin,
-    );
-    let plan = FaultPlan::new()
-        .target_offline(2.0, TargetId(1))
-        .expect("valid fault time")
-        .target_recovers(9.0, TargetId(1))
-        .expect("valid recovery time");
-    let mut rng = RngFactory::new(args.ctx.seed).stream("trace", 0);
     let mut registry = obs::metrics::MetricsRegistry::new();
-    let (outcome, _) = Run::new(&mut fs)
-        .app(AppSpec::pinned(
-            IorConfig::paper_default(8),
-            vec![TargetId(0), TargetId(1), TargetId(4), TargetId(5)],
-        ))
-        .faults(plan)
-        .policy(RetryPolicy::default())
-        .metrics(&mut registry)
-        .execute(&mut rng)
+    let mut rng = simcore::rng::RngFactory::new(args.ctx.seed).stream("trace", 0);
+    let (outcome, _) = experiments::context::outage_run(&mut rng, |run| run.metrics(&mut registry))
         .expect("metrics run");
     std::fs::write(out, registry.to_json()).expect("write metrics file");
     print!("{}", registry.to_prometheus());

@@ -1,7 +1,9 @@
 //! Shared experiment context: scenarios, repetition harness, defaults.
 
-use beegfs_core::{plafrim_registration_order, BeeGfs, ChooserKind, DirConfig, StripePattern};
-use cluster::{presets, Platform};
+use beegfs_core::{
+    plafrim_registration_order, BeeGfs, ChooserKind, DirConfig, FaultPlan, StripePattern,
+};
+use cluster::{presets, Platform, TargetId};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use simcore::rng::RngFactory;
@@ -118,6 +120,31 @@ pub fn single_run(
         .execute(rng)
         .expect("experiment run failed");
     out.try_single().expect("single-application run").clone()
+}
+
+/// The traced outage run behind `repro --trace` and `repro --metrics`:
+/// scenario 1 at stripe 4 under round robin, one 8-node application
+/// pinned to targets 0, 1, 4 and 5, target 1 offline from 2 s to 9 s
+/// (long enough past the 3 s heartbeat that clients observe the stall
+/// and retry) and the default retry policy. `instrument` attaches a
+/// recorder or a registry, or nothing, before the run executes on
+/// `rng` (`repro` draws the seed's `"trace"` stream).
+pub fn outage_run<'r>(
+    rng: &mut simcore::rng::StreamRng,
+    instrument: impl for<'fs> FnOnce(ior::Run<'fs, 'r>) -> ior::Run<'fs, 'r>,
+) -> Result<(ior::RunOutcome, ior::UtilizationReport), ior::RunError> {
+    let mut fs = deploy(Scenario::S1Ethernet, 4, ChooserKind::RoundRobin);
+    let plan = FaultPlan::new()
+        .target_offline(2.0, TargetId(1))
+        .and_then(|plan| plan.target_recovers(9.0, TargetId(1)))
+        .expect("valid outage times");
+    let run = ior::Run::new(&mut fs)
+        .faults(plan)
+        .app(ior::AppSpec::pinned(
+            ior::IorConfig::paper_default(8),
+            vec![TargetId(0), TargetId(1), TargetId(4), TargetId(5)],
+        ));
+    instrument(run).execute(rng)
 }
 
 /// Run `reps` independent repetitions of a run closure in parallel.

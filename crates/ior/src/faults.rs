@@ -159,26 +159,18 @@ impl FaultTimeline {
 
         // Whether a probe succeeds depends on the target's *whole*
         // timeline — a later outage can swallow a probe — so each target
-        // is compiled against its merged state curve (drift ramps
-        // expanded to their staircase, stragglers to onset/recovery).
-        // Every curve is expanded before any is compiled: the transient
-        // buffers shape the heap a session then runs in. Expanding one
-        // curve at a time cut the 600-target `fleet_online` benchmark's
-        // peak memory from 35 to 16 MiB but made its session ~11% slower
-        // on a 2-vCPU x86-64 VM, with identical outputs.
+        // is compiled against its merged state curve: its run of the
+        // plan's one expansion (drift ramps expanded to their staircase,
+        // stragglers to onset/recovery).
         let mut outages = Vec::new();
-        let mut targets = plan.touched_targets();
-        targets.sort_unstable();
-        let curves: Vec<_> = targets
-            .into_iter()
-            .map(|t| (t, plan.target_state_curve(t)))
-            .collect();
-        for (target, evs) in curves {
+        let steps = plan.target_steps();
+        for evs in steps.chunk_by(|a, b| a.1 == b.1) {
+            let target = evs[0].1;
             let state_at = |t: f64| {
                 evs.iter()
-                    .take_while(|(at_s, _)| *at_s <= t)
+                    .take_while(|(at_s, ..)| *at_s <= t)
                     .last()
-                    .map(|&(_, state)| state)
+                    .map(|&(_, _, state)| state)
             };
             let mut change = |at_s: f64, state: TargetState| {
                 changes.push(CapacityChange {
@@ -189,7 +181,7 @@ impl FaultTimeline {
             };
             let mut i = 0;
             while i < evs.len() {
-                let (start_s, state) = evs[i];
+                let (start_s, _, state) = evs[i];
                 change(start_s, state);
                 i += 1;
                 if !matches!(state, TargetState::Offline) {
@@ -202,9 +194,9 @@ impl FaultTimeline {
                 let observe_s = fs.mgmt().observation_time_s(start_s);
                 let resume = evs[i..]
                     .iter()
-                    .take_while(|(at_s, _)| at_s - start_s <= retry.deadline_s)
-                    .filter(|(_, s)| !matches!(s, TargetState::Offline))
-                    .find_map(|&(rec_s, _)| {
+                    .take_while(|(at_s, ..)| at_s - start_s <= retry.deadline_s)
+                    .filter(|(_, _, s)| !matches!(s, TargetState::Offline))
+                    .find_map(|&(rec_s, _, _)| {
                         let probe = retry.resume_time_s(observe_s, rec_s);
                         match state_at(probe) {
                             Some(TargetState::Offline) | None => None,

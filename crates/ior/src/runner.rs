@@ -755,9 +755,9 @@ fn execute_run(
     // buffers back for the next run instead of freeing them.
     match arena {
         Some(a) => {
-            // A counter, not `a.uses()`: thread-local arenas outlive the
-            // run, so their cumulative use count depends on how a thread
-            // pool distributed earlier runs — this stays deterministic.
+            // Counted per run, not per arena: thread-local arenas outlive
+            // the run, so a count kept in one would depend on how a
+            // thread pool distributed earlier runs.
             sim.recycle_into(&mut *a);
             if let Some(reg) = metrics {
                 reg.inc("sim.arena.recycles");

@@ -175,51 +175,6 @@ impl Histogram {
         self.buckets[idx] += 1;
     }
 
-    /// Record `n` identical samples (used when harvesting integer
-    /// tallies like per-target chunk counts).
-    pub fn observe_n(&mut self, v: f64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.observe(v);
-        // `observe` bumped exactly one cell; find it again cheaply by
-        // re-deriving the classification is wasteful — instead repeat.
-        if n > 1 {
-            let (cell, idx) = self.last_cell_of(v);
-            match cell {
-                CellRef::Bucket => self.buckets[idx] += n - 1,
-                CellRef::Zeros => self.zeros += n - 1,
-                CellRef::Negatives => self.negatives += n - 1,
-                CellRef::Nans => self.nans += n - 1,
-                CellRef::Underflow => self.underflow += n - 1,
-                CellRef::Overflow => self.overflow += n - 1,
-            }
-        }
-    }
-
-    /// Which cell a value classifies into (paired with `observe_n`).
-    fn last_cell_of(&self, v: f64) -> (CellRef, usize) {
-        if v.is_nan() {
-            return (CellRef::Nans, 0);
-        }
-        if v == 0.0 {
-            return (CellRef::Zeros, 0);
-        }
-        if v < 0.0 {
-            return (CellRef::Negatives, 0);
-        }
-        let bits = v.to_bits();
-        let e = ((bits >> 52) & 0x7ff) as i64 - 1023;
-        if e < E_MIN {
-            return (CellRef::Underflow, 0);
-        }
-        if e >= E_MAX {
-            return (CellRef::Overflow, 0);
-        }
-        let sub = ((bits >> 48) & 0xF) as usize;
-        (CellRef::Bucket, ((e - E_MIN) as usize) * SUB + sub)
-    }
-
     /// Exact merge: elementwise addition of all counts. Commutative and
     /// associative, so merging any partition of a sample stream in any
     /// order reproduces the histogram of the full stream exactly.
@@ -261,13 +216,6 @@ impl Histogram {
     /// Negative samples seen.
     pub fn negatives(&self) -> u64 {
         self.negatives
-    }
-
-    /// Lower bound of bucket `idx`.
-    fn bucket_lo(idx: usize) -> f64 {
-        let e = (idx / SUB) as i64 + E_MIN;
-        let sub = (idx % SUB) as f64;
-        exp2i(e) * (1.0 + sub / SUB as f64)
     }
 
     /// Exclusive upper bound of bucket `idx`.
@@ -349,36 +297,12 @@ impl Histogram {
             .filter(|(_, &c)| c > 0)
             .map(|(i, &c)| (i, c))
     }
-
-    /// Exclusive upper bound of bucket `idx` (public for exports).
-    pub fn bucket_upper_bound(idx: usize) -> f64 {
-        Self::bucket_hi(idx)
-    }
-
-    /// Inclusive lower bound of bucket `idx` (public for exports).
-    pub fn bucket_lower_bound(idx: usize) -> f64 {
-        Self::bucket_lo(idx)
-    }
-
-    /// Midpoint representative of bucket `idx` (public for exports).
-    pub fn bucket_midpoint(idx: usize) -> f64 {
-        Self::bucket_mid(idx)
-    }
 }
 
 /// `2^e` for integer `e`, exact for the exponent range used here.
 fn exp2i(e: i64) -> f64 {
     debug_assert!((-1022..=1023).contains(&e));
     f64::from_bits(((e + 1023) as u64) << 52)
-}
-
-enum CellRef {
-    Bucket,
-    Zeros,
-    Negatives,
-    Nans,
-    Underflow,
-    Overflow,
 }
 
 /// One named metric in a registry.
@@ -490,14 +414,6 @@ impl MetricsRegistry {
     pub fn observe(&mut self, name: &str, v: f64) {
         match self.slot(name, Metric::Histogram(Histogram::new())) {
             Metric::Histogram(h) => h.observe(v),
-            _ => unreachable!(),
-        }
-    }
-
-    /// Record `n` identical samples into histogram `name`.
-    pub fn observe_n(&mut self, name: &str, v: f64, n: u64) {
-        match self.slot(name, Metric::Histogram(Histogram::new())) {
-            Metric::Histogram(h) => h.observe_n(v, n),
             _ => unreachable!(),
         }
     }
@@ -669,6 +585,13 @@ fn prom_name(name: &str) -> String {
 mod tests {
     use super::*;
 
+    /// Inclusive lower bound of bucket `idx`.
+    fn bucket_lo(idx: usize) -> f64 {
+        let e = (idx / SUB) as i64 + E_MIN;
+        let sub = (idx % SUB) as f64;
+        exp2i(e) * (1.0 + sub / SUB as f64)
+    }
+
     #[test]
     fn counter_basics() {
         let mut c = Counter::new();
@@ -686,10 +609,10 @@ mod tests {
             h.observe(v);
         }
         for (idx, _) in h.nonzero_buckets() {
-            let lo = Histogram::bucket_lower_bound(idx);
-            let hi = Histogram::bucket_upper_bound(idx);
+            let lo = bucket_lo(idx);
+            let hi = Histogram::bucket_hi(idx);
             assert!(lo < hi);
-            let mid = Histogram::bucket_midpoint(idx);
+            let mid = Histogram::bucket_mid(idx);
             assert!(lo < mid && mid < hi);
             // Half the relative width is the documented error bound.
             assert!((hi - lo) / 2.0 / lo <= HISTOGRAM_RELATIVE_ERROR + 1e-15);
@@ -703,7 +626,7 @@ mod tests {
         h.observe(2.0);
         let (idx, c) = h.nonzero_buckets().next().unwrap();
         assert_eq!(c, 1);
-        assert_eq!(Histogram::bucket_lower_bound(idx), 2.0);
+        assert_eq!(bucket_lo(idx), 2.0);
     }
 
     #[test]
@@ -801,22 +724,6 @@ mod tests {
         // Merge in the "wrong" order too: b into a equals whole.
         b.merge(&a);
         assert_eq!(b, whole);
-    }
-
-    #[test]
-    fn observe_n_equals_repeated_observe() {
-        for v in [0.0, -1.0, f64::NAN, 1e-300, 1e300, 3.5] {
-            let mut a = Histogram::new();
-            let mut b = Histogram::new();
-            a.observe_n(v, 5);
-            for _ in 0..5 {
-                b.observe(v);
-            }
-            assert_eq!(a, b, "v={v}");
-            let mut c = Histogram::new();
-            c.observe_n(v, 0);
-            assert_eq!(c, Histogram::new());
-        }
     }
 
     #[test]

@@ -611,33 +611,11 @@ struct AdaptState {
 ///    scenario-1 lesson (balance first).
 ///
 /// Every rule is pure arithmetic over the observation — no clock, no
-/// RNG — so decision logs are byte-stable, and with feedback disabled
-/// ([`AdaptiveStriping::disabled`]) the policy is byte-identical to
-/// [`UtilizationFeedback`] up to its name.
-#[derive(Debug)]
+/// RNG — so decision logs are byte-stable, and its placement alone is
+/// byte-identical to [`UtilizationFeedback`] up to its name.
+#[derive(Debug, Default)]
 pub struct AdaptiveStriping {
-    feedback: bool,
     state: BTreeMap<usize, AdaptState>,
-}
-
-impl Default for AdaptiveStriping {
-    fn default() -> Self {
-        AdaptiveStriping {
-            feedback: true,
-            state: BTreeMap::new(),
-        }
-    }
-}
-
-impl AdaptiveStriping {
-    /// Placement only: no evaluation events and no restripes — the
-    /// differential-test configuration.
-    pub fn disabled() -> Self {
-        AdaptiveStriping {
-            feedback: false,
-            ..Self::default()
-        }
-    }
 }
 
 /// Distinct targets of a (possibly wrap-around) stripe set.
@@ -662,7 +640,7 @@ impl PlacementPolicy for AdaptiveStriping {
     }
 
     fn wants_feedback(&self) -> bool {
-        self.feedback
+        true
     }
 
     fn restripe(
@@ -670,9 +648,6 @@ impl PlacementPolicy for AdaptiveStriping {
         view: &ClusterView<'_>,
         obs: &AppObservation<'_>,
     ) -> Option<RestripeDecision> {
-        if !self.wants_feedback() {
-            return None;
-        }
         if obs.samples < MIN_SAMPLES || obs.since_change_s < COOLDOWN_S {
             return None;
         }
@@ -1080,23 +1055,6 @@ mod tests {
         let mut hot = obs(0, &current, 0.95e9, 1.0e9, 1.0e9);
         hot.since_change_s = 0.1;
         assert!(p.restripe(&v, &hot).is_none(), "cooldown gate");
-    }
-
-    #[test]
-    fn disabled_adaptive_never_restripes_and_wants_no_feedback() {
-        let platform = presets::plafrim_ethernet();
-        let online = vec![true; platform.total_targets()];
-        let outstanding = vec![0.0; platform.server_count()];
-        let busy = vec![0.0; platform.total_targets()];
-        let suspected = vec![false; platform.total_targets()];
-        let v = view(&platform, &online, &outstanding, &busy, &suspected);
-        let mut p = AdaptiveStriping::disabled();
-        assert!(!p.wants_feedback());
-        assert!(AdaptiveStriping::default().wants_feedback());
-        let current = [TargetId(0), TargetId(1), TargetId(2), TargetId(3)];
-        assert!(p
-            .restripe(&v, &obs(0, &current, 0.1e9, 1.0e9, 0.1e9))
-            .is_none());
     }
 
     #[test]

@@ -148,7 +148,8 @@ pub(crate) struct SolverScratch {
     /// Slots of the flows collected into the dirty components, sorted
     /// ascending before solving. After a whole-set solve it holds what
     /// the walk marked before it stopped, or, while touched resources
-    /// are tracked, a copy of the active list for the sampler.
+    /// are tracked, a copy of the active list for the sampler, as after
+    /// a tracked reference solve.
     comp_flows: Vec<u32>,
     /// Resources collected into the dirty components, in walk order.
     comp_res: Vec<u32>,
@@ -286,12 +287,8 @@ pub struct FlowNetwork {
     track_touched: bool,
     /// The captured touched set (sorted ascending, deduplicated): the
     /// dirty set at recompute entry unioned with the resources of the
-    /// re-solved components.
+    /// re-solved components, or every resource after a reference solve.
     touched_res: Vec<u32>,
-    /// Whether `touched_res` describes the last recompute. False after a
-    /// reference solve (the sampler must scan everything) and while
-    /// tracking is off.
-    touched_valid: bool,
     scratch: SolverScratch,
 }
 
@@ -790,9 +787,10 @@ impl FlowNetwork {
         self.flows.truncate(kept);
         self.path_arena.truncate(arena_len);
         self.retired = 0;
-        // The last solve's component list names pre-compaction slots.
+        // The last solve's component list names pre-compaction slots;
+        // the touched set it came with goes too.
         self.scratch.comp_flows.clear();
-        self.touched_valid = false;
+        self.touched_res.clear();
     }
 
     /// Current rate of a flow in bytes/second: `0.0` while inactive,
@@ -972,7 +970,6 @@ impl FlowNetwork {
                 self.touched_res.extend_from_slice(&self.dirty);
                 self.touched_res.sort_unstable();
                 self.scratch.comp_flows.clear();
-                self.touched_valid = true;
             }
             self.clear_dirty();
             return;
@@ -1017,25 +1014,18 @@ impl FlowNetwork {
         &self.scratch.comp_sizes
     }
 
-    /// Enable or disable touched-resource capture (see `touched_res`).
+    /// Capture touched-resource sets (see `touched_res`) from now on.
     /// Turned on when a recorder is attached so the tracing sampler can
     /// stay proportional to the dirty components.
-    pub(crate) fn set_track_touched(&mut self, on: bool) {
-        self.track_touched = on;
-        if !on {
-            self.touched_valid = false;
-        }
+    pub(crate) fn track_touched(&mut self) {
+        self.track_touched = true;
     }
 
     /// The resources whose aggregate load may have changed in the last
-    /// recompute (sorted ascending), or `None` when the last solve did
-    /// not capture a touched set and the sampler must scan everything.
-    pub(crate) fn touched_resources(&self) -> Option<&[u32]> {
-        if self.touched_valid {
-            Some(&self.touched_res)
-        } else {
-            None
-        }
+    /// recompute, sorted ascending; empty until a recompute has run
+    /// while touched sets are captured.
+    pub(crate) fn touched_resources(&self) -> &[u32] {
+        &self.touched_res
     }
 
     /// Mark every resource currently carrying active flows dirty, so the
@@ -1130,7 +1120,6 @@ impl FlowNetwork {
             }
             self.touched_res.sort_unstable();
             self.touched_res.dedup();
-            self.touched_valid = true;
         }
         self.clear_dirty();
         if whole {
@@ -1374,10 +1363,11 @@ impl FlowNetwork {
     /// compiled unconditionally so integration tests and benches outside
     /// this crate can call it.
     ///
-    /// Does not consult or clear the dirty set.
+    /// Does not consult or clear the dirty set. While touched sets are
+    /// captured it reports every resource touched, with every active
+    /// flow re-solved, so a traced reference run samples what a traced
+    /// incremental run does.
     pub fn reference_recompute_rates(&mut self) {
-        // Anything may have changed: the tracing sampler must full-scan.
-        self.touched_valid = false;
         let n_res = self.resources.len();
         let mut depth: Vec<f64> = vec![0.0; n_res];
         let mut unfrozen: Vec<u32> = vec![0; n_res];
@@ -1441,34 +1431,27 @@ impl FlowNetwork {
             }
             debug_assert!(froze_any, "progressive filling made no progress");
         }
-    }
-
-    /// Fill `out` (one slot per resource) with the aggregate active-flow
-    /// rate through each resource — the bulk form of
-    /// [`FlowNetwork::resource_load`], used by the tracing sampler after
-    /// every rate recompute.
-    pub(crate) fn loads_into(&self, out: &mut [f64]) {
-        for v in out.iter_mut() {
-            *v = 0.0;
-        }
-        for &s in &self.active {
-            let f = &self.flows[s as usize];
-            let off = f.path_off as usize;
-            for r in &self.path_arena[off..off + f.path_len as usize] {
-                out[r.index()] += f.rate;
-            }
+        if self.track_touched {
+            // Any load may have changed: every resource is touched, and
+            // every active flow was re-solved.
+            self.touched_res.clear();
+            self.touched_res.extend(0..n_res as u32);
+            self.scratch.comp_flows.clear();
+            self.scratch.comp_flows.extend_from_slice(&self.active);
         }
     }
 
-    /// Restricted form of [`FlowNetwork::loads_into`] for the tracing
-    /// sampler: refresh only the entries in `touched` (the set captured
-    /// by the last recompute), re-accumulating from the flows of the
-    /// just-solved components. Every flow crossing a touched resource
-    /// with active flows belongs to a collected component, and
-    /// `comp_flows` is sorted ascending like the active list, so each
-    /// refreshed sum adds the same rates in the same order as the full
-    /// scan — bit-identical values. Entries outside `touched` are left
-    /// alone; their loads are provably unchanged.
+    /// Fill the entries of `out` (one slot per resource) that `touched`,
+    /// the set the last recompute captured, lists with the aggregate
+    /// active-flow rate through each resource — the bulk form of
+    /// [`FlowNetwork::resource_load`] the tracing sampler reads after
+    /// every recompute. The sums re-accumulate from the flows the solve
+    /// re-solved: every flow crossing a touched resource with active
+    /// flows is one of them, and `comp_flows` is sorted ascending like
+    /// the active list, so each sum adds the same rates in the same order
+    /// as a scan of every active flow — bit-identical values. Entries
+    /// outside `touched` are left alone; their loads are provably
+    /// unchanged.
     pub(crate) fn loads_into_touched(&self, out: &mut [f64], touched: &[u32]) {
         for &r in touched {
             out[r as usize] = 0.0;

@@ -60,6 +60,16 @@ enum Event {
     SetFactor(ResourceId, f64),
 }
 
+/// Why [`FluidSim::step_until`] stopped.
+enum Stop {
+    /// Completions are waiting in `ready`.
+    Ready,
+    /// No flow is active and the calendar is empty.
+    Idle,
+    /// Neither a completion nor a calendar event is due by the horizon.
+    NothingDue,
+}
+
 /// Recycled simulation buffers, carried across [`FluidSim`] instances.
 ///
 /// A fresh sim grows its event calendar, flow records and path arenas,
@@ -79,21 +89,12 @@ pub struct SimArena {
     last_loads: Vec<f64>,
     scratch_loads: Vec<f64>,
     finished: Vec<u32>,
-    /// Times this arena has seeded a sim ([`FluidSim::with_arena`]).
-    uses: u64,
 }
 
 impl SimArena {
     /// An empty arena; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// How many sims this arena has seeded. Every use after the first is
-    /// a recycle hit — the new sim starts from warmed-up buffers instead
-    /// of growing its own.
-    pub fn uses(&self) -> u64 {
-        self.uses
     }
 }
 
@@ -178,27 +179,13 @@ impl std::fmt::Debug for FluidSim<'_> {
 impl<'r> FluidSim<'r> {
     /// Wrap a network (flows may already be registered but not active).
     pub fn new(net: FlowNetwork) -> Self {
-        FluidSim {
-            net,
-            queue: EventQueue::new(),
-            now: SimTime::ZERO,
-            rates_dirty: true,
-            ready: VecDeque::new(),
-            recorder: None,
-            last_loads: Vec::new(),
-            scratch_loads: Vec::new(),
-            scratch_finished: Vec::new(),
-            use_reference_solver: false,
-            events_processed: obs::metrics::Counter::new(),
-            metrics: None,
-        }
+        Self::with_arena(net, &mut SimArena::new())
     }
 
     /// Wrap a network, seeding all work buffers from a [`SimArena`] so a
     /// warmed-up rep loop runs allocation-free. Behaviour is identical to
     /// [`FluidSim::new`] — the arena contributes capacity, never state.
     pub fn with_arena(mut net: FlowNetwork, arena: &mut SimArena) -> Self {
-        arena.uses += 1;
         net.install_recycled(std::mem::take(&mut arena.net));
         let mut queue = std::mem::take(&mut arena.queue);
         queue.reset();
@@ -272,7 +259,7 @@ impl<'r> FluidSim<'r> {
         // Keep the sampler proportional to the dirty components: capture
         // touched-resource sets from now on, and (for a mid-run attach)
         // force currently loaded resources into the first one.
-        self.net.set_track_touched(true);
+        self.net.track_touched();
         self.net.mark_active_resources_dirty();
         self.recorder = Some(recorder);
     }
@@ -377,20 +364,6 @@ impl<'r> FluidSim<'r> {
         id
     }
 
-    /// Change a resource's speed factor mid-simulation (time-varying noise
-    /// or failure injection); takes effect from the current instant.
-    pub fn set_resource_factor(&mut self, r: super::network::ResourceId, factor: f64) {
-        self.net.set_factor(r, factor);
-        self.rates_dirty = true;
-        if let Some(rec) = self.recorder.as_deref_mut() {
-            rec.record(ObsEvent::FactorChange {
-                at: self.now.as_nanos(),
-                resource: r.index() as u32,
-                factor,
-            });
-        }
-    }
-
     /// Schedule a resource speed-factor change at a future instant — the
     /// core of mid-run fault timelines: a target going offline is a
     /// scheduled change to factor `0.0`, a recovery a later change back.
@@ -411,8 +384,8 @@ impl<'r> FluidSim<'r> {
     }
 
     /// Bring flow rates up to date after any topology change (flow
-    /// start/finish/cancel, factor change). Shared by the two advance
-    /// loops and the instantaneous-rate accessor.
+    /// start/finish/cancel, factor change). Shared by the step loop and
+    /// the instantaneous-rate accessor.
     fn ensure_rates(&mut self) {
         if !self.rates_dirty {
             return;
@@ -473,51 +446,55 @@ impl<'r> FluidSim<'r> {
     /// the instant progress stopped; the stalled flows stay registered, so
     /// the caller can still inspect the network state.
     pub fn try_next_completion(&mut self) -> Result<Option<Completion>, StallError> {
+        match self.step_until(SimTime::MAX) {
+            Stop::Ready => Ok(self.ready.pop_front()),
+            Stop::Idle => Ok(None),
+            // Every event is due by the end of the clock, so nothing due
+            // means an empty calendar beside active flows that cannot
+            // finish. Cold path: allocating the error payload is fine.
+            Stop::NothingDue => {
+                let slots = self.net.active_slots();
+                Err(StallError {
+                    at: self.now,
+                    flows: slots.iter().map(|&s| self.net.id_at(s)).collect(),
+                    tags: slots.iter().map(|&s| self.net.tag_at(s)).collect(),
+                })
+            }
+        }
+    }
+
+    /// The one step loop: advance until completions are waiting, the
+    /// simulation is idle, or nothing is due by `horizon`, and say which.
+    /// Each step solves the rates, then finishes the flows already
+    /// drained (zero-size ones, or the residue of a drain to an event
+    /// instant), or else moves the clock to whichever comes first of the
+    /// next calendar event and the earliest completion. Ties go to the
+    /// event; a completion past the clock is never due. The idle check
+    /// comes before the solve: a run that ends idle does no final solve,
+    /// so its trace ends without a last round of rate samples.
+    fn step_until(&mut self, horizon: SimTime) -> Stop {
         loop {
-            if let Some(c) = self.ready.pop_front() {
-                return Ok(Some(c));
+            if !self.ready.is_empty() {
+                return Stop::Ready;
             }
-
             if self.net.active_slots().is_empty() && self.queue.is_empty() {
-                return Ok(None);
+                return Stop::Idle;
             }
-
             self.ensure_rates();
-
-            // One pass: flows already drained (zero-size ones, or the
-            // residue of a drain to an event instant) finish now;
-            // otherwise the earliest completion sets the next step.
             let min_dt = self.scan_active();
             if self.retire_finished() {
                 continue;
             }
-            let next_start = self.queue.peek_time();
-            let completion_time = self.completion_instant(min_dt);
-
-            match (next_start, completion_time) {
-                // A scheduled event comes first (a start, or a factor
-                // change that may restore a dead resource), or no active
-                // flow can finish within the clock: process the event.
-                (Some(t), c) if c.is_none_or(|c| t <= c) => {
-                    self.advance_to(t);
-                    self.process_events_at(t);
+            let completion = self.completion_instant(min_dt);
+            match (self.queue.peek_time().filter(|&e| e <= horizon), completion) {
+                // An event comes first (a start, or a factor change that
+                // may restore a dead resource), or no flow finishes.
+                (Some(e), c) if c.is_none_or(|c| e <= c) => {
+                    self.advance_to(e);
+                    self.process_events_at(e);
                 }
-                (_, Some(c)) => self.advance_to_completion(c),
-                // No event and no completion within the clock.
-                _ => {
-                    if self.net.active_slots().is_empty() {
-                        continue; // only start events existed; loop re-checks
-                    }
-                    // Cold path: allocating the error payload is fine.
-                    let slots = self.net.active_slots();
-                    let flows = slots.iter().map(|&s| self.net.id_at(s)).collect();
-                    let tags = slots.iter().map(|&s| self.net.tag_at(s)).collect();
-                    return Err(StallError {
-                        at: self.now,
-                        flows,
-                        tags,
-                    });
-                }
+                (_, Some(c)) if c <= horizon => self.advance_to_completion(c),
+                _ => return Stop::NothingDue,
             }
         }
     }
@@ -568,44 +545,16 @@ impl<'r> FluidSim<'r> {
             "run_until({t}) is before current time {}",
             self.now
         );
-        loop {
-            if !self.ready.is_empty() {
-                return true;
-            }
-
-            self.ensure_rates();
-
-            // Flows already drained finish now; otherwise the earliest
-            // completion, nanosecond-quantized upward exactly as in
-            // `try_next_completion`, competes with the calendar. One past
-            // the clock is never due.
-            let min_dt = self.scan_active();
-            if self.retire_finished() {
-                continue;
-            }
-            let completion_time = self.completion_instant(min_dt);
-
-            let next_event = self.queue.peek_time().filter(|&e| e <= t);
-
-            match (next_event, completion_time) {
-                // A calendar event is due first (ties go to the event, as
-                // in `try_next_completion`): process it and re-solve.
-                (Some(e), c) if c.is_none_or(|c| e <= c) => {
-                    self.advance_to(e);
-                    self.process_events_at(e);
-                }
-                // A completion lands within the horizon: drain to it and
-                // finish every flow within the quantization tolerance.
-                (_, Some(c)) if c <= t => self.advance_to_completion(c),
-                // Nothing due by the horizon — including the stalled case
-                // (active zero-rate flows, or a completion past the
-                // clock): just move the clock to `t`.
-                _ => {
-                    self.advance_to(t);
-                    return false;
-                }
-            }
+        match self.step_until(t) {
+            Stop::Ready => return true,
+            // The caller's calendar goes on past an idle simulation:
+            // settle its rates, so the loads its last flows left drop to
+            // zero at this instant rather than at the next start.
+            Stop::Idle => self.ensure_rates(),
+            Stop::NothingDue => {}
         }
+        self.advance_to(t);
+        false
     }
 
     /// Pop the next already-produced completion without advancing the
@@ -769,54 +718,34 @@ impl<'r> FluidSim<'r> {
     /// After a rate recompute, emit one [`obs::Event::RateChange`] per
     /// resource whose aggregate throughput differs from the last emitted
     /// value — the recorded series is change-only (piecewise constant).
+    ///
+    /// Every solve reports the resources whose loads it may have changed
+    /// (all of them after a reference solve); only those are refreshed
+    /// and compared, so sampling costs what the solve touched. Emission
+    /// order (ascending resource index) and every refreshed value are
+    /// bit-identical to a scan of every resource — see
+    /// `FlowNetwork::loads_into_touched`.
     fn record_rate_samples(&mut self) {
-        if self.recorder.is_none() {
+        let Some(rec) = self.recorder.as_deref_mut() else {
             return;
-        }
+        };
         let n = self.net.resource_count();
         self.scratch_loads.resize(n, 0.0);
         self.last_loads.resize(n, 0.0);
         let at = self.now.as_nanos();
-        // Incremental solves capture exactly which resources' loads may
-        // have changed; refresh and compare only those, so sampling cost
-        // stays proportional to the dirty components like the solve
-        // itself. Emission order (ascending resource index) and every
-        // refreshed value are bit-identical to the full scan — see
-        // `FlowNetwork::loads_into_touched`. Full/reference solves
-        // provide no touched set and fall back to scanning everything.
-        if let Some(touched) = self.net.touched_resources() {
-            self.net
-                .loads_into_touched(&mut self.scratch_loads, touched);
-            let rec = self.recorder.as_deref_mut().expect("checked above");
-            for &r in touched {
-                let i = r as usize;
-                let cur = self.scratch_loads[i];
-                if cur != self.last_loads[i] {
-                    rec.record(ObsEvent::RateChange {
-                        at,
-                        resource: r,
-                        bps: cur,
-                    });
-                    self.last_loads[i] = cur;
-                }
-            }
-        } else {
-            self.net.loads_into(&mut self.scratch_loads);
-            let rec = self.recorder.as_deref_mut().expect("checked above");
-            for (i, (&cur, last)) in self
-                .scratch_loads
-                .iter()
-                .zip(self.last_loads.iter_mut())
-                .enumerate()
-            {
-                if cur != *last {
-                    rec.record(ObsEvent::RateChange {
-                        at,
-                        resource: i as u32,
-                        bps: cur,
-                    });
-                    *last = cur;
-                }
+        let touched = self.net.touched_resources();
+        self.net
+            .loads_into_touched(&mut self.scratch_loads, touched);
+        for &r in touched {
+            let i = r as usize;
+            let cur = self.scratch_loads[i];
+            if cur != self.last_loads[i] {
+                rec.record(ObsEvent::RateChange {
+                    at,
+                    resource: r,
+                    bps: cur,
+                });
+                self.last_loads[i] = cur;
             }
         }
     }
@@ -1053,9 +982,8 @@ mod tests {
         let r = net.add_resource("link", fixed(100.0));
         let mut sim = FluidSim::new(net);
         sim.start_flow_at(SimTime::ZERO, vec![r], 1000.0, 0);
-        // Immediately degrade the link to half speed.
-        let rid = super::super::network::ResourceId(0);
-        sim.set_resource_factor(rid, 0.5);
+        // Degrade the link to half speed from the start.
+        sim.schedule_factor_change(sim.now(), r, 0.5);
         let c = sim.next_completion().unwrap();
         assert_eq!(c.time, SimTime::from_secs_f64(20.0));
     }
@@ -1140,11 +1068,11 @@ mod tests {
         let r = net.add_resource("link", fixed(100.0));
         let mut sim = FluidSim::new(net);
         sim.start_flow_at(SimTime::ZERO, vec![r], 1000.0, 0);
-        sim.set_resource_factor(r, 0.0);
+        sim.schedule_factor_change(sim.now(), r, 0.0);
         assert!(!sim.run_until(SimTime::from_secs_f64(5.0)));
         assert_eq!(sim.now(), SimTime::from_secs_f64(5.0));
         // Restoring the factor resumes the drain from the paused state.
-        sim.set_resource_factor(r, 1.0);
+        sim.schedule_factor_change(sim.now(), r, 1.0);
         assert!(sim.run_until(SimTime::from_secs_f64(100.0)));
         assert_eq!(sim.pop_ready().unwrap().time, SimTime::from_secs_f64(15.0));
     }
@@ -1318,15 +1246,15 @@ mod trace_tests {
     }
 
     #[test]
-    fn factor_changes_are_recorded_from_both_paths() {
+    fn factor_changes_are_recorded() {
         let mut timeline = Timeline::new();
         let mut net = FlowNetwork::new();
         let r = net.add_resource("link", CapacityModel::Fixed(100.0));
         let mut sim = FluidSim::new(net);
         sim.set_recorder(&mut timeline);
         sim.start_flow_at(SimTime::ZERO, vec![r], 1000.0, 0);
-        sim.set_resource_factor(r, 0.5); // immediate
-        sim.schedule_factor_change(SimTime::from_secs_f64(2.0), r, 1.0); // scheduled
+        sim.schedule_factor_change(sim.now(), r, 0.5);
+        sim.schedule_factor_change(SimTime::from_secs_f64(2.0), r, 1.0);
         let c = sim.next_completion().unwrap();
         // 2s at 50 B/s, then 900 B at 100 B/s -> t = 11.
         assert_eq!(c.time, SimTime::from_secs_f64(11.0));
@@ -1337,6 +1265,69 @@ mod trace_tests {
             timeline.rate_series(0),
             vec![(0, 50.0), (SimTime::from_secs_f64(2.0).as_nanos(), 100.0)]
         );
+    }
+
+    #[test]
+    fn run_until_records_an_idle_link_when_it_falls_idle() {
+        // One flow drains at t=1; the caller's calendar goes on to t=5,
+        // when the next flow starts. The link's series must fall to zero
+        // at t=1, not stay at 100 B/s through the idle gap.
+        let mut timeline = Timeline::new();
+        let mut net = FlowNetwork::new();
+        let r = net.add_resource("link", CapacityModel::Fixed(100.0));
+        let mut sim = FluidSim::new(net);
+        sim.set_recorder(&mut timeline);
+        sim.start_flow_at(SimTime::ZERO, vec![r], 100.0, 0);
+        assert!(sim.run_until(SimTime::from_secs_f64(5.0)));
+        assert!(sim.pop_ready().is_some());
+        assert!(!sim.run_until(SimTime::from_secs_f64(5.0)));
+        sim.start_flow_at(sim.now(), vec![r], 100.0, 1);
+        assert!(sim.run_until(SimTime::MAX));
+        drop(sim);
+        let s = |secs: f64| SimTime::from_secs_f64(secs).as_nanos();
+        assert_eq!(
+            timeline.rate_series(0),
+            vec![(0, 100.0), (s(1.0), 0.0), (s(5.0), 100.0)]
+        );
+    }
+
+    #[test]
+    fn reference_and_incremental_solves_record_the_same_stream() {
+        // Two disjoint components plus a bridging flow, a factor change
+        // and a mid-run start: the reference solve reports every
+        // resource touched, and the sampler must emit exactly what it
+        // emits after the incremental solves.
+        let record = |reference: bool| {
+            let mut timeline = Timeline::new();
+            let mut net = FlowNetwork::new();
+            let a = net.add_resource("a", CapacityModel::Fixed(100.0));
+            let b = net.add_resource("b", CapacityModel::Fixed(60.0));
+            let c = net.add_resource(
+                "c",
+                CapacityModel::Saturating {
+                    peak: 90.0,
+                    q_half: 1.5,
+                },
+            );
+            let idle = net.add_resource("idle", CapacityModel::Fixed(10.0));
+            let mut sim = FluidSim::new(net);
+            sim.set_reference_solver(reference);
+            sim.set_recorder(&mut timeline);
+            sim.start_flow_at(SimTime::ZERO, vec![a], 300.0, 0);
+            sim.start_flow_at(SimTime::ZERO, vec![b, c], 500.0, 1);
+            sim.start_flow_at(SimTime::from_secs_f64(1.0), vec![a, c], 200.0, 2);
+            sim.schedule_factor_change(SimTime::from_secs_f64(2.0), b, 0.5);
+            assert_eq!(sim.run_to_completion().len(), 3);
+            drop(sim);
+            assert!(timeline.rate_series(idle.index() as u32).is_empty());
+            timeline
+        };
+        let (incremental, reference) = (record(false), record(true));
+        assert_eq!(
+            incremental.count(EventKind::RateChange),
+            reference.count(EventKind::RateChange)
+        );
+        assert_eq!(incremental.events(), reference.events());
     }
 
     #[test]

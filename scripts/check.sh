@@ -59,7 +59,7 @@ cargo bench --locked -p bench --bench flow_hotpath
 echo "==> fleet-scale solver bench (writes BENCH_flow_scale.json; fails if the median over rounds of the reference solver's over the sharded solver's CPU time per completion at 200k flows falls below 84x)"
 cargo bench --locked -p bench --bench flow_scale
 
-echo "==> online-engine scaling bench (writes BENCH_sched_scale.json; single-shot rungs: fails on <10x online-vs-frozen throughput on the contended 1e4 burst, >2x work-per-admission growth to 1e6, 1e6 throughput below 0.1x the 1e4 re-measure, >1.5x adaptive-feedback time or >2x its events, or peak RSS above 1024 MiB after the 1e6 rung)"
+echo "==> online-engine scaling bench (writes BENCH_sched_scale.json; fails on <10x online-vs-frozen throughput on the contended 1e4 burst, >2x work-per-admission growth to 1e6, 1e6 throughput below 0.1x the median of the 1e4 rounds served after it, a median in-round adaptive-over-plain CPU time above 1.5x or >2x adaptive events on those rounds, or peak RSS above 1024 MiB after the 1e6 rung)"
 cargo bench --locked -p bench --bench sched_scale
 
 echo "==> interference smoke cell (1 rep, 50 apps on the 100x10 FleetSpec fleet: packed vs spread vs random)"

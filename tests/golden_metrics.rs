@@ -4,35 +4,16 @@
 //! regressions (renamed metrics, bucket-layout drift, counter changes)
 //! fail loudly instead of silently rewriting dashboards.
 
-use beegfs_repro::cluster::TargetId;
-use beegfs_repro::core::{ChooserKind, FaultPlan};
-use beegfs_repro::experiments::context::deploy;
-use beegfs_repro::experiments::Scenario;
-use beegfs_repro::ior::{AppSpec, IorConfig, RetryPolicy, Run};
+use beegfs_repro::experiments::context::outage_run;
 use beegfs_repro::obs::metrics::MetricsRegistry;
 use beegfs_repro::simcore::rng::RngFactory;
 
-/// The `repro --metrics` workload: the same pinned scenario-1 stripe-4
+/// The `repro --metrics` run: the same pinned scenario-1 stripe-4
 /// fault/retry run as `repro --trace`, with a registry attached.
 fn metered_run(seed: u64) -> MetricsRegistry {
-    let mut fs = deploy(Scenario::S1Ethernet, 4, ChooserKind::RoundRobin);
-    let plan = FaultPlan::new()
-        .target_offline(2.0, TargetId(1))
-        .unwrap()
-        .target_recovers(9.0, TargetId(1))
-        .unwrap();
-    let mut rng = RngFactory::new(seed).stream("trace", 0);
     let mut registry = MetricsRegistry::new();
-    Run::new(&mut fs)
-        .app(AppSpec::pinned(
-            IorConfig::paper_default(8),
-            vec![TargetId(0), TargetId(1), TargetId(4), TargetId(5)],
-        ))
-        .faults(plan)
-        .policy(RetryPolicy::default())
-        .metrics(&mut registry)
-        .execute(&mut rng)
-        .unwrap();
+    let mut rng = RngFactory::new(seed).stream("trace", 0);
+    outage_run(&mut rng, |run| run.metrics(&mut registry)).unwrap();
     registry
 }
 

@@ -3,35 +3,17 @@
 //! integrals agree with the aggregate `UtilizationReport`, and a faulty
 //! run surfaces the full fault/retry/flow vocabulary.
 
-use beegfs_repro::cluster::TargetId;
-use beegfs_repro::core::{ChooserKind, FaultPlan};
-use beegfs_repro::experiments::context::deploy;
-use beegfs_repro::experiments::Scenario;
-use beegfs_repro::ior::{AppSpec, IorConfig, RetryPolicy, Run, UtilizationReport};
+use beegfs_repro::experiments::context::outage_run;
+use beegfs_repro::ior::UtilizationReport;
 use beegfs_repro::obs::{EventKind, Timeline};
 use beegfs_repro::simcore::rng::RngFactory;
 
-/// The `repro --trace` scenario: scenario 1, stripe 4, a pinned (2,2)
+/// The `repro --trace` run: scenario 1, stripe 4, a pinned (2,2)
 /// allocation, one target dark from t=2s to t=9s, default retry policy.
 fn traced_run(seed: u64) -> (Timeline, UtilizationReport) {
-    let mut fs = deploy(Scenario::S1Ethernet, 4, ChooserKind::RoundRobin);
-    let plan = FaultPlan::new()
-        .target_offline(2.0, TargetId(1))
-        .unwrap()
-        .target_recovers(9.0, TargetId(1))
-        .unwrap();
-    let mut rng = RngFactory::new(seed).stream("trace", 0);
     let mut timeline = Timeline::new();
-    let (_, report) = Run::new(&mut fs)
-        .app(AppSpec::pinned(
-            IorConfig::paper_default(8),
-            vec![TargetId(0), TargetId(1), TargetId(4), TargetId(5)],
-        ))
-        .faults(plan)
-        .policy(RetryPolicy::default())
-        .trace(&mut timeline)
-        .execute(&mut rng)
-        .unwrap();
+    let mut rng = RngFactory::new(seed).stream("trace", 0);
+    let (_, report) = outage_run(&mut rng, |run| run.trace(&mut timeline)).unwrap();
     (timeline, report)
 }
 

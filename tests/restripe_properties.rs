@@ -14,11 +14,10 @@
 //!    * a policy that answers every evaluation with a same-set
 //!      restripe (even reordered) produces a session byte-identical to
 //!      one that never restripes — the engine's no-op drop guarantee;
-//!    * [`AdaptiveStriping`] with feedback disabled
-//!      (`threshold = ∞`) is byte-identical to
-//!      [`UtilizationFeedback`] on the same CRN streams, up to the
-//!      policy-name string in the decision log — the adaptive machinery
-//!      costs nothing until it acts.
+//!    * [`AdaptiveStriping`]'s placement with its feedback loop left
+//!      out is byte-identical to [`UtilizationFeedback`] on the same CRN
+//!      streams, up to the policy-name string in the decision log — the
+//!      adaptive machinery costs nothing until it acts.
 
 use beegfs_repro::cluster::{presets, TargetId};
 use beegfs_repro::core::{
@@ -211,6 +210,29 @@ impl PlacementPolicy for SameSetRestripe {
     }
 }
 
+/// [`AdaptiveStriping`]'s name and placement without its feedback loop:
+/// it wants no feedback, so the engine schedules no evaluation events.
+#[derive(Debug, Default)]
+struct AdaptivePlacementOnly(AdaptiveStriping);
+
+impl PlacementPolicy for AdaptivePlacementOnly {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn place(
+        &mut self,
+        view: &ClusterView<'_>,
+        want: u32,
+        bytes: u64,
+        rng: &mut StreamRng,
+    ) -> Result<Placement, PolicyError> {
+        self.0.place(view, want, bytes, rng)
+    }
+    fn wants_feedback(&self) -> bool {
+        false
+    }
+}
+
 /// A contended online session: 12 overlapping arrivals on the Ethernet
 /// deployment, so evaluation instants fire with several apps running.
 fn serve_online(policy: Box<dyn PlacementPolicy>, seed: u64) -> SchedOutcome {
@@ -291,15 +313,15 @@ fn same_set_restripe_is_bit_identical_to_never_restriping() {
     assert_eq!(never.restripe_log_json(), same_set.restripe_log_json());
 }
 
-/// Satellite differential: `AdaptiveStriping` with the feedback loop
-/// disabled (`threshold = ∞`) serves the same CRN streams byte-
-/// identically to `UtilizationFeedback` — same placements, same event
-/// count (no evaluation events are even scheduled), and a decision log
-/// that differs only in the policy-name string.
+/// `AdaptiveStriping`'s placement without its feedback loop serves the
+/// same CRN streams byte-identically to `UtilizationFeedback` — same
+/// placements, same event count (no evaluation events are even
+/// scheduled), and a decision log that differs only in the policy-name
+/// string.
 #[test]
 fn disabled_adaptive_is_byte_identical_to_utilization_feedback() {
     let fixed = serve_online(Box::<UtilizationFeedback>::default(), 11);
-    let adaptive = serve_online(Box::new(AdaptiveStriping::disabled()), 11);
+    let adaptive = serve_online(Box::<AdaptivePlacementOnly>::default(), 11);
 
     assert_sessions_bit_identical(&fixed, &adaptive);
     assert_eq!(
