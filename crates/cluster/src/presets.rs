@@ -101,6 +101,14 @@ pub fn plafrim_omnipath() -> Platform {
 /// evaluation hides the stripe-count effect (paper lesson 1): one node's
 /// injection cap saturates long before 24 targets do.
 pub fn catalyst_like() -> Platform {
+    catalyst_like_spec()
+        .build()
+        .expect("catalyst_like preset is valid")
+}
+
+/// The [`FleetSpec`] [`catalyst_like`] builds, for campaign cells that
+/// carry their platform as a fleet.
+pub fn catalyst_like_spec() -> FleetSpec {
     FleetSpec::new("Catalyst-like 12x2 (Chowdhury et al.)")
         .servers(12)
         .targets_per_server(2)
@@ -122,8 +130,6 @@ pub fn catalyst_like() -> Platform {
         ))
         .storage_variability(VariabilityModel::new(0.04, 0.05))
         .run_overhead(0.25, 0.45)
-        .build()
-        .expect("catalyst_like preset is valid")
 }
 
 #[cfg(test)]

@@ -8,8 +8,9 @@
 //! Catalyst-like preset: a single-node sweep (flat) and a many-node
 //! sweep (strongly increasing).
 
-use crate::context::{repeat, single_run, ExpCtx};
-use beegfs_core::{BeeGfs, ChooserKind, DirConfig, StripePattern};
+use crate::campaign::{Campaign, CampaignEngine, CampaignError, CellConfig, CellResult};
+use crate::context::{ExpCtx, Scenario};
+use beegfs_core::ChooserKind;
 use cluster::presets;
 use ior::IorConfig;
 use iostats::Summary;
@@ -62,42 +63,38 @@ pub struct Chowdhury {
     pub many_nodes: StripeSweep,
 }
 
-fn catalyst_fs(stripe: u32) -> BeeGfs {
-    let platform = presets::catalyst_like();
-    let order = platform.all_targets();
-    BeeGfs::new(
-        platform,
-        DirConfig {
-            pattern: StripePattern::new(stripe, StripePattern::PLAFRIM_DEFAULT.chunk_size),
-            chooser: ChooserKind::RoundRobin,
-        },
-        order,
-    )
-}
-
-fn sweep(ctx: &ExpCtx, nodes: usize, ppn: u32) -> StripeSweep {
-    let factory = ctx.rng_factory("chowdhury");
-    let points = STRIPES
-        .iter()
-        .map(|&stripe| {
-            let cfg = IorConfig::paper_default(nodes).with_ppn(ppn);
-            let label = format!("n{nodes}-p{ppn}-s{stripe}");
-            let samples = repeat(&factory, &label, ctx.reps, |rng, _| {
-                let mut fs = catalyst_fs(stripe);
-                single_run(&mut fs, &cfg, rng).bandwidth.mib_per_sec()
-            });
-            (stripe, samples)
-        })
-        .collect();
-    StripeSweep { nodes, ppn, points }
-}
-
-/// Run the contrast experiment.
-pub fn run(ctx: &ExpCtx) -> Chowdhury {
-    Chowdhury {
-        single_node: sweep(ctx, 1, 16),
-        many_nodes: sweep(ctx, 32, 8),
+/// One node count's cells, in stripe order, as a sweep.
+fn sweep(cells: &[CellResult]) -> StripeSweep {
+    StripeSweep {
+        nodes: cells[0].config.nodes,
+        ppn: cells[0].config.ppn,
+        points: cells
+            .iter()
+            .map(|c| (c.config.stripe_count, c.bandwidths()))
+            .collect(),
     }
+}
+
+/// Run the contrast experiment on an engine.
+pub fn run(engine: &CampaignEngine, ctx: &ExpCtx) -> Result<Chowdhury, CampaignError> {
+    let mut campaign = Campaign::new("chowdhury", ctx.seed);
+    // ICPP'19's single node, then enough nodes to load 24 targets.
+    for (nodes, ppn) in [(1, 16), (32, 8)] {
+        for stripe in STRIPES {
+            let cfg = IorConfig::paper_default(nodes).with_ppn(ppn);
+            // Nominal scenario tag only — the fleet overrides the platform.
+            let config =
+                CellConfig::new(Scenario::S2Omnipath, stripe, ChooserKind::RoundRobin, cfg)
+                    .with_fleet(presets::catalyst_like_spec());
+            campaign = campaign.cell(format!("n{nodes}-p{ppn}-s{stripe}"), config, ctx.reps);
+        }
+    }
+    let outcome = engine.run(&campaign)?;
+    let (single, many) = outcome.cells.split_at(STRIPES.len());
+    Ok(Chowdhury {
+        single_node: sweep(single),
+        many_nodes: sweep(many),
+    })
 }
 
 #[cfg(test)]
@@ -106,7 +103,7 @@ mod tests {
 
     #[test]
     fn single_node_hides_the_effect_many_nodes_reveal() {
-        let c = run(&ExpCtx::quick(8));
+        let c = run(&CampaignEngine::in_memory(), &ExpCtx::quick(8)).unwrap();
         // ICPP'19's view: basically flat (within ~20%).
         assert!(
             c.single_node.relative_spread() < 0.25,

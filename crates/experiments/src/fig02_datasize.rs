@@ -5,7 +5,8 @@
 //! mean with a min–max band and picks 32 GiB as the "large enough" size
 //! for every other experiment.
 
-use crate::context::{deploy, repeat, single_run, ExpCtx, Scenario};
+use crate::campaign::{Campaign, CampaignEngine, CampaignError, CellConfig};
+use crate::context::{ExpCtx, Scenario};
 use beegfs_core::ChooserKind;
 use ior::IorConfig;
 use iostats::Summary;
@@ -40,25 +41,30 @@ pub struct Fig02 {
 /// Sizes swept, in GiB (the paper's x-axis spans sub-GiB to 64 GiB).
 pub const SIZES_GIB: [f64; 9] = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
 
-/// Run the experiment.
-pub fn run(ctx: &ExpCtx, scenario: Scenario) -> Fig02 {
-    let factory = ctx.rng_factory("fig02");
+/// Run the experiment on an engine.
+pub fn run(
+    engine: &CampaignEngine,
+    ctx: &ExpCtx,
+    scenario: Scenario,
+) -> Result<Fig02, CampaignError> {
+    let mut campaign = Campaign::new("fig02", ctx.seed);
+    for gib in SIZES_GIB {
+        let total = (gib * GIB as f64) as u64;
+        // Keep the per-process split exact.
+        let total = total - (total % 32);
+        let cfg = IorConfig::paper_default(4).with_total_bytes(total);
+        let config = CellConfig::new(scenario, 4, ChooserKind::RoundRobin, cfg);
+        campaign = campaign.cell(format!("{scenario:?}-{gib}"), config, ctx.reps);
+    }
     let points = SIZES_GIB
-        .iter()
-        .map(|&gib| {
-            let total = (gib * GIB as f64) as u64;
-            // Keep the per-process split exact.
-            let total = total - (total % 32);
-            let cfg = IorConfig::paper_default(4).with_total_bytes(total);
-            let label = format!("{:?}-{gib}", scenario);
-            let samples = repeat(&factory, &label, ctx.reps, |rng, _| {
-                let mut fs = deploy(scenario, 4, ChooserKind::RoundRobin);
-                single_run(&mut fs, &cfg, rng).bandwidth.mib_per_sec()
-            });
-            SizePoint { gib, samples }
+        .into_iter()
+        .zip(engine.run(&campaign)?.cells)
+        .map(|(gib, cell)| SizePoint {
+            gib,
+            samples: cell.bandwidths(),
         })
         .collect();
-    Fig02 { scenario, points }
+    Ok(Fig02 { scenario, points })
 }
 
 impl Fig02 {
@@ -84,6 +90,10 @@ impl Fig02 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run(ctx: &ExpCtx, scenario: Scenario) -> Fig02 {
+        super::run(&CampaignEngine::in_memory(), ctx, scenario).unwrap()
+    }
 
     #[test]
     fn small_sizes_are_slower_and_more_variable() {

@@ -66,8 +66,9 @@ pub fn campaign(ctx: &ExpCtx, scenario: Scenario, ppn: u32) -> Campaign {
     c
 }
 
-/// Run the experiment at the given processes-per-node on an engine.
-pub fn run_with_ppn_on(
+/// Run the experiment at the given processes per node (the paper's
+/// Fig. 4 uses 8) on an engine.
+pub fn run(
     engine: &CampaignEngine,
     ctx: &ExpCtx,
     scenario: Scenario,
@@ -87,26 +88,6 @@ pub fn run_with_ppn_on(
         points,
         ppn,
     })
-}
-
-/// Run the experiment at the given processes-per-node (uncached).
-pub fn run_with_ppn(ctx: &ExpCtx, scenario: Scenario, ppn: u32) -> Fig04 {
-    run_with_ppn_on(&CampaignEngine::in_memory(), ctx, scenario, ppn)
-        .expect("experiment run failed")
-}
-
-/// Run the experiment with the paper's 8 processes per node on an engine.
-pub fn run_on(
-    engine: &CampaignEngine,
-    ctx: &ExpCtx,
-    scenario: Scenario,
-) -> Result<Fig04, CampaignError> {
-    run_with_ppn_on(engine, ctx, scenario, 8)
-}
-
-/// Run the experiment with the paper's 8 processes per node.
-pub fn run(ctx: &ExpCtx, scenario: Scenario) -> Fig04 {
-    run_with_ppn(ctx, scenario, 8)
 }
 
 impl Fig04 {
@@ -154,6 +135,10 @@ impl Fig04 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run(ctx: &ExpCtx, scenario: Scenario) -> Fig04 {
+        super::run(&CampaignEngine::in_memory(), ctx, scenario, 8).unwrap()
+    }
 
     #[test]
     fn scenario1_shape() {

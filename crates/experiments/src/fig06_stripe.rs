@@ -90,8 +90,9 @@ pub fn campaign(ctx: &ExpCtx, scenario: Scenario, chooser: ChooserKind) -> Campa
     c
 }
 
-/// Run the experiment with a specific chooser on an engine.
-pub fn run_with_chooser_on(
+/// Run the experiment with a chooser (the paper's Fig. 6 uses
+/// round-robin) on an engine.
+pub fn run(
     engine: &CampaignEngine,
     ctx: &ExpCtx,
     scenario: Scenario,
@@ -119,26 +120,6 @@ pub fn run_with_chooser_on(
         nodes: scenario.figure6_nodes(),
         points,
     })
-}
-
-/// Run the experiment with a specific chooser (uncached).
-pub fn run_with_chooser(ctx: &ExpCtx, scenario: Scenario, chooser: ChooserKind) -> Fig06 {
-    run_with_chooser_on(&CampaignEngine::in_memory(), ctx, scenario, chooser)
-        .expect("experiment run failed")
-}
-
-/// Run with the PlaFRIM round-robin chooser on an engine.
-pub fn run_on(
-    engine: &CampaignEngine,
-    ctx: &ExpCtx,
-    scenario: Scenario,
-) -> Result<Fig06, CampaignError> {
-    run_with_chooser_on(engine, ctx, scenario, ChooserKind::RoundRobin)
-}
-
-/// Run with the PlaFRIM round-robin chooser (the paper's Fig. 6).
-pub fn run(ctx: &ExpCtx, scenario: Scenario) -> Fig06 {
-    run_with_chooser(ctx, scenario, ChooserKind::RoundRobin)
 }
 
 impl Fig06 {
@@ -210,6 +191,16 @@ fn parse_label(label: &str) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run(ctx: &ExpCtx, scenario: Scenario) -> Fig06 {
+        super::run(
+            &CampaignEngine::in_memory(),
+            ctx,
+            scenario,
+            ChooserKind::RoundRobin,
+        )
+        .unwrap()
+    }
 
     #[test]
     fn scenario1_stripe4_underperforms_peak() {

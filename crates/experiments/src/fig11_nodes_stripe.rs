@@ -60,7 +60,7 @@ pub fn campaign(ctx: &ExpCtx) -> Campaign {
 }
 
 /// Run the experiment on an engine (scenario 2 only, as in the paper).
-pub fn run_on(engine: &CampaignEngine, ctx: &ExpCtx) -> Result<Fig11, CampaignError> {
+pub fn run(engine: &CampaignEngine, ctx: &ExpCtx) -> Result<Fig11, CampaignError> {
     let outcome = engine.run(&campaign(ctx))?;
     let mut results = outcome.cells.into_iter();
     let mut cells = Vec::new();
@@ -79,11 +79,6 @@ pub fn run_on(engine: &CampaignEngine, ctx: &ExpCtx) -> Result<Fig11, CampaignEr
         node_counts: NODES.to_vec(),
         stripe_counts: STRIPES.to_vec(),
     })
-}
-
-/// Run the experiment (scenario 2 only, as in the paper; uncached).
-pub fn run(ctx: &ExpCtx) -> Fig11 {
-    run_on(&CampaignEngine::in_memory(), ctx).expect("experiment run failed")
 }
 
 impl Fig11 {
@@ -120,7 +115,7 @@ mod tests {
 
     #[test]
     fn more_targets_more_peak_more_nodes_needed() {
-        let fig = run(&ExpCtx::quick(8));
+        let fig = run(&CampaignEngine::in_memory(), &ExpCtx::quick(8)).unwrap();
         // Peaks grow with stripe count.
         let peak = |s: u32| NODES.iter().map(|&n| fig.mean(s, n)).fold(0.0f64, f64::max);
         assert!(peak(2) > peak(1));
@@ -137,7 +132,7 @@ mod tests {
         // Lesson 1/2: with too few nodes, the low bandwidth hides most of
         // the stripe-count effect that 32 nodes reveal — the spread
         // across stripe counts is several times smaller at 1 node.
-        let fig = run(&ExpCtx::quick(8));
+        let fig = run(&CampaignEngine::in_memory(), &ExpCtx::quick(8)).unwrap();
         let spread_at = |n: usize| {
             let v: Vec<f64> = STRIPES.iter().map(|&s| fig.mean(s, n)).collect();
             (v.iter().cloned().fold(f64::NEG_INFINITY, f64::max)

@@ -62,14 +62,25 @@ pub struct Fig12 {
     pub cells: Vec<ConcurrentCell>,
 }
 
+/// Stripe counts per application.
+const STRIPES: [u32; 3] = [2, 4, 8];
+
 /// Run the experiment.
 pub fn run(ctx: &ExpCtx) -> Fig12 {
     let factory = ctx.rng_factory("fig12");
+    let cfg = IorConfig::paper_default(NODES_PER_APP);
+    // The solo baseline depends on the stripe count alone.
+    let solo_means = STRIPES.map(|stripe_count| {
+        let label = format!("solo-s{stripe_count}");
+        let solo = repeat(&factory, &label, ctx.reps, |rng, _| {
+            let mut fs = deploy(Scenario::S2Omnipath, stripe_count, ChooserKind::RoundRobin);
+            single_run(&mut fs, &cfg, rng).bandwidth.mib_per_sec()
+        });
+        solo.iter().sum::<f64>() / solo.len() as f64
+    });
     let mut cells = Vec::new();
     for n_apps in 2..=4usize {
-        for stripe_count in [2u32, 4, 8] {
-            let cfg = IorConfig::paper_default(NODES_PER_APP);
-
+        for (stripe_count, solo_mean) in STRIPES.into_iter().zip(solo_means) {
             // --- concurrent runs ---------------------------------------
             let label = format!("k{n_apps}-s{stripe_count}");
             let runs = repeat(&factory, &label, ctx.reps, |rng, _| {
@@ -103,14 +114,7 @@ pub fn run(ctx: &ExpCtx) -> Fig12 {
             }
             aggregate_mean /= runs.len() as f64;
 
-            // --- baselines ----------------------------------------------
-            let solo_label = format!("solo-s{stripe_count}");
-            let solo = repeat(&factory, &solo_label, ctx.reps, |rng, _| {
-                let mut fs = deploy(Scenario::S2Omnipath, stripe_count, ChooserKind::RoundRobin);
-                single_run(&mut fs, &cfg, rng).bandwidth.mib_per_sec()
-            });
-            let solo_mean = solo.iter().sum::<f64>() / solo.len() as f64;
-
+            // --- scaled baseline ----------------------------------------
             let scaled_stripe = (stripe_count * n_apps as u32).min(8);
             let scaled_cfg = IorConfig::paper_default(NODES_PER_APP * n_apps);
             let scaled_label = format!("scaled-k{n_apps}-s{stripe_count}");

@@ -154,7 +154,7 @@ pub fn campaign(ctx: &ExpCtx) -> Campaign {
 }
 
 /// Run the experiment on an engine (cached when the engine has a store).
-pub fn run_on(engine: &CampaignEngine, ctx: &ExpCtx) -> Result<FigAdaptive, CampaignError> {
+pub fn run(engine: &CampaignEngine, ctx: &ExpCtx) -> Result<FigAdaptive, CampaignError> {
     let outcome = engine.run(&campaign(ctx))?;
     let cells = outcome
         .cells
@@ -191,11 +191,6 @@ pub fn run_on(engine: &CampaignEngine, ctx: &ExpCtx) -> Result<FigAdaptive, Camp
     Ok(FigAdaptive { cells })
 }
 
-/// Run the experiment uncached.
-pub fn run(ctx: &ExpCtx) -> FigAdaptive {
-    run_on(&CampaignEngine::in_memory(), ctx).expect("experiment run failed")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,7 +201,7 @@ mod tests {
     /// the balanced requested width in the network-bound scenario 1.
     #[test]
     fn adaptive_policy_discovers_the_paper_recommendation_blind() {
-        let fig = run(&ExpCtx::quick(2));
+        let fig = run(&CampaignEngine::in_memory(), &ExpCtx::quick(2)).unwrap();
         assert_eq!(fig.cells.len(), 4);
         for c in &fig.cells {
             assert_eq!(c.app_count(), 2 * COUNT, "{}", c.label);

@@ -183,7 +183,7 @@ pub fn campaign(ctx: &ExpCtx) -> Campaign {
 
 /// Run the experiment on an engine (the `random` cell is cached when the
 /// engine has a store; the pinned cells run uncached).
-pub fn run_on(engine: &CampaignEngine, ctx: &ExpCtx) -> Result<FigInterference, CampaignError> {
+pub fn run(engine: &CampaignEngine, ctx: &ExpCtx) -> Result<FigInterference, CampaignError> {
     let packed = pinned_cell(ctx, "packed", true);
     let spread = pinned_cell(ctx, "spread", false);
     let outcome = engine.run(&campaign(ctx))?;
@@ -200,11 +200,6 @@ pub fn run_on(engine: &CampaignEngine, ctx: &ExpCtx) -> Result<FigInterference, 
     Ok(FigInterference {
         cells: vec![packed, spread, random],
     })
-}
-
-/// Run the experiment uncached.
-pub fn run(ctx: &ExpCtx) -> FigInterference {
-    run_on(&CampaignEngine::in_memory(), ctx).expect("experiment run failed")
 }
 
 #[cfg(test)]
@@ -231,7 +226,7 @@ mod tests {
 
     #[test]
     fn placement_decides_interference_at_fleet_scale() {
-        let fig = run(&ExpCtx::quick(2));
+        let fig = run(&CampaignEngine::in_memory(), &ExpCtx::quick(2)).unwrap();
         assert_eq!(fig.cells.len(), 3);
         for c in &fig.cells {
             assert_eq!(c.aggregates.len(), 2, "{}", c.label);

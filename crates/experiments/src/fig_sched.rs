@@ -89,20 +89,15 @@ impl FigSched {
     }
 }
 
-/// The campaign: one scenario-1 cell per placement policy. Arrival
-/// times draw from a label-independent stream, so at each rep every
-/// policy faces the *same* arrival instants — the classic paired
-/// (common-random-numbers) comparison.
-pub fn campaign(ctx: &ExpCtx) -> Campaign {
-    campaign_with_mode(ctx, AdmissionMode::FrozenOracle)
-}
-
-/// The same campaign priced by an explicit admission mode. Cell labels
-/// (and therefore arrival streams and placement draws) are identical
-/// across modes, so an online run is directly comparable to its
-/// frozen-oracle twin; the cache keys differ through the workload's
+/// The campaign: one scenario-1 cell per placement policy, priced by
+/// an admission mode. Arrival times draw from a label-independent
+/// stream, so at each rep every policy faces the *same* arrival
+/// instants — the classic paired (common-random-numbers) comparison.
+/// Cell labels (and therefore arrival streams and placement draws) are
+/// identical across modes, so an online run is directly comparable to
+/// its frozen-oracle twin; the cache keys differ through the workload's
 /// serialized `mode`.
-pub fn campaign_with_mode(ctx: &ExpCtx, mode: AdmissionMode) -> Campaign {
+pub fn campaign(ctx: &ExpCtx, mode: AdmissionMode) -> Campaign {
     let mut c = Campaign::new("fig_sched", ctx.seed);
     for kind in SchedPolicyKind::ALL {
         c = c.cell(
@@ -127,20 +122,16 @@ pub fn campaign_with_mode(ctx: &ExpCtx, mode: AdmissionMode) -> Campaign {
     c
 }
 
-/// Run the experiment on an engine (cached when the engine has a store).
-pub fn run_on(engine: &CampaignEngine, ctx: &ExpCtx) -> Result<FigSched, CampaignError> {
-    run_detailed(engine, ctx, AdmissionMode::FrozenOracle).map(|(fig, _, _)| fig)
-}
-
-/// Run the experiment under an explicit admission mode and return the
-/// figure plus the raw campaign outcome (for wait tails and run stats)
-/// and the merged metrics registry (for admission counters).
-pub fn run_detailed(
+/// Run the experiment under an admission mode on an engine (cached
+/// when the engine has a store) and return the figure plus the raw
+/// campaign outcome (for wait tails and run stats) and the merged
+/// metrics registry (for admission counters).
+pub fn run(
     engine: &CampaignEngine,
     ctx: &ExpCtx,
     mode: AdmissionMode,
 ) -> Result<(FigSched, CampaignOutcome, obs::metrics::MetricsRegistry), CampaignError> {
-    let (outcome, registry) = engine.run_with_metrics(&campaign_with_mode(ctx, mode))?;
+    let (outcome, registry) = engine.run_with_metrics(&campaign(ctx, mode))?;
     let policies = SchedPolicyKind::ALL
         .into_iter()
         .zip(&outcome.cells)
@@ -161,18 +152,14 @@ pub fn run_detailed(
     Ok((FigSched { policies, mode }, outcome, registry))
 }
 
-/// Run the experiment uncached.
-pub fn run(ctx: &ExpCtx) -> FigSched {
-    run_on(&CampaignEngine::in_memory(), ctx).expect("experiment run failed")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn load_aware_placement_beats_blind_random() {
-        let fig = run(&ExpCtx::quick(4));
+        let engine = CampaignEngine::in_memory();
+        let (fig, _, _) = run(&engine, &ExpCtx::quick(4), AdmissionMode::FrozenOracle).unwrap();
         assert_eq!(fig.policies.len(), 4);
         for p in &fig.policies {
             assert_eq!(p.slowdowns.len(), 4 * COUNT, "{}", p.policy.label());

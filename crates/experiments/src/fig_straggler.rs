@@ -155,7 +155,7 @@ pub fn campaign(ctx: &ExpCtx) -> Campaign {
 }
 
 /// Run the experiment on an engine (cached when the engine has a store).
-pub fn run_on(engine: &CampaignEngine, ctx: &ExpCtx) -> Result<FigStraggler, CampaignError> {
+pub fn run(engine: &CampaignEngine, ctx: &ExpCtx) -> Result<FigStraggler, CampaignError> {
     let outcome = engine.run(&campaign(ctx))?;
     let cells = outcome
         .cells
@@ -185,18 +185,13 @@ pub fn run_on(engine: &CampaignEngine, ctx: &ExpCtx) -> Result<FigStraggler, Cam
     Ok(FigStraggler { cells })
 }
 
-/// Run the experiment uncached.
-pub fn run(ctx: &ExpCtx) -> FigStraggler {
-    run_on(&CampaignEngine::in_memory(), ctx).expect("experiment run failed")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn hedging_collapses_the_straggler_tail() {
-        let fig = run(&ExpCtx::quick(3));
+        let fig = run(&CampaignEngine::in_memory(), &ExpCtx::quick(3)).unwrap();
         assert_eq!(fig.cells.len(), 4);
         for c in &fig.cells {
             assert_eq!(c.slowdowns.len(), 3 * COUNT, "{}", c.label);

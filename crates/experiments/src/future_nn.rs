@@ -14,7 +14,8 @@
 //! The experiment compares N-1 and N-N at each stripe count in both
 //! scenarios.
 
-use crate::context::{deploy, repeat, single_run, ExpCtx, Scenario};
+use crate::campaign::{Campaign, CampaignEngine, CampaignError, CellConfig};
+use crate::context::{ExpCtx, Scenario};
 use beegfs_core::ChooserKind;
 use ior::{FileLayout, IorConfig};
 use iostats::Summary;
@@ -50,27 +51,33 @@ pub struct FutureNn {
 /// Stripe counts compared.
 pub const STRIPES: [u32; 4] = [1, 2, 4, 8];
 
-/// Run the experiment.
-pub fn run(ctx: &ExpCtx, scenario: Scenario) -> FutureNn {
-    let factory = ctx.rng_factory("future-nn");
+/// Run the experiment on an engine.
+pub fn run(
+    engine: &CampaignEngine,
+    ctx: &ExpCtx,
+    scenario: Scenario,
+) -> Result<FutureNn, CampaignError> {
     let nodes = scenario.figure6_nodes();
-    let mut cells = Vec::new();
+    let mut campaign = Campaign::new("future-nn", ctx.seed);
     for layout in [FileLayout::SharedFile, FileLayout::FilePerProcess] {
         for stripe_count in STRIPES {
             let cfg = IorConfig::paper_default(nodes).with_layout(layout);
             let label = format!("{scenario:?}-{layout:?}-s{stripe_count}");
-            let samples = repeat(&factory, &label, ctx.reps, |rng, _| {
-                let mut fs = deploy(scenario, stripe_count, ChooserKind::RoundRobin);
-                single_run(&mut fs, &cfg, rng).bandwidth.mib_per_sec()
-            });
-            cells.push(LayoutCell {
-                layout,
-                stripe_count,
-                samples,
-            });
+            let config = CellConfig::new(scenario, stripe_count, ChooserKind::RoundRobin, cfg);
+            campaign = campaign.cell(label, config, ctx.reps);
         }
     }
-    FutureNn { scenario, cells }
+    let cells = engine
+        .run(&campaign)?
+        .cells
+        .into_iter()
+        .map(|cell| LayoutCell {
+            layout: cell.config.layout,
+            stripe_count: cell.config.stripe_count,
+            samples: cell.bandwidths(),
+        })
+        .collect();
+    Ok(FutureNn { scenario, cells })
 }
 
 impl FutureNn {
@@ -89,6 +96,10 @@ impl FutureNn {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run(ctx: &ExpCtx, scenario: Scenario) -> FutureNn {
+        super::run(&CampaignEngine::in_memory(), ctx, scenario).unwrap()
+    }
 
     #[test]
     fn nn_rescues_small_stripe_counts() {

@@ -7,7 +7,8 @@
 //! checks the conjecture *within the model*: identical qualitative
 //! structure, shifted absolute level.
 
-use crate::context::{deploy, repeat, single_run, ExpCtx, Scenario};
+use crate::campaign::{Campaign, CampaignEngine, CampaignError, CellConfig};
+use crate::context::{ExpCtx, Scenario};
 use beegfs_core::ChooserKind;
 use ior::IorConfig;
 use iostats::Summary;
@@ -43,32 +44,43 @@ pub struct FutureReads {
     pub cells: Vec<ModeCell>,
 }
 
-/// Run the experiment.
-pub fn run(ctx: &ExpCtx, scenario: Scenario) -> FutureReads {
-    let factory = ctx.rng_factory("future-reads");
+/// Run the experiment on an engine.
+pub fn run(
+    engine: &CampaignEngine,
+    ctx: &ExpCtx,
+    scenario: Scenario,
+) -> Result<FutureReads, CampaignError> {
     let nodes = scenario.figure6_nodes();
-    let mut cells = Vec::new();
+    let mut campaign = Campaign::new("future-reads", ctx.seed);
     for mode in [AccessMode::Write, AccessMode::Read] {
         for stripe_count in 1..=8u32 {
             let cfg = IorConfig::paper_default(nodes).with_mode(mode);
             let label = format!("{scenario:?}-{mode:?}-s{stripe_count}");
-            let runs = repeat(&factory, &label, ctx.reps, |rng, _| {
-                let mut fs = deploy(scenario, stripe_count, ChooserKind::RoundRobin);
-                let app = single_run(&mut fs, &cfg, rng);
-                (app.bandwidth.mib_per_sec(), app.allocation.label())
-            });
-            let mut allocations: Vec<String> = runs.iter().map(|(_, a)| a.clone()).collect();
-            allocations.sort();
-            allocations.dedup();
-            cells.push(ModeCell {
-                mode,
-                stripe_count,
-                samples: runs.into_iter().map(|(b, _)| b).collect(),
-                allocations,
-            });
+            let config = CellConfig::new(scenario, stripe_count, ChooserKind::RoundRobin, cfg);
+            campaign = campaign.cell(label, config, ctx.reps);
         }
     }
-    FutureReads { scenario, cells }
+    let cells = engine
+        .run(&campaign)?
+        .cells
+        .into_iter()
+        .map(|cell| {
+            let mut allocations: Vec<String> = cell
+                .reps
+                .iter()
+                .map(|r| r.apps[0].allocation.clone())
+                .collect();
+            allocations.sort();
+            allocations.dedup();
+            ModeCell {
+                mode: cell.config.mode,
+                stripe_count: cell.config.stripe_count,
+                samples: cell.bandwidths(),
+                allocations,
+            }
+        })
+        .collect();
+    Ok(FutureReads { scenario, cells })
 }
 
 impl FutureReads {
@@ -104,6 +116,10 @@ impl FutureReads {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run(ctx: &ExpCtx, scenario: Scenario) -> FutureReads {
+        super::run(&CampaignEngine::in_memory(), ctx, scenario).unwrap()
+    }
 
     #[test]
     fn reads_mirror_writes_qualitatively() {

@@ -4,8 +4,10 @@
 //! from the same simulated experiments that regenerate the figures, so
 //! EXPERIMENTS.md can show paper-vs-measured side by side.
 
+use crate::campaign::{CampaignEngine, CampaignError};
 use crate::context::{ExpCtx, Scenario};
 use crate::{fig04_nodes, fig06_stripe, fig12_concurrent};
+use beegfs_core::ChooserKind;
 use serde::{Deserialize, Serialize};
 
 /// One paper claim with its measured counterpart.
@@ -28,13 +30,14 @@ pub struct Lessons {
     pub claims: Vec<Claim>,
 }
 
-/// Compute every claim (runs the underlying experiments).
-pub fn run(ctx: &ExpCtx) -> Lessons {
+/// Compute every claim on an engine (runs the underlying experiments;
+/// Figs. 4 and 6 come from the engine, so a cached run reads them).
+pub fn run(engine: &CampaignEngine, ctx: &ExpCtx) -> Result<Lessons, CampaignError> {
     let mut claims = Vec::new();
 
     // --- lesson 1: node-count effect ------------------------------------
-    let f4a = fig04_nodes::run(ctx, Scenario::S1Ethernet);
-    let f4b = fig04_nodes::run(ctx, Scenario::S2Omnipath);
+    let f4a = fig04_nodes::run(engine, ctx, Scenario::S1Ethernet, 8)?;
+    let f4b = fig04_nodes::run(engine, ctx, Scenario::S2Omnipath, 8)?;
     let g1 = f4a.gain_to_plateau();
     let g2 = f4b.gain_to_plateau();
     claims.push(Claim {
@@ -77,7 +80,7 @@ pub fn run(ctx: &ExpCtx) -> Lessons {
     });
 
     // --- lesson 4: allocation balance dominates in S1 --------------------
-    let f6a = fig06_stripe::run(ctx, Scenario::S1Ethernet);
+    let f6a = fig06_stripe::run(engine, ctx, Scenario::S1Ethernet, ChooserKind::RoundRobin)?;
     let means = f6a.allocation_means();
     let b13 = means.get("(1,3)").copied().unwrap_or(f64::NAN);
     let b33 = means.get("(3,3)").copied().unwrap_or(f64::NAN);
@@ -103,7 +106,7 @@ pub fn run(ctx: &ExpCtx) -> Lessons {
     });
 
     // --- lesson 5/6: S2 stripe growth and variability --------------------
-    let f6b = fig06_stripe::run(ctx, Scenario::S2Omnipath);
+    let f6b = fig06_stripe::run(engine, ctx, Scenario::S2Omnipath, ChooserKind::RoundRobin)?;
     let s1sum = f6b.point(1).summary();
     let s8sum = f6b.point(8).summary();
     let mean_gain = (s8sum.mean - s1sum.mean) / s1sum.mean;
@@ -193,7 +196,7 @@ pub fn run(ctx: &ExpCtx) -> Lessons {
         holds: improvement > 0.40,
     });
 
-    Lessons { claims }
+    Ok(Lessons { claims })
 }
 
 impl Lessons {
@@ -209,7 +212,7 @@ mod tests {
 
     #[test]
     fn all_paper_claims_hold_at_reduced_reps() {
-        let lessons = run(&ExpCtx::quick(12));
+        let lessons = run(&CampaignEngine::in_memory(), &ExpCtx::quick(12)).unwrap();
         for c in &lessons.claims {
             assert!(
                 c.holds,

@@ -9,7 +9,8 @@
 //! dominates — while N-1 pays for exactly one create regardless of the
 //! process count.
 
-use crate::context::{deploy, repeat, single_run, ExpCtx, Scenario};
+use crate::campaign::{Campaign, CampaignEngine, CampaignError, CellConfig};
+use crate::context::{ExpCtx, Scenario};
 use beegfs_core::ChooserKind;
 use ior::{FileLayout, IorConfig};
 use iostats::Summary;
@@ -47,33 +48,33 @@ pub struct MetadataMotivation {
 /// Per-process sizes swept (MiB).
 pub const SIZES_MIB: [u64; 5] = [1, 4, 16, 64, 256];
 
-/// Run the experiment (scenario 2, 16 nodes x 8 ppn, stripe 4).
-pub fn run(ctx: &ExpCtx) -> MetadataMotivation {
-    let factory = ctx.rng_factory("metadata-motivation");
+/// Run the experiment (scenario 2, 16 nodes x 8 ppn, stripe 4) on an
+/// engine.
+pub fn run(engine: &CampaignEngine, ctx: &ExpCtx) -> Result<MetadataMotivation, CampaignError> {
     let nodes = 16usize;
-    let cells = SIZES_MIB
-        .iter()
-        .map(|&mib| {
-            let per_process_bytes = mib * MIB;
-            let total = per_process_bytes * (nodes * 8) as u64;
-            let base = IorConfig::paper_default(nodes).with_total_bytes(total);
-            let shared = repeat(&factory, &format!("n1-{mib}"), ctx.reps, |rng, _| {
-                let mut fs = deploy(Scenario::S2Omnipath, 4, ChooserKind::RoundRobin);
-                single_run(&mut fs, &base, rng).bandwidth.mib_per_sec()
-            });
-            let nn_cfg = base.with_layout(FileLayout::FilePerProcess);
-            let per_process = repeat(&factory, &format!("nn-{mib}"), ctx.reps, |rng, _| {
-                let mut fs = deploy(Scenario::S2Omnipath, 4, ChooserKind::RoundRobin);
-                single_run(&mut fs, &nn_cfg, rng).bandwidth.mib_per_sec()
-            });
-            SizeCell {
-                per_process_bytes,
-                shared,
-                per_process,
-            }
+    let mut campaign = Campaign::new("metadata-motivation", ctx.seed);
+    for mib in SIZES_MIB {
+        let total = mib * MIB * (nodes * 8) as u64;
+        let base = IorConfig::paper_default(nodes).with_total_bytes(total);
+        for (tag, cfg) in [
+            ("n1", base),
+            ("nn", base.with_layout(FileLayout::FilePerProcess)),
+        ] {
+            let config = CellConfig::new(Scenario::S2Omnipath, 4, ChooserKind::RoundRobin, cfg);
+            campaign = campaign.cell(format!("{tag}-{mib}"), config, ctx.reps);
+        }
+    }
+    let cells = engine
+        .run(&campaign)?
+        .cells
+        .chunks(2)
+        .map(|pair| SizeCell {
+            per_process_bytes: pair[0].config.total_bytes / (nodes * 8) as u64,
+            shared: pair[0].bandwidths(),
+            per_process: pair[1].bandwidths(),
         })
         .collect();
-    MetadataMotivation { cells }
+    Ok(MetadataMotivation { cells })
 }
 
 #[cfg(test)]
@@ -82,7 +83,7 @@ mod tests {
 
     #[test]
     fn nn_metadata_cost_fades_with_file_size() {
-        let fig = run(&ExpCtx::quick(8));
+        let fig = run(&CampaignEngine::in_memory(), &ExpCtx::quick(8)).unwrap();
         // At large per-process sizes the layouts converge (N-N can even
         // win by avoiding the shared file's single allocation)...
         let large = fig.cells.last().unwrap().nn_penalty();

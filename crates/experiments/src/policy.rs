@@ -7,7 +7,8 @@
 //! the maximum stripe count all three coincide — which is exactly why
 //! the paper's "use all targets" recommendation is policy-free.
 
-use crate::context::{deploy, repeat, single_run, ExpCtx, Scenario};
+use crate::campaign::{Campaign, CampaignEngine, CampaignError, CellConfig};
+use crate::context::{ExpCtx, Scenario};
 use beegfs_core::ChooserKind;
 use ior::IorConfig;
 use iostats::Summary;
@@ -47,27 +48,32 @@ pub const CHOOSERS: [ChooserKind; 3] = [
     ChooserKind::Balanced,
 ];
 
-/// Run the ablation.
-pub fn run(ctx: &ExpCtx, scenario: Scenario) -> Policy {
-    let factory = ctx.rng_factory("policy");
-    let nodes = scenario.figure6_nodes();
-    let cfg = IorConfig::paper_default(nodes);
-    let mut cells = Vec::new();
+/// Run the ablation on an engine.
+pub fn run(
+    engine: &CampaignEngine,
+    ctx: &ExpCtx,
+    scenario: Scenario,
+) -> Result<Policy, CampaignError> {
+    let cfg = IorConfig::paper_default(scenario.figure6_nodes());
+    let mut campaign = Campaign::new("policy", ctx.seed);
     for chooser in CHOOSERS {
         for stripe_count in 1..=8u32 {
             let label = format!("{scenario:?}-{chooser:?}-s{stripe_count}");
-            let samples = repeat(&factory, &label, ctx.reps, |rng, _| {
-                let mut fs = deploy(scenario, stripe_count, chooser);
-                single_run(&mut fs, &cfg, rng).bandwidth.mib_per_sec()
-            });
-            cells.push(PolicyCell {
-                chooser: format!("{chooser:?}"),
-                stripe_count,
-                samples,
-            });
+            let config = CellConfig::new(scenario, stripe_count, chooser, cfg);
+            campaign = campaign.cell(label, config, ctx.reps);
         }
     }
-    Policy { scenario, cells }
+    let cells = engine
+        .run(&campaign)?
+        .cells
+        .into_iter()
+        .map(|cell| PolicyCell {
+            chooser: format!("{:?}", cell.config.chooser),
+            stripe_count: cell.config.stripe_count,
+            samples: cell.bandwidths(),
+        })
+        .collect();
+    Ok(Policy { scenario, cells })
 }
 
 impl Policy {
@@ -87,6 +93,10 @@ impl Policy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run(ctx: &ExpCtx, scenario: Scenario) -> Policy {
+        super::run(&CampaignEngine::in_memory(), ctx, scenario).unwrap()
+    }
 
     #[test]
     fn balanced_chooser_wins_at_stripe_4_in_scenario1() {
