@@ -1,5 +1,7 @@
 //! `repro` rejects bad command lines with a usage error, not a panic:
 //! it prints `repro: <reason>` and the usage line to stderr and exits 2.
+//! A run that cannot write its output prints `repro: <reason>` and
+//! exits 1.
 
 use std::process::Command;
 
@@ -62,11 +64,70 @@ fn a_flag_without_its_value_is_a_usage_error() {
     }
 }
 
+/// Run `repro --no-cache` with `args` and check it failed with exit
+/// status 1 and a reason containing `reason`, without a panic.
+fn fails(args: &[&str], reason: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("--no-cache")
+        .args(args)
+        .output()
+        .expect("repro runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(
+        stderr.contains(reason),
+        "{args:?}: expected {reason}, got: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+}
+
+/// A regular file in the temporary directory, unique to this process
+/// and `tag`; no directory can be made below it.
+fn regular_file(tag: &str) -> std::path::PathBuf {
+    let file = std::env::temp_dir().join(format!("repro-cli-{}-{tag}", std::process::id()));
+    std::fs::write(&file, b"").unwrap();
+    file
+}
+
+#[test]
+fn an_uncreatable_json_directory_is_a_usage_error() {
+    let file = regular_file("json");
+    let dir = file.join("json");
+    rejects(
+        &["--json", dir.to_str().unwrap(), "fig9"],
+        "cannot create json directory",
+    );
+    std::fs::remove_file(&file).unwrap();
+}
+
+#[test]
+fn an_unwritable_trace_or_metrics_file_fails_typed() {
+    let file = regular_file("trace");
+    for flag in ["--trace", "--metrics"] {
+        let out = file.join("out.json");
+        let out = out.to_str().unwrap();
+        fails(&[flag, out], &format!("repro: cannot write {out}: "));
+    }
+    std::fs::remove_file(&file).unwrap();
+}
+
+#[test]
+fn an_unwritable_json_file_fails_its_section() {
+    // A directory where the section's JSON file should go.
+    let dir = std::env::temp_dir().join(format!("repro-cli-{}-section", std::process::id()));
+    let blocked = dir.join("fig09.json");
+    std::fs::create_dir_all(&blocked).unwrap();
+    fails(
+        &["--json", dir.to_str().unwrap(), "fig9"],
+        &format!("repro: fig9: cannot write {}: ", blocked.display()),
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn an_unopenable_cache_is_a_usage_error() {
     // A path below a regular file can never become a directory.
-    let file = std::env::temp_dir().join(format!("repro-cli-{}", std::process::id()));
-    std::fs::write(&file, b"").unwrap();
+    let file = regular_file("cache");
     let cache = file.join("cache");
     // `--cache` after `--no-cache` turns the store back on.
     rejects(
