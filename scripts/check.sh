@@ -62,6 +62,15 @@ cargo bench --locked -p bench --bench flow_scale
 echo "==> online-engine scaling bench (writes BENCH_sched_scale.json; fails on <10x online-vs-frozen throughput on the contended 1e4 burst, >2x work-per-admission growth to 1e6, 1e6 throughput below 0.1x the median of the 1e4 rounds served after it, a median in-round adaptive-over-plain CPU time above 1.5x or >2x adaptive events on those rounds, or peak RSS above 1024 MiB after the 1e6 rung)"
 cargo bench --locked -p bench --bench sched_scale
 
+echo "==> cached tables are the computed ones (2 reps of the single-run figures and fig13: a cold and a warm run on one cache, then an uncached run; the three stdouts must match)"
+rm -rf target/smoke-cache
+for run in cold warm; do
+  cargo run --release --locked -p experiments --bin repro -- --reps 2 --cache target/smoke-cache fig2 chowdhury policy reads nn metadata fig13 > target/smoke-$run.txt
+done
+cargo run --release --locked -p experiments --bin repro -- --reps 2 --no-cache fig2 chowdhury policy reads nn metadata fig13 > target/smoke-uncached.txt
+cmp target/smoke-cold.txt target/smoke-warm.txt
+cmp target/smoke-cold.txt target/smoke-uncached.txt
+
 echo "==> interference smoke cell (1 rep, 50 apps on the 100x10 FleetSpec fleet: packed vs spread vs random)"
 cargo run --release --locked -p experiments --bin repro -- --reps 1 interference
 

@@ -75,6 +75,50 @@ fn warm_rerun_simulates_nothing_and_serializes_byte_identically() {
 }
 
 #[test]
+fn figures_read_back_from_the_store_as_computed() -> Result<(), Box<dyn std::error::Error>> {
+    // Every figure a cell describes, plus lessons: a second run on the
+    // same store simulates nothing and serializes exactly as the first
+    // run and an in-memory run do.
+    use beegfs_repro::experiments::{
+        chowdhury, fig02_datasize, future_nn, future_reads, lessons, metadata_motivation, policy,
+        ExpCtx,
+    };
+    let ctx = ExpCtx::quick(2);
+    let figures = |engine: &CampaignEngine| -> Result<Vec<String>, Box<dyn std::error::Error>> {
+        let mut json = Vec::new();
+        for s in [Scenario::S1Ethernet, Scenario::S2Omnipath] {
+            json.push(serde_json::to_string(&fig02_datasize::run(
+                engine, &ctx, s,
+            )?)?);
+            json.push(serde_json::to_string(&policy::run(engine, &ctx, s)?)?);
+            json.push(serde_json::to_string(&future_reads::run(engine, &ctx, s)?)?);
+            json.push(serde_json::to_string(&future_nn::run(engine, &ctx, s)?)?);
+        }
+        json.push(serde_json::to_string(&metadata_motivation::run(
+            engine, &ctx,
+        )?)?);
+        json.push(serde_json::to_string(&chowdhury::run(engine, &ctx)?)?);
+        json.push(serde_json::to_string(&lessons::run(engine, &ctx)?)?);
+        Ok(json)
+    };
+    let dir = scratch_dir("figures");
+    let engine = CampaignEngine::with_store(&dir)?;
+    let cold = figures(&engine)?;
+    let simulated = engine.executed_reps();
+    assert!(simulated > 0, "a cold store simulates");
+    let warm = figures(&engine)?;
+    assert_eq!(
+        engine.executed_reps(),
+        simulated,
+        "a warm store simulates nothing"
+    );
+    assert_eq!(warm, cold, "cached figures must be byte-identical");
+    assert_eq!(figures(&CampaignEngine::in_memory())?, cold);
+    std::fs::remove_dir_all(&dir)?;
+    Ok(())
+}
+
+#[test]
 fn extending_reps_reuses_the_recorded_prefix() {
     let dir = scratch_dir("extend");
 
