@@ -23,9 +23,11 @@
 //! | [`sensitivity`] | calibration-constant ablation (which knob owns which figure) |
 //! | [`lessons`] | every quantitative claim, paper vs measured |
 //!
-//! The [`campaign`] module is the sweep engine underneath the ported
-//! figures: declarative grids, rayon-parallel cells, and a
-//! content-addressed result cache that makes re-runs incremental.
+//! The [`campaign`] module is the sweep engine underneath every figure
+//! whose cells a [`campaign::CellConfig`] describes (the rest repeat
+//! through [`context::repeat`], which says why): declarative grids,
+//! rayon-parallel cells, and a content-addressed result cache that makes
+//! re-runs incremental. Each figure has one `run`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
