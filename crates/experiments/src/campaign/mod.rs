@@ -926,14 +926,17 @@ impl CampaignEngine {
         // Metrics are written even for a failing campaign — a failed run
         // is exactly when the breakdown is most useful.
         if let Some(store) = &self.store {
-            store.save_metrics(&CampaignMetrics {
-                campaign: campaign.name.clone(),
-                seed: campaign.seed,
-                model_version: MODEL_VERSION,
-                stats,
-                cells: cell_metrics.clone(),
-            })?;
-            store.save_metrics_snapshot(&campaign.name, &run_metrics)?;
+            store.save_metrics(
+                campaign,
+                &CampaignMetrics {
+                    campaign: campaign.name.clone(),
+                    seed: campaign.seed,
+                    model_version: MODEL_VERSION,
+                    stats,
+                    cells: cell_metrics.clone(),
+                },
+            )?;
+            store.save_metrics_snapshot(campaign, &run_metrics)?;
         }
         if let Some((label, rep, source)) = first_failure {
             return Err(CampaignError::Cells {
@@ -955,14 +958,14 @@ impl CampaignEngine {
     }
 
     /// Where this engine persists a campaign's run metrics, if it has a
-    /// store at all.
-    pub fn metrics_path(&self, campaign: &str) -> Option<std::path::PathBuf> {
+    /// store at all (see [`ResultStore::metrics_path`]).
+    pub fn metrics_path(&self, campaign: &Campaign) -> Option<std::path::PathBuf> {
         self.store.as_ref().map(|s| s.metrics_path(campaign))
     }
 
     /// Where this engine persists a campaign's merged registry snapshot,
     /// if it has a store at all.
-    pub fn metrics_snapshot_path(&self, campaign: &str) -> Option<std::path::PathBuf> {
+    pub fn metrics_snapshot_path(&self, campaign: &Campaign) -> Option<std::path::PathBuf> {
         self.store
             .as_ref()
             .map(|s| s.metrics_snapshot_path(campaign))
@@ -1443,7 +1446,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let engine = CampaignEngine::with_store(&dir).unwrap();
         let (_, cold) = engine.run_with_metrics(&tiny_campaign(2)).unwrap();
-        let path = engine.metrics_snapshot_path("fig04").unwrap();
+        let path = engine.metrics_snapshot_path(&tiny_campaign(2)).unwrap();
         let persisted = std::fs::read_to_string(&path).unwrap();
         assert_eq!(persisted, cold.to_json());
         // A warm re-run simulates nothing: its snapshot holds only the

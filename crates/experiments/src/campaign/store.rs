@@ -17,7 +17,7 @@
 //! serving 10-rep campaigns and vice versa (prefix-stable RNG streams
 //! make the shorter run a literal prefix of the longer one).
 
-use super::{CellConfig, CellSpec, RepRecord};
+use super::{Campaign, CellConfig, CellSpec, RepRecord};
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io;
@@ -91,6 +91,20 @@ pub fn cell_key(campaign: &str, seed: u64, spec: &CellSpec) -> String {
     )
 }
 
+/// A campaign's name joined to a 64-bit digest of its cell keys, which
+/// names its metrics files: campaigns that share a name but not their
+/// cells keep apart, and a rerun of one campaign (at any rep count)
+/// lands on its own files.
+fn metrics_stem(campaign: &Campaign) -> String {
+    let digest = campaign
+        .cells
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, spec| {
+            fnv64(cell_key(&campaign.name, campaign.seed, spec).as_bytes(), h)
+        });
+    format!("{}-{:016x}", campaign.name, mix64(digest))
+}
+
 /// FNV-1a with a caller-chosen basis (two bases -> 128 bits of key).
 fn fnv64(bytes: &[u8], basis: u64) -> u64 {
     let mut h = basis;
@@ -154,19 +168,24 @@ impl ResultStore {
         Self::write_atomic(&path, &json)
     }
 
-    /// Where a campaign's run metrics live. Cache shards are two hex
-    /// digits, so `metrics/` can never collide with one.
-    pub fn metrics_path(&self, campaign: &str) -> PathBuf {
-        self.root.join("metrics").join(format!("{campaign}.json"))
+    /// Where a campaign's run metrics live:
+    /// `metrics/<campaign>-<digest>.json`, the digest taken over the
+    /// campaign's cell keys, so same-named campaigns with different
+    /// cells keep their own files. Cache shards are two hex digits, so
+    /// `metrics/` can never collide with one.
+    pub fn metrics_path(&self, campaign: &Campaign) -> PathBuf {
+        self.root
+            .join("metrics")
+            .join(format!("{}.json", metrics_stem(campaign)))
     }
 
     /// Where a campaign's merged instrumentation snapshot lives: the
     /// byte-stable [`obs::metrics::MetricsRegistry`] JSON written next to
-    /// the run-metrics document (`metrics/<campaign>.metrics.json`).
-    pub fn metrics_snapshot_path(&self, campaign: &str) -> PathBuf {
+    /// the run-metrics document (`metrics/<campaign>-<digest>.metrics.json`).
+    pub fn metrics_snapshot_path(&self, campaign: &Campaign) -> PathBuf {
         self.root
             .join("metrics")
-            .join(format!("{campaign}.metrics.json"))
+            .join(format!("{}.metrics.json", metrics_stem(campaign)))
     }
 
     /// Persist a campaign's merged metrics registry atomically. The
@@ -174,7 +193,7 @@ impl ResultStore {
     /// same simulation work write byte-identical snapshots.
     pub fn save_metrics_snapshot(
         &self,
-        campaign: &str,
+        campaign: &Campaign,
         registry: &obs::metrics::MetricsRegistry,
     ) -> io::Result<()> {
         let path = self.metrics_snapshot_path(campaign);
@@ -185,8 +204,12 @@ impl ResultStore {
     }
 
     /// Persist a campaign's run metrics atomically next to the cache.
-    pub fn save_metrics(&self, metrics: &super::CampaignMetrics) -> io::Result<()> {
-        let path = self.metrics_path(&metrics.campaign);
+    pub fn save_metrics(
+        &self,
+        campaign: &Campaign,
+        metrics: &super::CampaignMetrics,
+    ) -> io::Result<()> {
+        let path = self.metrics_path(campaign);
         if let Some(parent) = path.parent() {
             fs::create_dir_all(parent)?;
         }

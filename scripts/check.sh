@@ -22,6 +22,10 @@ for manifest in vendor/*/Cargo.toml; do
   cargo test -q --offline --manifest-path "$manifest" --target-dir target/vendor
 done
 
+echo "==> solver differentials in release (a release build skips the debug walk past the whole-set shortcut and the cross-check of every reused solve, so these run the paths it ships)"
+cargo test --release --locked -p beegfs-repro --test solver_properties --test online_oracle --test restripe_properties
+cargo test --release --locked -p simcore --test collection_differential
+
 echo "==> benchmark self-test (every perfbench workload's pinned decision-log, restripe-log and event-count digests at toy size)"
 cargo test --offline --release --manifest-path perfbench/Cargo.toml
 

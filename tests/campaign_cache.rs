@@ -190,7 +190,7 @@ fn run_metrics_are_serialized_next_to_the_cache() {
 
     let engine = CampaignEngine::with_store(&dir).unwrap();
     let outcome = engine.run(&campaign).unwrap();
-    let path = engine.metrics_path("cache-test").unwrap();
+    let path = engine.metrics_path(&campaign).unwrap();
     assert!(path.exists(), "metrics file missing at {}", path.display());
 
     let metrics: CampaignMetrics =
@@ -217,6 +217,37 @@ fn run_metrics_are_serialized_next_to_the_cache() {
     assert_eq!(metrics.stats.reps_computed, 0);
     assert_eq!(metrics.stats.sim_events, 0);
 
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn same_named_campaigns_keep_their_own_metrics_files() {
+    let dir = scratch_dir("same-name");
+    let engine = CampaignEngine::with_store(&dir).unwrap();
+    let both = small_campaign(1);
+    let mut first = both.clone();
+    first.cells.truncate(1);
+    let mut second = both;
+    second.cells.remove(0);
+    engine.run(&first).unwrap();
+    engine.run(&second).unwrap();
+
+    let labels = |campaign: &Campaign| -> Vec<String> {
+        let path = engine.metrics_path(campaign).unwrap();
+        let metrics: CampaignMetrics =
+            serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+        metrics.cells.into_iter().map(|c| c.label).collect()
+    };
+    assert_ne!(engine.metrics_path(&first), engine.metrics_path(&second));
+    assert_eq!(labels(&first), ["s2"]);
+    assert_eq!(labels(&second), ["s4"]);
+    let files = std::fs::read_dir(dir.join("metrics")).unwrap().count();
+    assert_eq!(files, 4, "a run-metrics file and a snapshot per campaign");
+
+    // More reps keep the cell keys, so a rerun overwrites its own file.
+    let mut more = first.clone();
+    more.cells[0].reps = 2;
+    assert_eq!(engine.metrics_path(&more), engine.metrics_path(&first));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
