@@ -139,28 +139,32 @@ const NOT_KEPT: u32 = u32::MAX;
 /// so steady-state rate recomputation performs no heap allocation.
 ///
 /// Every buffer but `kept` holds no state between calls — every solve
-/// clears and refills them. `kept` is the network's own and is cleared
-/// when a network installs recycled buffers, so recycling them across
-/// networks (via [`super::SimArena`]) is safe: only their *capacity*
-/// carries over.
+/// clears and refills them, or, for `frozen`, moves to a new
+/// generation. `kept` is the network's own and is cleared when a network
+/// installs recycled buffers, so recycling them across networks (via
+/// [`super::SimArena`]) is safe: only their *capacity* carries over.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SolverScratch {
-    /// Per-resource summed depth weight of active flows.
-    depth: Vec<f64>,
     /// Per-resource count of not-yet-frozen flows crossing it.
     unfrozen: Vec<u32>,
     /// Per-resource residual capacity during progressive filling.
     cap: Vec<f64>,
-    /// Frozen marker, indexed by slot (len only grows; all-false
-    /// between solves — cleared by walking the solved flow list).
-    frozen: Vec<bool>,
+    /// Per slot, the generation of the last solve that froze the flow
+    /// (len only grows): a flow is frozen in this solve when its stamp
+    /// is `generation`, so no pass clears the stamps between solves.
+    frozen: Vec<u32>,
+    /// The current solve's stamp in `frozen`.
+    generation: u32,
+    /// The live incidence entries of one resource, sorted when its depth
+    /// sum needs ascending slot order (see `FlowNetwork::live_depth`).
+    live_slots: Vec<u32>,
     /// Worklist of resource indices for the dirty-component walk.
     stack: Vec<u32>,
-    /// Slots of the flows collected into the dirty components, sorted
-    /// ascending before solving. After a whole-set solve it holds what
-    /// the walk marked before it stopped, or, while touched resources
-    /// are tracked, a copy of the active list for the sampler, as after
-    /// a tracked reference solve.
+    /// Slots of the flows the walk collected, in walk order. While
+    /// touched resources are tracked it holds the solved flows sorted
+    /// ascending, for the sampler: after a walked solve, sorted; after a
+    /// whole-set solve, a copy of the active list, as after a tracked
+    /// reference solve.
     comp_flows: Vec<u32>,
     /// Resources collected into the dirty components, in walk order.
     comp_res: Vec<u32>,
@@ -179,58 +183,52 @@ pub(crate) struct SolverScratch {
     kept: KeptComponents,
 }
 
-/// The components earlier dirty-component walks collected, kept so that
-/// a solve whose dirty resources all lie in them takes their lists
-/// instead of walking again.
+/// The components earlier dirty-component walks collected, kept as runs
+/// of resources so that a solve whose dirty resources all lie in them
+/// takes their resources instead of walking again.
 ///
 /// A kept component stays a union of whole components of the active
 /// flow/resource graph until a flow activates on one of its resources:
-/// a departure only removes members (its slot stays listed, inactive,
-/// and is filtered out at reuse) and a factor change moves none. An
-/// activation marks its path [`STARTED`], so the next solve walks, and
-/// [`KeptComponents::keep`] then drops every kept component holding a
-/// resource the walk collected. A live component's lists therefore hold
-/// every active flow crossing its resources and every resource those
-/// flows cross: what `solve_subset` asks of its lists.
+/// a departure only removes members (a resource left without flows
+/// stays listed and is filtered out at reuse) and a factor change moves
+/// none. An activation marks its path [`STARTED`], so the next solve
+/// walks, and [`KeptComponents::keep`] then drops every kept component
+/// holding a resource the walk collected. A live component's resources
+/// therefore include every resource crossed by an active flow crossing
+/// one of them: what `solve_subset` asks of its list.
 #[derive(Debug, Clone, Default)]
 struct KeptComponents {
     /// Per resource, the index in `comps` of the live component listing
     /// it, or [`NOT_KEPT`]. Every resource a live component lists names
     /// that component here.
     of_res: Vec<u32>,
-    /// Each component's runs of `flows` and `res`, in storage order.
+    /// Each component's run of `res`, in storage order.
     comps: Vec<Kept>,
-    /// Every component's flow slots, back to back, each run ascending.
-    flows: Vec<u32>,
     /// Every component's resources, back to back.
     res: Vec<u32>,
-    /// Entries of `flows` and `res` outside every live run, reclaimed by
-    /// `compact` once they outnumber the rest.
+    /// Entries of `res` outside every live run, reclaimed by `compact`
+    /// once they outnumber the rest.
     dead: usize,
     /// The components a reusing solve joins (empty between solves).
     joined: Vec<u32>,
 }
 
-/// One kept component: its runs `flows[flows_at..flows_end]` and
-/// `res[res_at..res_end]`.
+/// One kept component: its run `res[at..end]`.
 #[derive(Debug, Clone, Copy)]
 struct Kept {
-    flows_at: u32,
-    flows_end: u32,
-    res_at: u32,
-    res_end: u32,
+    at: u32,
+    end: u32,
     live: bool,
 }
 
 impl KeptComponents {
-    /// Drop every component: after a whole-set solve, a compaction that
-    /// renumbers slots, or in a network that installs recycled buffers.
+    /// Drop every component: after a whole-set solve, or in a network
+    /// that installs recycled buffers.
     fn clear(&mut self) {
         for &r in &self.res {
             self.of_res[r as usize] = NOT_KEPT;
         }
         self.comps.clear();
-        self.flows.clear();
         self.res.clear();
         self.dead = 0;
     }
@@ -243,8 +241,8 @@ impl KeptComponents {
             return;
         }
         k.live = false;
-        self.dead += (k.flows_end - k.flows_at + k.res_end - k.res_at) as usize;
-        for &r in &self.res[k.res_at as usize..k.res_end as usize] {
+        self.dead += (k.end - k.at) as usize;
+        for &r in &self.res[k.at as usize..k.end as usize] {
             if self.of_res[r as usize] == c {
                 self.of_res[r as usize] = NOT_KEPT;
             }
@@ -252,28 +250,18 @@ impl KeptComponents {
     }
 
     /// Keep the components a walk just collected, dropping every older
-    /// component that shares a resource with them. `flows` is their
-    /// union sorted ascending; `res` holds their resources in walk
-    /// order, one run of `res_counts[k]` resources per component, which
-    /// `flow_counts[k]` of the flows cross; `first_res` names a flow's
-    /// first resource. Each flow goes to its first resource's component
-    /// in one pass over `flows`, so every run comes out ascending.
-    fn keep(
-        &mut self,
-        flows: &[u32],
-        res: &[u32],
-        flow_counts: &[u32],
-        res_counts: &[u32],
-        first_res: impl Fn(u32) -> usize,
-    ) {
-        if 2 * self.dead > self.flows.len() + self.res.len() {
+    /// component that shares a resource with them. `res` holds their
+    /// resources in walk order, one run of `counts[k]` resources per
+    /// component.
+    fn keep(&mut self, res: &[u32], counts: &[u32]) {
+        if 2 * self.dead > self.res.len() {
             self.compact();
         }
-        let (mut flows_at, mut at) = (self.flows.len() as u32, 0usize);
-        for (&n_flows, &n_res) in flow_counts.iter().zip(res_counts) {
+        let mut from = 0usize;
+        for &n in counts {
             let c = u32::try_from(self.comps.len()).expect("kept components fit u32");
-            let res_at = self.res.len() as u32;
-            for &r in &res[at..at + n_res as usize] {
+            let at = self.res.len() as u32;
+            for &r in &res[from..from + n as usize] {
                 let old = self.of_res[r as usize];
                 if old != NOT_KEPT {
                     self.drop_comp(old);
@@ -281,59 +269,42 @@ impl KeptComponents {
                 self.of_res[r as usize] = c;
                 self.res.push(r);
             }
-            at += n_res as usize;
+            from += n as usize;
+            let end = self.res.len() as u32;
             self.comps.push(Kept {
-                // `flows_end` is the fill cursor until every flow is placed.
-                flows_at,
-                flows_end: flows_at,
-                res_at,
-                res_end: self.res.len() as u32,
+                at,
+                end,
                 live: true,
             });
-            flows_at += n_flows;
-        }
-        self.flows.resize(flows_at as usize, 0);
-        for &f in flows {
-            let k = &mut self.comps[self.of_res[first_res(f)] as usize];
-            self.flows[k.flows_end as usize] = f;
-            k.flows_end += 1;
         }
     }
 
-    /// Move every live component's runs down over the dead entries, in
+    /// Move every live component's run down over the dead entries, in
     /// storage order, renumbering the components and their resources'
     /// `of_res` entries.
     fn compact(&mut self) {
-        let (mut flows_len, mut res_len, mut kept) = (0u32, 0u32, 0usize);
+        let (mut len, mut kept) = (0u32, 0usize);
         for c in 0..self.comps.len() {
             let k = self.comps[c];
             if !k.live {
                 continue;
             }
-            let id = kept as u32;
-            self.flows.copy_within(
-                k.flows_at as usize..k.flows_end as usize,
-                flows_len as usize,
-            );
             self.res
-                .copy_within(k.res_at as usize..k.res_end as usize, res_len as usize);
-            let moved = Kept {
-                flows_at: flows_len,
-                flows_end: flows_len + (k.flows_end - k.flows_at),
-                res_at: res_len,
-                res_end: res_len + (k.res_end - k.res_at),
+                .copy_within(k.at as usize..k.end as usize, len as usize);
+            let end = len + (k.end - k.at);
+            for &r in &self.res[len as usize..end as usize] {
+                self.of_res[r as usize] = kept as u32;
+            }
+            self.comps[kept] = Kept {
+                at: len,
+                end,
                 live: true,
             };
-            for &r in &self.res[moved.res_at as usize..moved.res_end as usize] {
-                self.of_res[r as usize] = id;
-            }
-            (flows_len, res_len) = (moved.flows_end, moved.res_end);
-            self.comps[kept] = moved;
+            len = end;
             kept += 1;
         }
         self.comps.truncate(kept);
-        self.flows.truncate(flows_len as usize);
-        self.res.truncate(res_len as usize);
+        self.res.truncate(len as usize);
         self.dead = 0;
     }
 }
@@ -968,10 +939,9 @@ impl FlowNetwork {
         self.flows.truncate(kept);
         self.path_arena.truncate(arena_len);
         self.retired = 0;
-        // The last solve's component list and the kept components name
-        // pre-compaction slots; the touched set goes with them.
+        // The last solve's flow list names pre-compaction slots; the
+        // touched set goes with it. Kept components name resources only.
         self.scratch.comp_flows.clear();
-        self.scratch.kept.clear();
         self.touched_res.clear();
     }
 
@@ -1169,7 +1139,11 @@ impl FlowNetwork {
     /// with sharding, dirty components only, so disjoint-component
     /// workloads grow this far slower than `solves * active_flows`. A
     /// solve that reuses kept components also counts the flows of any
-    /// piece that split from a dirty one since their walk.
+    /// piece that split from a dirty one since their walk. A network
+    /// that tracks touched resources (a recorder is attached) never
+    /// reuses, so on a workload of several components this count and
+    /// [`FlowNetwork::last_component_sizes`] depend on whether it is
+    /// traced; rates and the solve and skip counts do not.
     pub fn flows_solved(&self) -> u64 {
         self.flows_solved
     }
@@ -1241,8 +1215,8 @@ impl FlowNetwork {
     ///
     /// Collects the union of the dirty components — the components of
     /// the active flow/resource graph holding a dirty resource that
-    /// still carries flows — and runs one restricted solve over it. This
-    /// is *exact*, not an approximation:
+    /// still carries flows — and runs one restricted solve over its
+    /// resources. This is *exact*, not an approximation:
     ///
     /// * Activation, deactivation, and factor changes all mark the full
     ///   path of the affected flow (or the changed resource) dirty, so
@@ -1255,28 +1229,29 @@ impl FlowNetwork {
     ///   sequence restricted to one component is therefore independent
     ///   of every other component, and solving any union of whole
     ///   components in isolation assigns the same shares in the same
-    ///   floating-point operation order as the full solve: flows are put
-    ///   in ascending slot order, the reference's iteration order, and
-    ///   the bottleneck search breaks ties by resource index whatever the
-    ///   list order. A clean component in the union gets back the rates
-    ///   it has.
+    ///   floating-point operation order as the full solve: each depth
+    ///   sum adds its flows' weights in ascending slot order, the
+    ///   reference's iteration order, and the bottleneck search breaks
+    ///   ties by resource index whatever the list order. A clean
+    ///   component in the union gets back the rates it has.
     ///
-    /// The union's lists come one of three ways:
+    /// The union's resources come one of three ways:
     ///
     /// * *Reused.* When every dirty resource carrying flows lies in a
     ///   component an earlier walk kept, and no flow has activated on
-    ///   one of them since, the solve joins those components' lists
-    ///   instead of walking (see [`KeptComponents`]). They hold a union
+    ///   one of them since, the solve joins those components' resources
+    ///   instead of walking (see [`KeptComponents`]). They form a union
     ///   of whole components covering the dirty ones, pieces that split
-    ///   apart since their walk included.
+    ///   apart since their walk included. A network that tracks touched
+    ///   resources never reuses: its sampler needs the solved flows,
+    ///   which only a walk lists.
     /// * *Whole set.* When the walk meets a resource that every active
     ///   flow crosses (a shared switch), the dirty components are the
     ///   whole active set over the loaded resources. The solve then
-    ///   takes the sorted `active` list and the `loaded` list as they
-    ///   are, with no marks, sort or filter (see `walk_dirty`), and
-    ///   drops every kept component.
-    /// * *Walked.* Otherwise the walk's flows are put in ascending slot
-    ///   order, and each component it collected is kept.
+    ///   takes the `loaded` list as it is (see `walk_dirty`), and drops
+    ///   every kept component.
+    /// * *Walked.* Otherwise the solve takes the walk's resources, and
+    ///   each component it collected is kept.
     fn solve_sharded(&mut self) {
         let mut scratch = std::mem::take(&mut self.scratch);
         let n_res = self.resources.len();
@@ -1294,7 +1269,9 @@ impl FlowNetwork {
         scratch.comp_sizes.clear();
         scratch.comp_res_counts.clear();
         scratch.stack.clear();
-        let reused = !scratch.kept.comps.is_empty() && self.kept_cover_dirty(&mut scratch.kept);
+        let reused = !self.track_touched
+            && !scratch.kept.comps.is_empty()
+            && self.kept_cover_dirty(&mut scratch.kept);
         let whole = if reused {
             self.join_kept(&mut scratch);
             false
@@ -1345,49 +1322,23 @@ impl FlowNetwork {
         self.clear_dirty();
         if whole {
             self.whole_set_solves += 1;
-            let active = std::mem::take(&mut self.active);
             let loaded = std::mem::take(&mut self.loaded);
-            self.solve_subset(&active, &loaded, &mut scratch);
-            self.active = active;
+            self.solve_subset(&loaded, &mut scratch);
             self.loaded = loaded;
         } else {
+            let comp_res = std::mem::take(&mut scratch.comp_res);
+            let solved = self.solve_subset(&comp_res, &mut scratch);
             if reused {
                 self.reused_solves += 1;
+                scratch.comp_sizes.push(solved);
+            } else if self.track_touched {
+                // The sampler re-sums loads over these flows, and must
+                // add them in ascending slot order (see
+                // `loads_into_touched`).
+                scratch.comp_flows.sort_unstable();
             } else {
-                // Ascending slot order: the solver's flow iteration order
-                // is its floating-point accumulation order, and must
-                // match the reference solver's (slot = registration
-                // order) within the collected components. A component
-                // holding a large share of the active flows (k log2 k >=
-                // |active|) is read off the sorted active list by its
-                // marks in O(|active|); a small one is sorted in
-                // O(k log k). Both give the same list.
-                let k = scratch.comp_flows.len();
-                if k * (usize::BITS - k.leading_zeros()) as usize >= self.active.len() {
-                    scratch.comp_flows.clear();
-                    scratch.comp_flows.extend(
-                        self.active
-                            .iter()
-                            .copied()
-                            .filter(|&s| scratch.flow_seen[s as usize]),
-                    );
-                } else {
-                    scratch.comp_flows.sort_unstable();
-                }
+                scratch.kept.keep(&comp_res, &scratch.comp_res_counts);
             }
-            let comp_flows = std::mem::take(&mut scratch.comp_flows);
-            let comp_res = std::mem::take(&mut scratch.comp_res);
-            self.solve_subset(&comp_flows, &comp_res, &mut scratch);
-            if !reused {
-                scratch.kept.keep(
-                    &comp_flows,
-                    &comp_res,
-                    &scratch.comp_sizes,
-                    &scratch.comp_res_counts,
-                    |f| self.path_arena[self.flows[f as usize].path_off as usize].index(),
-                );
-            }
-            scratch.comp_flows = comp_flows;
             scratch.comp_res = comp_res;
         }
         // Clear membership marks by walking only what was collected, so
@@ -1430,81 +1381,61 @@ impl FlowNetwork {
         true
     }
 
-    /// Fill `comp_flows` and `comp_res` from the components in
-    /// `kept.joined`: their active flows, ascending (sorted again only
-    /// when several are joined), and their loaded resources, reported as
-    /// one component in `comp_sizes`. Inactive flows and unloaded
-    /// resources leave the kept runs for good: a retired flow never
-    /// returns, and a flow that activates again, or on an unloaded
-    /// resource, marks its path [`STARTED`].
+    /// Fill `comp_res` with the loaded resources of the components in
+    /// `kept.joined`. Unloaded resources leave the kept runs for good: a
+    /// flow that activates on one marks its path [`STARTED`]. The caller
+    /// reports the joined components as one, of the flows it solves.
     ///
     /// A debug build first walks the dirty components as an unreused
-    /// solve would and checks that every flow and resource it collects
-    /// is listed, then marks every listed flow in `flow_seen` for the
-    /// freeze loop's check; the caller clears the marks.
+    /// solve would (leaving their flows in `comp_flows` for the caller
+    /// to unmark) and checks that every resource it collects is listed,
+    /// then marks every listed resource in `res_seen` for the freeze
+    /// loop's check; the caller clears the marks.
     fn join_kept(&self, scratch: &mut SolverScratch) {
         let walked = if cfg!(debug_assertions) {
             self.walk_dirty(scratch);
-            let walked = (scratch.comp_flows.len(), scratch.comp_res.len());
-            scratch.comp_flows.clear();
+            let walked = scratch.comp_res.len();
             scratch.comp_res.clear();
+            scratch.comp_sizes.clear();
             scratch.comp_res_counts.clear();
             walked
         } else {
-            (0, 0)
+            0
         };
         let kept = &mut scratch.kept;
         for &c in &kept.joined {
             let k = &mut kept.comps[c as usize];
             debug_assert!(k.live, "a dropped component is still mapped");
-            let (flows_end, res_end) = (k.flows_end, k.res_end);
-            k.flows_end = k.flows_at;
-            for i in k.flows_at..flows_end {
-                let s = kept.flows[i as usize];
-                if self.flows[s as usize].active {
-                    kept.flows[k.flows_end as usize] = s;
-                    k.flows_end += 1;
-                    scratch.comp_flows.push(s);
-                }
-            }
-            k.res_end = k.res_at;
-            for i in k.res_at..res_end {
+            let end = k.end;
+            k.end = k.at;
+            for i in k.at..end {
                 let r = kept.res[i as usize];
                 if self.active_count[r as usize] > 0 {
-                    kept.res[k.res_end as usize] = r;
-                    k.res_end += 1;
+                    kept.res[k.end as usize] = r;
+                    k.end += 1;
                     scratch.comp_res.push(r);
                 } else {
                     kept.of_res[r as usize] = NOT_KEPT;
                 }
             }
-            kept.dead += (flows_end - k.flows_end + res_end - k.res_end) as usize;
-        }
-        if kept.joined.len() > 1 {
-            scratch.comp_flows.sort_unstable();
+            kept.dead += (end - k.end) as usize;
         }
         kept.joined.clear();
         if cfg!(debug_assertions) {
-            let marked =
-                |seen: &[bool], list: &[u32]| list.iter().filter(|&&i| seen[i as usize]).count();
+            let res_seen = &mut scratch.res_seen;
             assert_eq!(
-                marked(&scratch.flow_seen, &scratch.comp_flows),
-                walked.0,
-                "a walked flow is missing from the reused components"
-            );
-            assert_eq!(
-                marked(&scratch.res_seen, &scratch.comp_res),
-                walked.1,
+                scratch
+                    .comp_res
+                    .iter()
+                    .filter(|&&r| res_seen[r as usize])
+                    .count(),
+                walked,
                 "a walked resource is missing from the reused components"
             );
-            for &s in &scratch.comp_flows {
-                scratch.flow_seen[s as usize] = true;
+            for &r in &scratch.comp_res {
+                res_seen[r as usize] = true;
             }
         }
-        scratch.comp_sizes.clear();
-        scratch
-            .comp_sizes
-            .push(u32::try_from(scratch.comp_flows.len()).expect("component size fits u32"));
     }
 
     /// Collect the dirty components into `scratch` — their flows, their
@@ -1577,68 +1508,55 @@ impl FlowNetwork {
         whole
     }
 
-    /// Progressive filling restricted to `flows` over `resources` — the
-    /// solve behind [`FlowNetwork::recompute_rates`].
+    /// Progressive filling over `resources` — the solve behind
+    /// [`FlowNetwork::recompute_rates`]. Returns the number of flows it
+    /// solved: every active flow crossing a listed resource.
     ///
-    /// Requirements (upheld by the callers): `flows` is sorted ascending
-    /// (`resources` may be in any order: the bottleneck search breaks
-    /// ties by resource index); every resource on a listed flow's path
-    /// is listed; every listed flow is active, and every active flow
-    /// crossing a listed resource is listed (a union of whole
-    /// components). In debug builds every listed flow's slot is also
-    /// marked in `scratch.flow_seen`, which the freeze loop checks.
-    /// Loop structure and per-resource floating-point operation order
-    /// mirror [`FlowNetwork::reference_recompute_rates`] exactly. The
-    /// differences are buffer reuse, iterating the provided lists
-    /// instead of filtering every registered flow, and freezing each
-    /// round from the bottleneck's incidence list instead of testing
-    /// every unfrozen flow's path. Per-resource scratch entries are
-    /// initialized for listed resources only; stale entries for unlisted
-    /// resources are never read.
-    fn solve_subset(&mut self, flows: &[u32], resources: &[u32], scratch: &mut SolverScratch) {
-        debug_assert!(
-            flows.windows(2).all(|w| w[0] < w[1]),
-            "flows are not in ascending slot order"
-        );
+    /// Requirement (upheld by the callers): `resources` lists, in any
+    /// order, a union of whole components — every resource on the path
+    /// of an active flow crossing a listed resource is listed. So a
+    /// listed resource's unfrozen count starts at its `active_count`,
+    /// and a freeze round's flows are the live, unfrozen entries of the
+    /// bottleneck's incidence list. In debug builds every listed
+    /// resource is also marked in `scratch.res_seen`, which the freeze
+    /// loop checks. Loop structure and per-resource floating-point
+    /// operation order mirror [`FlowNetwork::reference_recompute_rates`]
+    /// exactly: each depth sum adds its flows' weights in ascending slot
+    /// order (see `live_depth`), every flow frozen in a round subtracts
+    /// the same share, and the bottleneck search breaks ties by resource
+    /// index. Per-resource scratch entries are initialized for listed
+    /// resources only; stale entries for unlisted resources are never
+    /// read.
+    fn solve_subset(&mut self, resources: &[u32], scratch: &mut SolverScratch) -> u32 {
         let n_res = self.resources.len();
-        if scratch.depth.len() < n_res {
-            scratch.depth.resize(n_res, 0.0);
+        if scratch.cap.len() < n_res {
             scratch.unfrozen.resize(n_res, 0);
             scratch.cap.resize(n_res, 0.0);
         }
-        // Effective capacity: concurrency-dependent models see the summed
-        // depth weight of the active flows routed through them; the
-        // solver's flow counting stays integer. Depth is re-accumulated
-        // from scratch each solve (never maintained incrementally):
-        // floating-point += / -= round differently than a fresh sum, and
-        // rates must stay bit-identical to the reference solver.
-        for &r in resources {
-            scratch.depth[r as usize] = 0.0;
-            scratch.unfrozen[r as usize] = 0;
-        }
-        for &f in flows {
-            let w = self.flows[f as usize].depth_weight;
-            for r in self.path_of(f as usize) {
-                scratch.depth[r.index()] += w;
-                scratch.unfrozen[r.index()] += 1;
-            }
-        }
-        for &r in resources {
-            let res = &self.resources[r as usize];
-            scratch.cap[r as usize] =
-                res.model.capacity_at_depth(scratch.depth[r as usize]) * res.factor;
-        }
-
         if scratch.frozen.len() < self.flows.len() {
-            scratch.frozen.resize(self.flows.len(), false);
+            scratch.frozen.resize(self.flows.len(), 0);
         }
-        let mut n_unfrozen = flows.len();
-
-        for &f in flows {
-            self.flows[f as usize].rate = 0.0;
+        scratch.generation = scratch.generation.wrapping_add(1);
+        if scratch.generation == 0 {
+            scratch.frozen.fill(0);
+            scratch.generation = 1;
         }
-
-        while n_unfrozen > 0 {
+        let generation = scratch.generation;
+        // Capacities and counts from per-resource state. Depth is summed
+        // afresh each solve (never maintained incrementally): floating-
+        // point += / -= round differently than a fresh sum, and rates
+        // must stay bit-identical to the reference solver. Every flow
+        // crossing a listed resource is solved, so the incidences left
+        // to freeze start at the summed counts.
+        let mut unfrozen_entries = 0usize;
+        for &r in resources {
+            let ri = r as usize;
+            scratch.cap[ri] = self.live_capacity(ri, &mut scratch.live_slots);
+            scratch.unfrozen[ri] = self.active_count[ri];
+            unfrozen_entries += self.active_count[ri] as usize;
+        }
+        let mut solved = 0u32;
+        while unfrozen_entries > 0 {
             // Find the bottleneck: the resource with the smallest fair
             // share among resources still carrying unfrozen flows, the
             // lowest index among equal shares — the reference's
@@ -1655,45 +1573,45 @@ impl FlowNetwork {
                 }
             }
             let Some((bottleneck, share)) = best else {
-                // Unfrozen flows exist but none crosses a resource —
-                // impossible since paths are non-empty.
                 unreachable!("unfrozen flows with no carrying resource");
             };
 
             // Freeze every unfrozen flow crossing the bottleneck: the
-            // live, unfrozen entries of its incidence list, all of them
-            // listed flows (a component holds every active flow crossing
-            // its resources). Incidence order differs from the
-            // reference's ascending scan, which is exact: every flow
-            // frozen this round subtracts the same `share` from each
-            // resource it crosses, so each resource sees the same
-            // operations.
+            // live, unfrozen entries of its incidence list. Incidence
+            // order differs from the reference's ascending scan, which
+            // is exact: every flow frozen this round subtracts the same
+            // `share` from each resource it crosses, so each resource
+            // sees the same operations.
             let mut froze_any = false;
             for &s in &self.incident[bottleneck] {
                 let i = s as usize;
-                if scratch.frozen[i] || !self.flows[i].active {
+                if scratch.frozen[i] == generation || !self.flows[i].active {
                     continue;
                 }
-                debug_assert!(scratch.flow_seen[i], "incident flow outside the component");
-                scratch.frozen[i] = true;
+                scratch.frozen[i] = generation;
                 froze_any = true;
-                n_unfrozen -= 1;
+                solved += 1;
                 self.flows[i].rate = share;
                 let off = self.flows[i].path_off as usize;
                 let len = self.flows[i].path_len as usize;
+                unfrozen_entries -= len;
                 for k in 0..len {
                     let r = self.path_arena[off + k].index();
+                    debug_assert!(
+                        scratch.res_seen[r],
+                        "a frozen flow crosses an unlisted resource"
+                    );
                     scratch.cap[r] -= share;
                     scratch.unfrozen[r] -= 1;
                 }
             }
-            debug_assert!(froze_any, "progressive filling made no progress");
-        }
-        for &f in flows {
-            scratch.frozen[f as usize] = false;
+            // A count above the listed flows would pick this bottleneck
+            // again forever: fail instead, in every build.
+            assert!(froze_any, "progressive filling made no progress");
         }
         self.solves += 1;
-        self.flows_solved += flows.len() as u64;
+        self.flows_solved += u64::from(solved);
+        solved
     }
 
     /// The pre-incremental solver, kept verbatim as the executable
@@ -1894,29 +1812,52 @@ impl FlowNetwork {
 
     /// Effective capacity of a resource at the current active-flow depth
     /// — what the adaptive feedback loop reads for every target of every
-    /// running application at each evaluation.
-    ///
-    /// Sums the depth weights of the live entries of `r`'s incidence
-    /// list (exactly the active flows crossing `r`) in ascending slot
-    /// order: the same terms in the same order as a scan of the sorted
-    /// active set, so the float result is bit-identical to one, at a
-    /// cost that follows the flows crossing `r` rather than every active
-    /// flow.
+    /// running application at each evaluation, and the capacity the next
+    /// solve starts from. The depth adds the weights of the active flows
+    /// crossing `r` in ascending slot order, so the float result is
+    /// bit-identical to a scan of the sorted active set, at a cost that
+    /// follows the flows crossing `r` rather than every active flow. It
+    /// allocates only when `r`'s incidence list is out of slot order.
     pub fn effective_capacity(&self, r: ResourceId) -> f64 {
-        let list = &self.incident[r.index()];
-        let mut slots = Vec::with_capacity(list.len());
-        slots.extend(
-            list.iter()
-                .copied()
-                .filter(|&s| self.flows[s as usize].active),
-        );
-        slots.sort_unstable();
-        let q: f64 = slots
-            .iter()
-            .map(|&s| self.flows[s as usize].depth_weight)
-            .sum();
-        let res = &self.resources[r.index()];
+        self.live_capacity(r.index(), &mut Vec::new())
+    }
+
+    /// Capacity of resource `r` at its current depth, scaled by its
+    /// speed factor. A `Fixed` resource needs no depth.
+    fn live_capacity(&self, r: usize, sorted: &mut Vec<u32>) -> f64 {
+        let res = &self.resources[r];
+        let q = match res.model {
+            CapacityModel::Fixed(_) => 0.0,
+            CapacityModel::Saturating { .. } => self.live_depth(r, sorted),
+        };
         res.model.capacity_at_depth(q) * res.factor
+    }
+
+    /// The summed depth weight of the active flows crossing `r`, added in
+    /// ascending slot order: the terms and order of a scan of the sorted
+    /// active list, so the float result is bit-identical to one. The live
+    /// entries of `r`'s incidence list are summed as listed when they are
+    /// in ascending slot order, as flows started in registration order
+    /// leave them; otherwise they are copied into `sorted`, sorted and
+    /// summed again.
+    fn live_depth(&self, r: usize, sorted: &mut Vec<u32>) -> f64 {
+        let list = &self.incident[r];
+        let live = |&&s: &&u32| self.flows[s as usize].active;
+        let (mut q, mut prev, mut ascending) = (0.0, None, true);
+        for &s in list.iter().filter(live) {
+            ascending &= prev < Some(s);
+            prev = Some(s);
+            q += self.flows[s as usize].depth_weight;
+        }
+        if ascending {
+            return q;
+        }
+        sorted.clear();
+        sorted.extend(list.iter().filter(live));
+        sorted.sort_unstable();
+        sorted
+            .iter()
+            .fold(0.0, |q, &s| q + self.flows[s as usize].depth_weight)
     }
 }
 
@@ -2202,7 +2143,7 @@ mod tests {
     }
 
     #[test]
-    fn an_activation_a_compaction_and_a_whole_set_solve_each_force_a_walk() {
+    fn an_activation_or_a_whole_set_solve_forces_a_walk_and_a_compaction_does_not() {
         let (mut net, [la, ta, _, _], flows) = two_components();
         solve_checked(&mut net);
         // A flow starting on A's resources: the solve walks, and the
@@ -2214,15 +2155,13 @@ mod tests {
         assert_eq!(solve_checked(&mut net), 1);
         assert_eq!(net.last_component_sizes(), [4]);
 
+        // A compaction renumbers slots, not resources: A stays kept.
+        net.retire(0);
+        assert_eq!(solve_checked(&mut net), 2);
         net.compact();
         net.set_factor(ta, 0.75);
-        assert_eq!(
-            solve_checked(&mut net),
-            1,
-            "a compaction drops every component"
-        );
-        net.set_factor(ta, 1.0);
-        assert_eq!(solve_checked(&mut net), 2);
+        assert_eq!(solve_checked(&mut net), 3, "a compaction keeps A");
+        assert_eq!(net.last_component_sizes(), [3]);
 
         // With B idle, linkA carries every active flow: a start on A
         // makes a whole-set solve, which drops every component. B's
@@ -2231,14 +2170,14 @@ mod tests {
         net.recompute_rates();
         let last = net.add_flow([la, ta], 1.0, 5);
         net.activate(last);
-        assert_eq!(solve_checked(&mut net), 2);
+        assert_eq!(solve_checked(&mut net), 3);
         assert_eq!(net.whole_set_solve_count(), 1);
         net.activate(flows[3]);
-        assert_eq!(solve_checked(&mut net), 2);
-        net.set_factor(ta, 0.5);
-        assert_eq!(solve_checked(&mut net), 2, "the whole-set solve dropped A");
-        net.set_factor(ta, 0.25);
         assert_eq!(solve_checked(&mut net), 3);
+        net.set_factor(ta, 0.5);
+        assert_eq!(solve_checked(&mut net), 3, "the whole-set solve dropped A");
+        net.set_factor(ta, 0.25);
+        assert_eq!(solve_checked(&mut net), 4);
         assert_eq!(net.whole_set_solve_count(), 1);
     }
 
@@ -2341,6 +2280,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "made no progress")]
+    fn a_count_above_the_listed_flows_panics_instead_of_spinning() {
+        // The freeze loop trusts `active_count`: one too many leaves the
+        // link an unfrozen count after its only flow froze, so the next
+        // round picks it and freezes nothing.
+        let mut net = FlowNetwork::new();
+        let r = net.add_resource("link", fixed(100.0));
+        let f = net.add_flow([r], 1.0, 0);
+        net.activate(f);
+        net.active_count[r.index()] += 1;
+        net.recompute_rates();
+    }
+
+    #[test]
     fn unequal_paths_give_longer_path_no_advantage() {
         // Both flows cross the shared bottleneck; one also crosses a fast
         // private link. Rates must be equal (max-min ignores path length).
@@ -2411,6 +2364,55 @@ mod weight_tests {
             previous = net.rate(f);
         }
         assert!(previous < 1000.0);
+    }
+
+    #[test]
+    fn an_unordered_mixed_list_sums_depth_and_load_in_slot_order() {
+        // 0.1 + 0.2 + 0.3 + 0.4 is 1.0; the reverse sum is not. Flows
+        // started in reverse, with one started between them that then
+        // retires, leave the device's incidence list out of slot order
+        // with a dead entry, so its depth and load sums must sort. Each
+        // flow's private link caps its rate at its weight.
+        let model = CapacityModel::Saturating {
+            peak: 100.0,
+            q_half: 0.5,
+        };
+        let mut net = FlowNetwork::new();
+        let d = net.add_resource("ost", model);
+        let terms = [0.1, 0.2, 0.3, 0.4, 0.5];
+        let flows: Vec<FlowId> = (0..5)
+            .map(|i| {
+                let link = net.add_resource("link", CapacityModel::Fixed(terms[i]));
+                net.add_flow_weighted([link, d], 1.0, i as u64, terms[i])
+            })
+            .collect();
+        for k in [3, 4, 2, 1, 0] {
+            net.activate(flows[k]);
+        }
+        net.retire(4);
+        assert_eq!(net.incident[d.index()], [3, 4, 2, 1, 0]);
+        let ascending = terms[..4].iter().fold(0.0, |q, w| q + w);
+        let listed = terms[..4].iter().rev().fold(0.0, |q, w| q + w);
+        let cap = |q: f64| model.capacity_at_depth(q).to_bits();
+        assert_ne!(
+            cap(listed),
+            cap(ascending),
+            "the terms must tell the orders apart"
+        );
+        assert_eq!(net.effective_capacity(d).to_bits(), cap(ascending));
+
+        net.track_touched();
+        net.recompute_rates();
+        let mut reference = net.clone();
+        reference.reference_recompute_rates();
+        for &f in &flows {
+            assert_eq!(net.rate(f).to_bits(), reference.rate(f).to_bits());
+        }
+        assert_eq!(net.rate(flows[2]), terms[2], "the links cap the rates");
+        let mut loads = vec![f64::NAN; net.resource_count()];
+        net.loads_into_touched(&mut loads, &[d.0]);
+        assert_eq!(loads[d.index()].to_bits(), ascending.to_bits());
+        assert_eq!(loads[d.index()].to_bits(), net.resource_load(d).to_bits());
     }
 
     #[test]

@@ -301,6 +301,13 @@ impl<'r> FluidSim<'r> {
     ///   — histograms, present only after
     ///   [`FluidSim::enable_metrics`].
     ///
+    /// `sim.flows_solved` and the two histograms depend on whether a
+    /// recorder is attached: a recorded sim walks every solve's dirty
+    /// components, where an unrecorded one may reuse components an
+    /// earlier walk kept, split pieces included (see
+    /// [`FlowNetwork::flows_solved`]). Every other counter, and every
+    /// rate, is the same either way.
+    ///
     /// Counters add and histograms merge, so harvesting many sims (the
     /// runner's measurement loop, a campaign's reps) into one registry
     /// accumulates.
@@ -1328,6 +1335,62 @@ mod trace_tests {
             reference.count(EventKind::RateChange)
         );
         assert_eq!(incremental.events(), reference.events());
+    }
+
+    #[test]
+    fn a_recorder_changes_only_the_solver_work_counters() {
+        // Links a and b, joined by a bridge flow that drains first; a
+        // short flow on a drains next, while b keeps its own flow. An
+        // unrecorded sim keeps the walked component {a, b} and reuses it
+        // at both departures, re-solving b's flow at the second; a
+        // recorded sim walks each time and solves a's component alone.
+        let run = |recorded: bool| {
+            let mut timeline = Timeline::new();
+            let mut net = FlowNetwork::new();
+            let a = net.add_resource("a", CapacityModel::Fixed(100.0));
+            let b = net.add_resource("b", CapacityModel::Fixed(100.0));
+            let mut sim = FluidSim::new(net);
+            sim.enable_metrics();
+            if recorded {
+                sim.set_recorder(&mut timeline);
+            }
+            sim.start_flow_at(SimTime::ZERO, vec![a], 100.0, 0);
+            sim.start_flow_at(SimTime::ZERO, vec![a], 1000.0, 1);
+            sim.start_flow_at(SimTime::ZERO, vec![a, b], 50.0, 2);
+            sim.start_flow_at(SimTime::ZERO, vec![b], 1000.0, 3);
+            let done: Vec<(u64, u64)> = sim
+                .run_to_completion()
+                .iter()
+                .map(|c| (c.tag, c.time.as_nanos()))
+                .collect();
+            let mut reg = obs::metrics::MetricsRegistry::new();
+            sim.metrics_into(&mut reg);
+            (done, reg, sim.network().reused_solve_count())
+        };
+        let ((done, plain, plain_reused), (traced_done, traced, traced_reused)) =
+            (run(false), run(true));
+        assert_eq!(done, traced_done, "same completions, bit for bit");
+        for name in [
+            "sim.events_processed",
+            "sim.solves",
+            "sim.solve_skips",
+            "sim.event_heap.pushes",
+            "sim.event_heap.pops",
+        ] {
+            assert_eq!(plain.counter(name), traced.counter(name), "{name}");
+        }
+        assert_eq!((plain_reused, traced_reused), (2, 0));
+        // Solves of 4, 3 and 2 flows against 4, 3 and 1.
+        assert_eq!(plain.counter("sim.flows_solved"), 9);
+        assert_eq!(traced.counter("sim.flows_solved"), 8);
+        // A reused group is one component: 3 against 4 components.
+        let count = |reg: &obs::metrics::MetricsRegistry, name: &str| {
+            reg.histogram(name).map_or(0, |h| h.count())
+        };
+        assert_eq!(count(&plain, "sim.dirty_component_size"), 3);
+        assert_eq!(count(&traced, "sim.dirty_component_size"), 4);
+        assert_eq!(count(&plain, "sim.dirty_components_per_solve"), 3);
+        assert_eq!(count(&traced, "sim.dirty_components_per_solve"), 3);
     }
 
     #[test]

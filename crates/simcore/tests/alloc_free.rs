@@ -144,3 +144,26 @@ fn compaction_inside_the_event_loop_is_allocation_free() {
         "event loop with retired-flow compaction allocated {warm} times"
     );
 }
+
+#[test]
+fn effective_capacity_of_an_ascending_list_is_allocation_free() {
+    // Mixed weights started in slot order: the depth sum adds them as
+    // listed, with no copy to sort.
+    let sat = CapacityModel::Saturating {
+        peak: 900.0,
+        q_half: 1.5,
+    };
+    let mut net = FlowNetwork::new();
+    let ost = net.add_resource("ost", sat);
+    for i in 0..8 {
+        let f = net.add_flow_weighted([ost], 1.0, i, 0.1 * (i + 1) as f64);
+        net.activate(f);
+    }
+    let warm = net.effective_capacity(ost);
+    let before = allocations();
+    let cap = net.effective_capacity(ost);
+    let during = allocations() - before;
+    assert_eq!(during, 0, "effective_capacity allocated {during} times");
+    assert_eq!(cap.to_bits(), warm.to_bits());
+    assert!(cap > 0.0 && cap < 900.0);
+}

@@ -1,16 +1,15 @@
 //! Bit-for-bit differentials of the incremental solver's component
 //! collection and batch retirement against the reference solver.
 //!
-//! The incremental solve must hand each dirty component's flows to the
-//! solver in ascending slot order, whichever way it collects them: the
-//! whole sorted active list when a resource in the component is crossed
-//! by every active flow, read off that list by the walk's marks when
-//! the component is a large share of it, sorted after the walk when it
-//! is small, or joined from the components an earlier walk kept. Depth
-//! weights here are chosen so that summing a component's weights in any
-//! other order moves a bit (`0.1 + 0.2 + 0.3 + 0.4` is `1.0`; the
-//! reverse sum is not), and the saturating capacities pass that bit on
-//! to the rates.
+//! Whichever way the incremental solve collects the dirty components'
+//! resources — the loaded list when a resource in them is crossed by
+//! every active flow, the walk's list, or the resources of components
+//! an earlier walk kept — each saturating resource must add its active
+//! flows' depth weights in ascending slot order, whatever the order of
+//! its incidence list. Depth weights here are chosen so that summing a
+//! component's weights in any other order moves a bit (`0.1 + 0.2 +
+//! 0.3 + 0.4` is `1.0`; the reverse sum is not), and the saturating
+//! capacities pass that bit on to the rates.
 
 use simcore::flow::{CapacityModel, Completion, FlowId, FlowNetwork, FluidSim, ResourceId};
 use simcore::{SimDuration, SimTime};
@@ -89,9 +88,9 @@ fn one_component_spanning_every_flow_with_tied_bottlenecks() {
 
 #[test]
 fn many_small_components_with_one_dirty() {
-    // Thirty disjoint components of four flows each. After the first
-    // full solve, each change dirties one component: small against the
-    // active list, so its flows are sorted after the walk.
+    // Thirty disjoint components of four flows each, started in
+    // descending id order. After the first full solve, each change
+    // dirties one component, which the walk collects alone.
     let build = || {
         let mut net = FlowNetwork::new();
         let mut flows = Vec::new();
@@ -130,10 +129,9 @@ fn a_kept_component_that_split_is_reused_whole() {
     // joined by one bridging flow across both targets; a third group
     // stands apart. The first solve walks and keeps two components.
     // When the bridge departs, the first kept component holds two
-    // pieces, and every later solve there takes its lists: both pieces
-    // are re-solved, in ascending slot order, whichever one changed.
-    // A change in two kept components at once joins their lists, the
-    // later-slot component first.
+    // pieces, and every later solve there takes its resources: both
+    // pieces are re-solved, whichever one changed. A change in two kept
+    // components at once joins their resources.
     let build = || {
         let mut net = FlowNetwork::new();
         let groups: Vec<[ResourceId; 2]> = (0..3)
