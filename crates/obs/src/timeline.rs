@@ -7,6 +7,11 @@ use crate::Recorder;
 
 const NANOS_PER_SEC: f64 = 1e9;
 
+/// Events a [`Timeline::new`] has room for: a traced run of the
+/// `repro --trace` outage scenario records about 900, so it fills the
+/// timeline without regrowing it.
+const TYPICAL_EVENTS: usize = 1024;
+
 /// An in-memory [`Recorder`] that keeps every event for later querying.
 ///
 /// All queries are derived views over the stored stream — the timeline
@@ -24,9 +29,13 @@ impl Recorder for Timeline {
 }
 
 impl Timeline {
-    /// Create an empty timeline.
+    /// Create an empty timeline with room for a typical traced run
+    /// (1,024 events, 88 KiB), so recording one does not copy the
+    /// stream as it grows. [`Timeline::default`] reserves nothing.
     pub fn new() -> Self {
-        Self::default()
+        Timeline {
+            events: Vec::with_capacity(TYPICAL_EVENTS),
+        }
     }
 
     /// The recorded events, in emission order.
