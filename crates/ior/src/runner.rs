@@ -563,6 +563,8 @@ fn execute_run(
     let platform = fs.platform();
     let fabric = Fabric::build_for(platform, total_nodes, ppn, &noise, mode);
     let (mut net, paths) = fabric.into_parts();
+    // The run's `UtilizationReport` reads every resource's bytes.
+    net.track_bytes();
     let base = compound_target_states(fs, &mut net, &paths);
 
     let mut sim = match arena.as_deref_mut() {

@@ -113,8 +113,9 @@ pub struct UtilizationReport {
 }
 
 impl UtilizationReport {
-    /// Extract the report from a drained network. Every entry's label
-    /// is a range of one copy of the network's label buffer.
+    /// Extract the report from a drained network that accounts bytes
+    /// (see [`FlowNetwork::track_bytes`]). Every entry's label is a
+    /// range of one copy of the network's label buffer.
     pub(crate) fn from_network(net: &FlowNetwork, io_secs: f64) -> Self {
         let text: Arc<str> = Arc::from(net.labels());
         let mut end = 0;

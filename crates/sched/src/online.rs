@@ -1122,6 +1122,21 @@ mod tests {
     }
 
     #[test]
+    fn the_live_and_shadow_networks_account_no_bytes() {
+        // The engine reads busy time only, so neither fabric pays the
+        // per-path byte loop of every drain.
+        let fs = deploy(ChooserKind::RoundRobin);
+        let noise = FabricNoise::none(fs.platform());
+        let timeline =
+            FaultTimeline::compile(&fs, &FaultPlan::new(), &RetryPolicy::default()).unwrap();
+        let live = LiveSim::build(&fs, &req(0.0, 4).config, &noise, &timeline);
+        let link = live.paths.server_link_resource(0);
+        for net in [live.sim.network(), live.shadow.network()] {
+            assert!(std::panic::catch_unwind(|| net.bytes_through(link)).is_err());
+        }
+    }
+
+    #[test]
     fn hedging_is_frozen_only() {
         let stream = ArrivalStream::from_trace(vec![req(0.0, 4)]).unwrap();
         let factory = RngFactory::new(1);

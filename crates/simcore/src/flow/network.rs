@@ -358,9 +358,13 @@ pub struct FlowNetwork {
     /// [`Resource::label_end`]): one buffer instead of one string per
     /// resource.
     labels: String,
-    /// Telemetry, per resource: total bytes that crossed it. Dense, so
-    /// `drain`'s per-path accumulation touches one `f64` per resource.
+    /// Telemetry, per resource: total bytes that crossed it, accumulated
+    /// only while `track_bytes` is set. Dense, so `drain`'s per-path
+    /// accumulation touches one `f64` per resource.
     bytes_total: Vec<f64>,
+    /// Whether `drain` accumulates `bytes_total` (see
+    /// [`FlowNetwork::track_bytes`]).
+    track_bytes: bool,
     /// Telemetry, per resource: seconds during which at least one active
     /// flow crossed it.
     busy_secs: Vec<f64>,
@@ -1039,7 +1043,8 @@ impl FlowNetwork {
     }
 
     /// Move every active flow forward by `dt_secs` at its current rate
-    /// and charge the bytes and busy time to its resources. `drained`
+    /// and charge the busy time, and the bytes if they are tracked, to
+    /// its resources. `drained`
     /// sees each active flow afterwards, in ascending slot order, as
     /// `(slot, rate, remaining)`, so the caller can collect the flows
     /// that finished in the same pass. Busy time goes to the loaded
@@ -1053,9 +1058,12 @@ impl FlowNetwork {
             let moved = f.rate * dt_secs;
             f.remaining = (f.remaining - moved).max(0.0);
             drained(s, f.rate, f.remaining);
-            let path = &self.path_arena[f.path_off as usize..(f.path_off + f.path_len) as usize];
-            for r in path {
-                self.bytes_total[r.index()] += moved;
+            if self.track_bytes {
+                let path =
+                    &self.path_arena[f.path_off as usize..(f.path_off + f.path_len) as usize];
+                for r in path {
+                    self.bytes_total[r.index()] += moved;
+                }
             }
         }
         for &r in &self.loaded {
@@ -1063,8 +1071,27 @@ impl FlowNetwork {
         }
     }
 
+    /// Account the bytes that cross each resource from now on, so that
+    /// [`FlowNetwork::bytes_through`] and
+    /// [`FlowNetwork::mean_busy_throughput`] can be read. Off by
+    /// default: it costs every drain one add per resource on each active
+    /// flow's path, and only a whole-run utilization report reads the
+    /// sums. Call it before the first flow drains. Busy time
+    /// ([`FlowNetwork::busy_secs`]) is accounted either way.
+    pub fn track_bytes(&mut self) {
+        self.track_bytes = true;
+    }
+
     /// Telemetry: total bytes that have crossed a resource so far.
+    ///
+    /// # Panics
+    /// Panics unless the network accounts bytes (see
+    /// [`FlowNetwork::track_bytes`]).
     pub fn bytes_through(&self, r: ResourceId) -> f64 {
+        assert!(
+            self.track_bytes,
+            "byte accounting is off: call FlowNetwork::track_bytes before the run"
+        );
         self.bytes_total[r.index()]
     }
 
@@ -1076,12 +1103,15 @@ impl FlowNetwork {
 
     /// Telemetry: mean throughput while busy, in bytes/second (0 if the
     /// resource never carried traffic).
+    ///
+    /// # Panics
+    /// As [`FlowNetwork::bytes_through`].
     pub fn mean_busy_throughput(&self, r: ResourceId) -> f64 {
-        let busy = self.busy_secs[r.index()];
+        let (bytes, busy) = (self.bytes_through(r), self.busy_secs[r.index()]);
         if busy == 0.0 {
             0.0
         } else {
-            self.bytes_total[r.index()] / busy
+            bytes / busy
         }
     }
 
@@ -1557,22 +1587,9 @@ impl FlowNetwork {
         }
         let mut solved = 0u32;
         while unfrozen_entries > 0 {
-            // Find the bottleneck: the resource with the smallest fair
-            // share among resources still carrying unfrozen flows, the
-            // lowest index among equal shares — the reference's
-            // ascending scan keeps the first it meets.
-            let mut best: Option<(usize, f64)> = None;
-            for &r in resources {
-                let (r, u) = (r as usize, scratch.unfrozen[r as usize]);
-                if u > 0 {
-                    let share = scratch.cap[r].max(0.0) / f64::from(u);
-                    match best {
-                        Some((b, s)) if s < share || (s == share && b < r) => {}
-                        _ => best = Some((r, share)),
-                    }
-                }
-            }
-            let Some((bottleneck, share)) = best else {
+            let Some((bottleneck, share)) =
+                find_bottleneck(resources, &scratch.cap, &scratch.unfrozen)
+            else {
                 unreachable!("unfrozen flows with no carrying resource");
             };
 
@@ -1864,6 +1881,62 @@ impl FlowNetwork {
 /// Drop the dead entries (inactive flows) from an incidence list.
 fn purge_dead(list: &mut Vec<u32>, flows: &[Flow]) {
     list.retain(|&s| flows[s as usize].active);
+}
+
+/// The bottleneck among `resources`, with its share: the resource with
+/// the smallest fair share `cap.max(0) / unfrozen` among those still
+/// carrying unfrozen flows, the lowest index among equal shares — the
+/// reference's ascending scan keeps the first it meets. A resource whose
+/// share is surely above the best so far is passed over without its
+/// division (see [`skip_bound`]). `None` when no listed resource carries
+/// an unfrozen flow.
+fn find_bottleneck(resources: &[u32], cap: &[f64], unfrozen: &[u32]) -> Option<(usize, f64)> {
+    let mut best: Option<(usize, f64)> = None;
+    let mut bound = f64::INFINITY;
+    for &r in resources {
+        let (r, u) = (r as usize, unfrozen[r as usize]);
+        if u > 0 {
+            let (c, u) = (cap[r].max(0.0), f64::from(u));
+            if c > bound * u {
+                continue;
+            }
+            let share = c / u;
+            match best {
+                Some((b, s)) if s < share || (s == share && b < r) => {}
+                _ => {
+                    best = Some((r, share));
+                    bound = skip_bound(share);
+                }
+            }
+        }
+    }
+    best
+}
+
+/// What a minimum scan over quotients `c / u` (with `u > 0`) may skip
+/// given `best`, the smallest quotient so far: a candidate with
+/// `c > skip_bound(best) * u` rounds to a quotient strictly above
+/// `best`, so leaving it undivided changes neither the minimum nor how
+/// equal quotients break ties.
+///
+/// Why, with `b = skip_bound(best)`: a float above the rounded product
+/// `b * u` is above the exact product too (rounding to nearest never
+/// passes the next float), so `c / u > b` exactly, and rounding the
+/// quotient, which is monotone, gives at least the float `b`. And `b`
+/// lies strictly above a normal `best`: the widening by 2⁻⁵⁰ adds at
+/// least four units in its last place, more than its own rounding can
+/// take back. For a zero or subnormal `best` the widening can round
+/// away, and a quotient equal to `best` (say `5e-324 / 17`, which
+/// rounds to zero) would be skipped, so the bound is infinite and every
+/// candidate divides. An overflowing bound or product is infinite too.
+pub(crate) fn skip_bound(best: f64) -> f64 {
+    /// 1 + 2⁻⁵⁰.
+    const WIDEN: f64 = 1.0 + 4.0 * f64::EPSILON;
+    if best.is_normal() {
+        best * WIDEN
+    } else {
+        f64::INFINITY
+    }
 }
 
 #[cfg(test)]
@@ -2293,6 +2366,96 @@ mod tests {
         net.recompute_rates();
     }
 
+    /// The bottleneck search with every share divided, as the reference
+    /// scans: ascending index, the first of equal shares kept.
+    fn divided_bottleneck(cap: &[f64], unfrozen: &[u32]) -> Option<(usize, u64)> {
+        let mut best: Option<(usize, f64)> = None;
+        for (r, (&c, &u)) in cap.iter().zip(unfrozen).enumerate() {
+            if u > 0 {
+                let share = c.max(0.0) / f64::from(u);
+                if best.is_none_or(|(_, s)| share < s) {
+                    best = Some((r, share));
+                }
+            }
+        }
+        best.map(|(r, s)| (r, s.to_bits()))
+    }
+
+    /// `find_bottleneck` over `order` picks the divided search's
+    /// resource and share, bit for bit.
+    fn assert_search_exact(cap: &[f64], unfrozen: &[u32], order: &[u32]) {
+        let got = find_bottleneck(order, cap, unfrozen).map(|(r, s)| (r, s.to_bits()));
+        assert_eq!(
+            got,
+            divided_bottleneck(cap, unfrozen),
+            "cap {cap:?}, unfrozen {unfrozen:?}, order {order:?}"
+        );
+    }
+
+    #[test]
+    fn the_filtered_bottleneck_search_picks_what_division_picks() {
+        let x = 7.3f64;
+        let cases: [(&[f64], &[u32]); 8] = [
+            // Equal shares at two indices.
+            (&[10.0, 20.0, 90.0], &[1, 2, 1]),
+            // Shares one ulp apart, in both orders.
+            (&[x, x.next_up(), 90.0], &[1, 1, 1]),
+            (&[x.next_up(), x, 90.0], &[1, 1, 1]),
+            // Zero shares tie: an empty resource, a negative capacity,
+            // and 5e-324 over 17 flows, whose share rounds to zero.
+            (&[0.0, -5.0, 4.0], &[1, 2, 1]),
+            (&[5e-324, 0.0, 4.0], &[17, 1, 1]),
+            // A subnormal share (a 1 B/s resource at factor 1e-310) ties
+            // with a quotient that rounds down onto it.
+            (&[3.0 * 1e-310 + 5e-324, 1e-310, 4.0], &[3, 1, 1]),
+            // An exact tie whose lower index lies one ulp above the
+            // rounded product of the best share and its flow count.
+            (&[231874.33104560405, 154582.88736373602, 9e5], &[33, 22, 1]),
+            // No resource carries an unfrozen flow.
+            (&[1.0, 2.0, 3.0], &[0, 0, 0]),
+        ];
+        for (cap, unfrozen) in cases {
+            for order in [[0, 1, 2], [2, 1, 0], [1, 0, 2], [2, 0, 1]] {
+                assert_search_exact(cap, unfrozen, &order);
+            }
+        }
+    }
+
+    /// Shuffled near ties: shares within a few ulps of each other
+    /// (normal, subnormal or zero), negative capacities and idle
+    /// resources, listed in random order.
+    #[test]
+    fn the_filtered_bottleneck_search_matches_division_on_random_near_ties() {
+        use rand::Rng;
+        let mut rng = crate::rng::RngFactory::new(0xB0771E).stream("bottleneck", 0);
+        for _ in 0..20_000 {
+            let n = 2 + rng.gen_range(0..6usize);
+            let base = [1e-310, 5e-324, 0.0, 1.0, 7026.49488, 1e300][rng.gen_range(0..6usize)];
+            let (mut cap, mut unfrozen) = (Vec::new(), Vec::new());
+            for _ in 0..n {
+                let u = rng.gen_range(0..40u32);
+                let mut c = base * f64::from(u.max(1));
+                for _ in 0..rng.gen_range(0..4u32) {
+                    c = if rng.gen_bool(0.5) {
+                        c.next_up()
+                    } else {
+                        c.next_down()
+                    };
+                }
+                if c != 0.0 && rng.gen_range(0..10u32) == 0 {
+                    c = -c;
+                }
+                cap.push(c);
+                unfrozen.push(u);
+            }
+            let mut order: Vec<u32> = (0..n as u32).collect();
+            for i in (1..n).rev() {
+                order.swap(i, rng.gen_range(0..i + 1));
+            }
+            assert_search_exact(&cap, &unfrozen, &order);
+        }
+    }
+
     #[test]
     fn unequal_paths_give_longer_path_no_advantage() {
         // Both flows cross the shared bottleneck; one also crosses a fast
@@ -2638,6 +2801,7 @@ mod telemetry_tests {
     #[test]
     fn drain_accumulates_bytes_and_busy_time() {
         let mut net = FlowNetwork::new();
+        net.track_bytes();
         let r = net.add_resource("link", CapacityModel::Fixed(100.0));
         let idle = net.add_resource("idle", CapacityModel::Fixed(100.0));
         let f = net.add_flow(vec![r], 1000.0, 0);
@@ -2655,6 +2819,7 @@ mod telemetry_tests {
     #[test]
     fn shared_resource_counts_all_flows_bytes() {
         let mut net = FlowNetwork::new();
+        net.track_bytes();
         let r = net.add_resource("link", CapacityModel::Fixed(100.0));
         for i in 0..2 {
             let f = net.add_flow(vec![r], 1000.0, i);
@@ -2665,6 +2830,20 @@ mod telemetry_tests {
         // Both flows at 50 B/s each: 100 bytes total crossed the link.
         assert!((net.bytes_through(r) - 100.0).abs() < 1e-9);
         assert_eq!(net.busy_secs(r), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "call FlowNetwork::track_bytes")]
+    fn an_untracked_network_accounts_busy_time_and_refuses_bytes() {
+        let mut net = FlowNetwork::new();
+        let r = net.add_resource("link", CapacityModel::Fixed(100.0));
+        let f = net.add_flow(vec![r], 1000.0, 0);
+        net.activate(f);
+        net.recompute_rates();
+        net.drain(2.0, |_, _, _| {});
+        assert_eq!(net.busy_secs(r), 2.0);
+        assert_eq!(net.bytes_total[r.index()], 0.0);
+        net.bytes_through(r);
     }
 }
 
@@ -2750,6 +2929,7 @@ mod loaded_tests {
         let (mut dead_seen, mut reactivations) = (0, 0);
         for case in 0..40 {
             let mut net = FlowNetwork::new();
+            net.track_bytes();
             let n_res = 2 + rng.gen_range(0..10usize);
             let res: Vec<ResourceId> = (0..n_res)
                 .map(|i| {

@@ -1,6 +1,6 @@
 //! The fluid-simulation event loop.
 
-use super::network::{FlowId, FlowNetwork, NetBuffers, ResourceId};
+use super::network::{skip_bound, FlowId, FlowNetwork, NetBuffers, ResourceId};
 use crate::events::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use obs::Event as ObsEvent;
@@ -666,17 +666,20 @@ impl<'r> FluidSim<'r> {
     /// moves: collect into `scratch_finished` the flows already drained
     /// to `EPS_BYTES`, and return the earliest time (seconds from now)
     /// at which a moving flow drains at its current rate — infinite
-    /// when none is moving.
+    /// when none is moving. A flow whose drain time is surely above the
+    /// earliest so far is passed over without its division (see
+    /// `skip_bound`).
     fn scan_active(&mut self) -> f64 {
-        let mut min_dt = f64::INFINITY;
+        let (mut min_dt, mut bound) = (f64::INFINITY, f64::INFINITY);
         for &s in self.net.active_slots() {
             let remaining = self.net.remaining_at(s);
             if remaining <= EPS_BYTES {
                 self.scratch_finished.push(s);
             }
             let rate = self.net.rate_at(s);
-            if rate > 0.0 {
+            if rate > 0.0 && remaining <= bound * rate {
                 min_dt = min_dt.min(remaining / rate);
+                bound = skip_bound(min_dt);
             }
         }
         min_dt
@@ -1213,6 +1216,162 @@ mod tests {
             }
         }
         assert_eq!(expect, got);
+    }
+
+    #[test]
+    fn the_filtered_completion_scan_returns_the_divided_minimum() {
+        let x = 7.3f64;
+        // (bytes, capacity) per flow, each alone on its own link, so its
+        // rate is the link's capacity. A later flow comes last, so the
+        // scan passes it over undivided.
+        let cases: [&[(f64, f64)]; 4] = [
+            // Equal drain times at two slots.
+            &[(6.0, 3.0), (4.0, 2.0), (9.0, 1.0)],
+            // Drain times one ulp apart, in both orders.
+            &[(x, 1.0), (x.next_up(), 1.0), (9.0, 1.0)],
+            &[(x.next_up(), 1.0), (x, 1.0), (9.0, 1.0)],
+            // Zero remaining bytes.
+            &[(5.0, 2.0), (0.0, 4.0), (3.0, 1.0)],
+        ];
+        for flows in cases {
+            let mut net = FlowNetwork::new();
+            let links: Vec<ResourceId> = (0..flows.len())
+                .map(|i| net.add_resource(format_args!("r{i}"), fixed(flows[i].1)))
+                .collect();
+            let mut sim = FluidSim::new(net);
+            for (i, (&(bytes, _), &r)) in flows.iter().zip(&links).enumerate() {
+                sim.start_flow_at(SimTime::ZERO, [r], bytes, i as u64);
+            }
+            sim.process_events_at(SimTime::ZERO);
+            sim.ensure_rates();
+            let net = sim.network();
+            let divided = net
+                .active_slots()
+                .iter()
+                .filter(|&&s| net.rate_at(s) > 0.0)
+                .fold(f64::INFINITY, |m, &s| {
+                    m.min(net.remaining_at(s) / net.rate_at(s))
+                });
+            assert_eq!(
+                sim.scan_active().to_bits(),
+                divided.to_bits(),
+                "flows {flows:?}"
+            );
+        }
+    }
+
+    /// The same flow ids of two sims read the same bits.
+    fn assert_same_state(sims: &[FluidSim<'_>; 2], flows: &[FlowId], n_res: usize, step: usize) {
+        let [a, b] = sims.each_ref().map(FluidSim::network);
+        assert_eq!(sims[0].now(), sims[1].now(), "step {step}");
+        for &f in flows {
+            assert_eq!(a.is_active(f), b.is_active(f), "step {step}: {f:?}");
+            assert_eq!(
+                a.rate(f).to_bits(),
+                b.rate(f).to_bits(),
+                "step {step}: rate of {f:?}"
+            );
+            assert_eq!(
+                a.remaining(f).to_bits(),
+                b.remaining(f).to_bits(),
+                "step {step}: remaining bytes of {f:?}"
+            );
+        }
+        for r in (0..n_res).map(ResourceId::from_index) {
+            assert_eq!(
+                a.busy_secs(r).to_bits(),
+                b.busy_secs(r).to_bits(),
+                "step {step}: busy seconds of {r:?}"
+            );
+        }
+    }
+
+    /// Byte accounting only observes: one random sequence of starts,
+    /// factor changes, cancels and advances, run on a network that
+    /// accounts bytes and on one that does not.
+    #[test]
+    fn byte_accounting_changes_no_simulated_bit() {
+        use rand::Rng;
+        const N_RES: usize = 6;
+        let build = |track: bool| {
+            let mut net = FlowNetwork::new();
+            if track {
+                net.track_bytes();
+            }
+            for i in 0..N_RES {
+                let model = if i % 3 == 0 {
+                    CapacityModel::Saturating {
+                        peak: 300.0,
+                        q_half: 1.5,
+                    }
+                } else {
+                    fixed(80.0 + 17.0 * i as f64)
+                };
+                net.add_resource(format_args!("r{i}"), model);
+            }
+            FluidSim::new(net)
+        };
+        let mut sims = [build(true), build(false)];
+        let mut rng = crate::rng::RngFactory::new(0xB17E5).stream("byte-accounting", 0);
+        let mut flows = Vec::new();
+        let (mut cancels, mut completions) = (0, 0);
+        for step in 0..400 {
+            let later = sims[0].now() + SimDuration::from_nanos(rng.gen_range(0..500_000_000));
+            match rng.gen_range(0..6u32) {
+                0 | 1 => {
+                    let first = rng.gen_range(0..N_RES);
+                    let len = 1 + rng.gen_range(0..3usize);
+                    let path: Vec<ResourceId> = (first..N_RES.min(first + len))
+                        .map(ResourceId::from_index)
+                        .collect();
+                    let bytes = f64::from(rng.gen_range(1..200u32));
+                    let ids = sims
+                        .each_mut()
+                        .map(|sim| sim.start_flow_at(later, &path, bytes, step as u64));
+                    assert_eq!(ids[0], ids[1]);
+                    flows.push(ids[0]);
+                }
+                2 => {
+                    let r = ResourceId::from_index(rng.gen_range(0..N_RES));
+                    let factor = [0.25, 0.5, 1.0, 1.5][rng.gen_range(0..4usize)];
+                    for sim in &mut sims {
+                        sim.schedule_factor_change(later, r, factor);
+                    }
+                }
+                3 => {
+                    let net = sims[0].network();
+                    let active: Vec<FlowId> = flows
+                        .iter()
+                        .copied()
+                        .filter(|&f| net.is_active(f))
+                        .collect();
+                    if !active.is_empty() {
+                        let f = active[rng.gen_range(0..active.len())];
+                        let left = sims.each_mut().map(|sim| sim.cancel_flow(f).to_bits());
+                        assert_eq!(left[0], left[1], "step {step}");
+                        cancels += 1;
+                    }
+                }
+                _ => {
+                    let stopped = sims.each_mut().map(|sim| sim.run_until(later));
+                    assert_eq!(stopped[0], stopped[1], "step {step}");
+                    let done = sims
+                        .each_mut()
+                        .map(|sim| std::iter::from_fn(|| sim.pop_ready()).collect::<Vec<_>>());
+                    assert_eq!(done[0], done[1], "step {step}");
+                    completions += done[0].len();
+                }
+            }
+            assert_same_state(&sims, &flows, N_RES, step);
+        }
+        let done = sims.each_mut().map(|sim| sim.run_to_completion());
+        assert_eq!(done[0], done[1]);
+        assert_same_state(&sims, &flows, N_RES, usize::MAX);
+        assert!(
+            cancels > 10 && completions > 10,
+            "{cancels} cancels, {completions} completions"
+        );
+        assert!(sims[0].network().bytes_through(ResourceId::from_index(1)) > 0.0);
     }
 }
 

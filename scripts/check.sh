@@ -75,6 +75,11 @@ cargo run --release --locked -p experiments --bin repro -- --reps 2 --no-cache f
 cmp target/smoke-cold.txt target/smoke-warm.txt
 cmp target/smoke-cold.txt target/smoke-uncached.txt
 
+echo "==> examples in release (each prints its tables; a panic fails the gate)"
+for example in quickstart tuning_advisor shared_cluster failure_drill full_study; do
+  cargo run --release --locked --example "$example"
+done
+
 echo "==> interference smoke cell (1 rep, 50 apps on the 100x10 FleetSpec fleet: packed vs spread vs random)"
 cargo run --release --locked -p experiments --bin repro -- --reps 1 interference
 
