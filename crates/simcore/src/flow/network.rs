@@ -404,18 +404,14 @@ pub struct FlowNetwork {
     /// the flow's `active` flag: retirement leaves its entries where
     /// they are instead of finding them, and a list is purged once its
     /// dead entries outnumber its live ones, or when an activation
-    /// would otherwise grow it. A resource without active flows
-    /// therefore has an empty list. Capacity is reserved at flow
-    /// registration (see `add_flow_weighted`), so activation in the
-    /// steady state never allocates. Entries past the resource count
-    /// are spare empty lists kept from a recycled arena (see
-    /// `install_recycled`).
+    /// finds it full; it grows only when its live entries fill it. A
+    /// resource without active flows therefore has an empty list, and a
+    /// list's capacity follows its resource's peak of concurrent flows.
+    /// Recycled lists keep their capacity, so a rep loop that replays a
+    /// warm arena's load activates without allocating. Entries past the
+    /// resource count are spare empty lists kept from a recycled arena
+    /// (see `install_recycled`).
     incident: Vec<Vec<u32>>,
-    /// Per-resource count of *unretired* flows crossing it (active,
-    /// pending, or deactivated by a direct caller) — the capacity bound
-    /// reserved in `incident`. Retirement decrements it, so the
-    /// reservation follows the concurrent peak, not session length.
-    registered: Vec<u32>,
     /// Resource indices touched since the last solve (deduplicated).
     dirty: Vec<u32>,
     /// Per resource, [`DIRTY`] while listed in `dirty`, plus [`STARTED`]
@@ -464,7 +460,6 @@ impl FlowNetwork {
             active_count: Vec::with_capacity(resources),
             loaded_pos: Vec::with_capacity(resources),
             incident: Vec::with_capacity(resources),
-            registered: Vec::with_capacity(resources),
             dirty: Vec::with_capacity(resources),
             dirty_mark: Vec::with_capacity(resources),
             ..Self::default()
@@ -498,7 +493,6 @@ impl FlowNetwork {
         if self.incident.len() == id.index() {
             self.incident.push(Vec::new());
         }
-        self.registered.push(0);
         self.dirty_mark.push(0);
         id
     }
@@ -625,19 +619,6 @@ impl FlowNetwork {
                 "flow path must not repeat a resource"
             );
         }
-        // Reserve incidence capacity now, while registration is allowed
-        // to allocate: active flows are a subset of the unretired flows
-        // counted here, so an activation that finds its list full purges
-        // the list's dead entries instead of growing it.
-        for r in path {
-            let ri = r.index();
-            self.registered[ri] += 1;
-            let need = self.registered[ri] as usize;
-            let v = &mut self.incident[ri];
-            if v.capacity() < need {
-                v.reserve(need - v.len());
-            }
-        }
         let id = FlowId(self.next_id);
         self.next_id = self.next_id.checked_add(1).expect("too many flows");
         let path_off = u32::try_from(self.path_arena.len()).expect("path arena fits u32");
@@ -740,8 +721,8 @@ impl FlowNetwork {
             self.mark_dirty(r, DIRTY | STARTED);
             let list = &mut self.incident[r];
             if list.len() == list.capacity() {
-                // Full: the reservation covers every unretired flow, so
-                // the list holds dead entries to drop instead.
+                // Full: drop the dead entries first, and grow only if the
+                // live ones fill the list.
                 purge_dead(list, &self.flows);
             }
             list.push(s);
@@ -824,10 +805,9 @@ impl FlowNetwork {
         true
     }
 
-    /// Deactivate the flow in slot `s` and retire it for good: it stops
-    /// counting towards the `incident` reservations and its record is
-    /// reclaimed by a later [`FlowNetwork::compact_if_due`]. Slots stay
-    /// valid until that call.
+    /// Deactivate the flow in slot `s` and retire it for good: its record
+    /// is reclaimed by a later [`FlowNetwork::compact_if_due`]. Slots
+    /// stay valid until that call.
     pub(crate) fn retire(&mut self, s: u32) {
         self.remove_active(s);
         self.mark_retired(s);
@@ -841,9 +821,8 @@ impl FlowNetwork {
     ///
     /// A batch of every active flow (a run's last completions) leaves
     /// no flow on any resource, so it skips the per-path unlinking: each
-    /// loaded resource drops its whole count from `registered`, empties
-    /// its incidence list and turns dirty, as the flow-by-flow path
-    /// would leave it.
+    /// loaded resource drops its count to zero, empties its incidence
+    /// list and turns dirty, as the flow-by-flow path would leave it.
     pub(crate) fn retire_batch(&mut self, slots: &[u32]) {
         debug_assert!(
             slots.windows(2).all(|w| w[0] < w[1]),
@@ -861,7 +840,6 @@ impl FlowNetwork {
             self.retired += slots.len();
             for k in 0..self.loaded.len() {
                 let r = self.loaded[k] as usize;
-                self.registered[r] -= self.active_count[r];
                 self.active_count[r] = 0;
                 self.incident[r].clear();
                 self.mark_dirty(r, DIRTY);
@@ -881,17 +859,12 @@ impl FlowNetwork {
         });
     }
 
-    /// Flag the (already inactive) flow in slot `s` retired and release
-    /// its `incident` reservations.
+    /// Flag the (already inactive) flow in slot `s` retired.
     fn mark_retired(&mut self, s: u32) {
         let i = s as usize;
         debug_assert!(!self.flows[i].retired, "flow retired twice");
         self.flows[i].retired = true;
         self.retired += 1;
-        let off = self.flows[i].path_off as usize;
-        for r in &self.path_arena[off..off + self.flows[i].path_len as usize] {
-            self.registered[r.index()] -= 1;
-        }
     }
 
     /// Reclaim retired records once they outnumber both the unretired
@@ -2680,37 +2653,40 @@ mod retirement_tests {
     fn an_activation_into_a_full_list_drops_its_dead_entries_instead_of_growing() {
         let mut net = FlowNetwork::new();
         let r = link(&mut net, 100.0);
-        let ids: Vec<FlowId> = (0..4).map(|i| net.add_flow([r], 1.0, i)).collect();
-        let capacity = net.incident[0].capacity();
-        assert_eq!(capacity, 4, "registration reserves room for the four");
-        for &f in &ids[..3] {
+        let b = link(&mut net, 100.0);
+        let pending = net.add_flow([r, b], 1.0, 0);
+        assert_eq!(
+            (net.incident[0].capacity(), net.incident[1].capacity()),
+            (0, 0),
+            "registration reserves nothing"
+        );
+        let mut ids = Vec::new();
+        while ids.len() < 2 || net.incident[0].len() < net.incident[0].capacity() {
+            let f = net.add_flow([r], 1.0, 1 + ids.len() as u64);
             net.activate(f);
+            ids.push(f);
         }
-        // The first retirement leaves a dead entry (one dead, two live).
+        let capacity = net.incident[0].capacity();
+        // A retirement leaves a dead entry in the full list (one dead,
+        // the rest live).
         net.retire(net.slot_of(ids[0]).unwrap());
-        net.activate(ids[3]);
         assert_eq!(net.incident[0].len(), capacity, "the list is full");
-        // A fifth flow fits the reservation but not the full list: its
-        // activation drops the dead entry instead of growing the list.
-        let fifth = net.add_flow([r], 1.0, 4);
-        net.activate(fifth);
+        // The next activation drops the dead entry instead of growing
+        // the list.
+        net.activate(pending);
         assert_eq!(net.incident[0].capacity(), capacity);
         let mut listed = net.incident[0].clone();
         listed.sort_unstable();
-        assert_eq!(listed, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn registered_counts_only_unretired_flows() {
-        let mut net = FlowNetwork::new();
-        let a = link(&mut net, 100.0);
-        let b = link(&mut net, 100.0);
-        let f = net.add_flow(vec![a, b], 1.0, 0);
-        let _pending = net.add_flow(vec![b], 1.0, 1);
-        assert_eq!(net.registered, vec![1, 2]);
+        let live: Vec<u32> = std::iter::once(pending)
+            .chain(ids[1..].iter().copied())
+            .map(|f| net.slot_of(f).unwrap())
+            .collect();
+        assert_eq!(listed, live);
+        // Full of live entries, the list grows.
+        let f = net.add_flow([r], 1.0, 99);
         net.activate(f);
-        net.retire(net.slot_of(f).unwrap());
-        assert_eq!(net.registered, vec![0, 1]);
+        assert!(net.incident[0].capacity() > capacity);
+        assert_eq!(net.incident[0].len(), capacity + 1);
     }
 
     /// Compaction in the middle of a session — retired records before,
@@ -2866,27 +2842,20 @@ mod loaded_tests {
         }
     }
 
-    /// `registered` equals a model rebuilt from the stored flows (per
-    /// resource, the unretired flows crossing it), and every incidence
-    /// list holds each active flow crossing its resource exactly once
-    /// plus dead entries: inactive flows that cross the resource, never
-    /// more than one above the live entries. Returns the dead entries
-    /// seen.
+    /// Every incidence list holds each active flow crossing its resource
+    /// exactly once plus dead entries: inactive flows that cross the
+    /// resource, never more than one above the live entries. Returns the
+    /// dead entries seen.
     fn assert_incidence_matches_stored_flows(net: &FlowNetwork, step: usize) -> usize {
         let n_res = net.resource_count();
-        let mut registered = vec![0u32; n_res];
         let mut incident = vec![Vec::new(); n_res];
         for (s, f) in net.flows.iter().enumerate() {
             for r in net.path_of(s) {
-                if !f.retired {
-                    registered[r.index()] += 1;
-                }
                 if f.active {
                     incident[r.index()].push(s as u32);
                 }
             }
         }
-        assert_eq!(net.registered, registered, "step {step}: registered");
         let mut dead_seen = 0;
         for (r, expect) in incident.iter().enumerate() {
             let (mut live, dead): (Vec<u32>, Vec<u32>) = net.incident[r]
@@ -2914,19 +2883,20 @@ mod loaded_tests {
     /// Random activate, deactivate, retire (one flow, a random batch or
     /// every active flow at once), compact and drain steps on small
     /// networks. After every step the loaded list equals {r : active
-    /// count > 0}, `registered` and the incidence lists match the
-    /// stored flows (every live flow listed once, a flow re-activated
-    /// after `deactivate` included, and dead entries bounded by the live
-    /// ones), and every resource's bytes and busy seconds equal, bit for
-    /// bit, a model that charges busy time by marking the resources the
-    /// active flows cross and then scanning all of them. No activation
-    /// grows an incidence list. Each drain's rates equal the reference
-    /// solver's, bit for bit.
+    /// count > 0}, the incidence lists match the stored flows (every
+    /// live flow listed once, a flow re-activated after `deactivate`
+    /// included, and dead entries bounded by the live ones), and every
+    /// resource's bytes and busy seconds equal, bit for bit, a model
+    /// that charges busy time by marking the resources the active flows
+    /// cross and then scanning all of them. An activation grows an
+    /// incidence list only when its live entries fill it. Each drain's
+    /// rates equal the reference solver's, bit for bit.
     #[test]
     fn loaded_list_and_telemetry_follow_a_full_scan_model() {
         let mut rng = crate::rng::RngFactory::new(0x5EED).stream("loaded-list", 0);
         let (mut solves, mut whole_set_solves) = (0, 0);
         let (mut dead_seen, mut reactivations) = (0, 0);
+        let mut growths = 0;
         for case in 0..40 {
             let mut net = FlowNetwork::new();
             net.track_bytes();
@@ -2977,19 +2947,28 @@ mod loaded_tests {
                         let idle = live(&net, false);
                         if !idle.is_empty() {
                             let s = idle[rng.gen_range(0..idle.len())];
-                            let capacities = |net: &FlowNetwork| -> Vec<usize> {
+                            // (capacity, live entries) of each list the
+                            // flow joins.
+                            let lists = |net: &FlowNetwork| -> Vec<[usize; 2]> {
                                 let path = net.path_of(s as usize);
                                 path.iter()
-                                    .map(|r| net.incident[r.index()].capacity())
+                                    .map(|r| {
+                                        let live = net.active_count[r.index()] as usize;
+                                        [net.incident[r.index()].capacity(), live]
+                                    })
                                     .collect()
                             };
-                            let before = capacities(&net);
+                            let before = lists(&net);
                             net.activate_slot(s);
-                            assert_eq!(
-                                before,
-                                capacities(&net),
-                                "step {step}: activation grew a list"
-                            );
+                            for (&[capacity, live], after) in before.iter().zip(lists(&net)) {
+                                if after[0] != capacity {
+                                    assert_eq!(
+                                        live, capacity,
+                                        "step {step}: activation grew a list with dead entries"
+                                    );
+                                    growths += 1;
+                                }
+                            }
                             if deactivated.contains(&net.id_at(s)) {
                                 reactivations += 1;
                             }
@@ -3071,7 +3050,7 @@ mod loaded_tests {
             whole_set_solves += net.whole_set_solve_count();
         }
         // Both ways of collecting a component ran, lists held dead
-        // entries, and deactivated flows came back.
+        // entries, deactivated flows came back, and full lists grew.
         assert!(
             0 < whole_set_solves && whole_set_solves < solves,
             "{whole_set_solves} of {solves} solves took the whole set"
@@ -3080,6 +3059,7 @@ mod loaded_tests {
             dead_seen > 0 && reactivations > 0,
             "{dead_seen} dead entries, {reactivations} re-activations"
         );
+        assert!(growths > 0, "no list grew");
     }
 
     #[test]
