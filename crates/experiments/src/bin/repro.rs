@@ -135,7 +135,8 @@ fn trace_cmd(args: &Args, out: &Path) -> Outcome {
     let mut timeline = obs::Timeline::new();
     let mut rng = simcore::rng::RngFactory::new(args.ctx.seed).stream("trace", 0);
     let (outcome, report) =
-        experiments::context::outage_run(&mut rng, |run| run.trace(&mut timeline))?;
+        experiments::context::outage_run(&mut rng, |run| run.trace(&mut timeline).utilization())?;
+    let report = report.ok_or("the traced run returned no utilization report")?;
     write(out, timeline.to_chrome_trace())?;
     let app = outcome.try_single()?;
     println!(

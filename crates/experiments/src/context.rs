@@ -127,12 +127,13 @@ pub fn single_run(
 /// pinned to targets 0, 1, 4 and 5, target 1 offline from 2 s to 9 s
 /// (long enough past the 3 s heartbeat that clients observe the stall
 /// and retry) and the default retry policy. `instrument` attaches a
-/// recorder or a registry, or nothing, before the run executes on
-/// `rng` (`repro` draws the seed's `"trace"` stream).
+/// recorder or a registry, asks for the utilization report, or does
+/// nothing, before the run executes on `rng` (`repro` draws the seed's
+/// `"trace"` stream).
 pub fn outage_run<'r>(
     rng: &mut simcore::rng::StreamRng,
     instrument: impl for<'fs> FnOnce(ior::Run<'fs, 'r>) -> ior::Run<'fs, 'r>,
-) -> Result<(ior::RunOutcome, ior::UtilizationReport), ior::RunError> {
+) -> Result<(ior::RunOutcome, Option<ior::UtilizationReport>), ior::RunError> {
     let mut fs = deploy(Scenario::S1Ethernet, 4, ChooserKind::RoundRobin);
     let plan = FaultPlan::new()
         .target_offline(2.0, TargetId(1))

@@ -37,7 +37,7 @@
 //!     plafrim_registration_order(),
 //! );
 //! let mut rng = RngFactory::new(42).stream("docs", 0);
-//! let (out, _telemetry) = Run::new(&mut fs)
+//! let (out, _) = Run::new(&mut fs)
 //!     .app(IorConfig::paper_default(8))
 //!     .execute(&mut rng)?;
 //! assert!(out.try_single()?.bandwidth.mib_per_sec() > 0.0);

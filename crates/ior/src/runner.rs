@@ -23,8 +23,10 @@
 //! let mut rng = RngFactory::new(42).stream("doc", 0);
 //! let (out, telemetry) = Run::new(&mut fs)
 //!     .app(IorConfig::paper_default(8))
+//!     .utilization()
 //!     .execute(&mut rng)?;
 //! assert!(out.try_single()?.bandwidth.mib_per_sec() > 0.0);
+//! let telemetry = telemetry.expect("the run asked for its utilization");
 //! assert!(telemetry.try_busiest()?.bytes > 0.0);
 //! # Ok::<(), ior::RunError>(())
 //! ```
@@ -279,14 +281,16 @@ impl From<(IorConfig, Placement)> for AppSpec {
 /// policy, optional event recorder. This is the primary entry point of
 /// the engine; see the [module docs](self) for an example.
 ///
-/// `execute` consumes the builder and returns both the [`RunOutcome`]
-/// and the run's [`UtilizationReport`] telemetry.
+/// `execute` consumes the builder and returns the [`RunOutcome`], and
+/// the run's [`UtilizationReport`] telemetry when [`Run::utilization`]
+/// asked for it.
 pub struct Run<'fs, 'r> {
     fs: &'fs mut BeeGfs,
     apps: Vec<AppSpec>,
     faults: FaultPlan,
     policy: RetryPolicy,
     hedge: bool,
+    utilization: bool,
     recorder: Option<&'r mut dyn obs::Recorder>,
     arena: Option<&'r mut SimArena>,
     metrics: Option<&'r mut obs::metrics::MetricsRegistry>,
@@ -299,6 +303,7 @@ impl std::fmt::Debug for Run<'_, '_> {
             .field("faults", &self.faults)
             .field("policy", &self.policy)
             .field("hedge", &self.hedge)
+            .field("utilization", &self.utilization)
             .field("tracing", &self.recorder.is_some())
             .field("metrics", &self.metrics.is_some())
             .finish_non_exhaustive()
@@ -314,6 +319,7 @@ impl<'fs, 'r> Run<'fs, 'r> {
             faults: FaultPlan::new(),
             policy: RetryPolicy::default(),
             hedge: false,
+            utilization: false,
             recorder: None,
             arena: None,
             metrics: None,
@@ -364,6 +370,16 @@ impl<'fs, 'r> Run<'fs, 'r> {
         self
     }
 
+    /// Account the bytes that cross every resource, and return the run's
+    /// [`UtilizationReport`] beside its outcome. Off by default: the
+    /// accounting costs every drain one add per resource on each active
+    /// flow's path, and a run without it returns `None` in the report's
+    /// place. It never changes the outcome.
+    pub fn utilization(mut self) -> Self {
+        self.utilization = true;
+        self
+    }
+
     /// Stream the run's structured events into a recorder (e.g. an
     /// [`obs::Timeline`]): fault transitions, client stall/retry
     /// attempts, per-flow start/end with (app, process, target)
@@ -398,8 +414,12 @@ impl<'fs, 'r> Run<'fs, 'r> {
         self
     }
 
-    /// Execute the run, consuming one deterministic RNG stream.
-    pub fn execute(self, rng: &mut StreamRng) -> Result<(RunOutcome, UtilizationReport), RunError> {
+    /// Execute the run, consuming one deterministic RNG stream. The
+    /// report is `Some` exactly when [`Run::utilization`] was called.
+    pub fn execute(
+        self,
+        rng: &mut StreamRng,
+    ) -> Result<(RunOutcome, Option<UtilizationReport>), RunError> {
         execute_run(self, rng)
     }
 }
@@ -468,7 +488,7 @@ impl RunOutcome {
 fn execute_run(
     run: Run<'_, '_>,
     rng: &mut StreamRng,
-) -> Result<(RunOutcome, UtilizationReport), RunError> {
+) -> Result<(RunOutcome, Option<UtilizationReport>), RunError> {
     /// Seconds to sim-time nanoseconds, the timestamp unit of the trace.
     fn ns(s: f64) -> u64 {
         SimTime::from_secs_f64(s).as_nanos()
@@ -479,6 +499,7 @@ fn execute_run(
         faults: plan,
         policy,
         hedge,
+        utilization,
         mut recorder,
         mut arena,
         mut metrics,
@@ -563,8 +584,10 @@ fn execute_run(
     let platform = fs.platform();
     let fabric = Fabric::build_for(platform, total_nodes, ppn, &noise, mode);
     let (mut net, paths) = fabric.into_parts();
-    // The run's `UtilizationReport` reads every resource's bytes.
-    net.track_bytes();
+    // The `UtilizationReport` reads every resource's bytes.
+    if utilization {
+        net.track_bytes();
+    }
     let base = compound_target_states(fs, &mut net, &paths);
 
     let mut sim = match arena.as_deref_mut() {
@@ -733,7 +756,7 @@ fn execute_run(
         }
     }
     let io_secs = sim.now().as_secs_f64();
-    let report = UtilizationReport::from_network(sim.network(), io_secs);
+    let report = utilization.then(|| UtilizationReport::from_network(sim.network(), io_secs));
     let sim_events = sim.events_processed();
     let hedge_report = detector.map(Detector::report);
     // Harvest aggregate metrics before the sim is recycled or dropped.

@@ -200,8 +200,38 @@ mod tests {
         );
         let cfg = IorConfig::paper_default(8);
         let mut rng = RngFactory::new(3).stream("telemetry", 0);
-        let (out, report) = Run::new(&mut fs).app(cfg).execute(&mut rng).unwrap();
-        (report, out.try_single().unwrap().bytes)
+        let (out, report) = Run::new(&mut fs)
+            .app(cfg)
+            .utilization()
+            .execute(&mut rng)
+            .unwrap();
+        (report.unwrap(), out.try_single().unwrap().bytes)
+    }
+
+    #[test]
+    fn a_run_without_utilization_returns_no_report_and_the_same_outcome() {
+        let run = |utilization: bool| {
+            let mut fs = BeeGfs::new(
+                presets::plafrim_ethernet(),
+                DirConfig::plafrim_default(),
+                plafrim_registration_order(),
+            );
+            let mut rng = RngFactory::new(3).stream("telemetry", 0);
+            let run = Run::new(&mut fs).app(IorConfig::paper_default(8));
+            let run = if utilization { run.utilization() } else { run };
+            let (out, report) = run.execute(&mut rng).unwrap();
+            let app = out.try_single().unwrap();
+            let bits = (
+                app.duration_s.to_bits(),
+                out.aggregate.bytes_per_sec().to_bits(),
+            );
+            (bits, out.sim_events, report)
+        };
+        let (plain, plain_events, none) = run(false);
+        let (asked, asked_events, report) = run(true);
+        assert!(none.is_none(), "a run that did not ask has no report");
+        assert!(report.unwrap().bytes_matching(".ost") > 0.0);
+        assert_eq!((plain, plain_events), (asked, asked_events));
     }
 
     #[test]

@@ -433,7 +433,8 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
         let total_targets = self.fs.platform().total_targets();
 
         for attempt in 0..=total_targets {
-            let mut run = Run::new(self.fs).arena(&mut self.arena);
+            // The OST busy fractions below read the utilization report.
+            let mut run = Run::new(self.fs).arena(&mut self.arena).utilization();
             for r in running.iter() {
                 run = run.app(AppSpec {
                     config: ledger.req(r.app).config,
@@ -459,6 +460,7 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
             }
             match result {
                 Ok((out, telemetry)) => {
+                    let telemetry = telemetry.expect("the run asked for its utilization");
                     // Quarantine targets the hedging detector flagged.
                     if let Some(report) = &out.hedge {
                         for &t in &report.flagged {

@@ -43,7 +43,7 @@
 //! );
 //! // One IOR run: 8 nodes x 8 processes, N-1, 32 GiB, 1 MiB transfers.
 //! let mut rng = RngFactory::new(42).stream("quickstart", 0);
-//! let (out, _telemetry) = Run::new(&mut fs)
+//! let (out, _) = Run::new(&mut fs)
 //!     .app(IorConfig::paper_default(8))
 //!     .execute(&mut rng)?;
 //! let bw = out.try_single()?.bandwidth.mib_per_sec();

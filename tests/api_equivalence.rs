@@ -171,8 +171,10 @@ fn builder_matches_recorded_faulted_goldens_bit_for_bit() {
         .apps(apps.iter().cloned())
         .faults(plan)
         .policy(policy)
+        .utilization()
         .execute(&mut rng)
         .unwrap();
+    let telemetry = telemetry.expect("the run asked for its utilization");
     assert_eq!(
         fingerprint(&out),
         (
@@ -225,8 +227,10 @@ fn try_single_reports_the_app_count_instead_of_panicking() {
     let (out, telemetry) = Run::new(&mut fs)
         .app(cfg)
         .app(cfg)
+        .utilization()
         .execute(&mut rng)
         .unwrap();
+    let telemetry = telemetry.expect("the run asked for its utilization");
     match out.try_single() {
         Err(RunError::NotSingleApp { apps }) => assert_eq!(apps, 2),
         other => panic!("expected NotSingleApp, got {other:?}"),

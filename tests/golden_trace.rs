@@ -13,8 +13,8 @@ use beegfs_repro::simcore::rng::RngFactory;
 fn traced_run(seed: u64) -> (Timeline, UtilizationReport) {
     let mut timeline = Timeline::new();
     let mut rng = RngFactory::new(seed).stream("trace", 0);
-    let (_, report) = outage_run(&mut rng, |run| run.trace(&mut timeline)).unwrap();
-    (timeline, report)
+    let (_, report) = outage_run(&mut rng, |run| run.trace(&mut timeline).utilization()).unwrap();
+    (timeline, report.expect("the run asked for its utilization"))
 }
 
 #[test]
