@@ -5,9 +5,9 @@
 //! were scheduled. This makes simulations independent of `BinaryHeap`'s
 //! unspecified equal-key ordering and is essential for reproducibility.
 //!
-//! Events pushed in nondecreasing time — a repetition's flow starts, all
-//! at its applications' start instants, or a session's arrivals — queue
-//! in a FIFO *run* and cost O(1) each way. Only an out-of-order push (an
+//! Events pushed in nondecreasing time — a repetition's flow starts at
+//! its applications' start instants, or a session's arrivals — queue in
+//! a FIFO *run* and cost O(1) each way. Only an out-of-order push (an
 //! instant earlier than the run's tail, e.g. a start at `now` queued
 //! behind future fault events) goes to a binary heap. A pop takes the
 //! smaller `(time, seq)` key of the two fronts; keys are unique, so the
@@ -97,13 +97,15 @@ impl<E> EventQueue<E> {
     }
 
     /// Telemetry: how many events have been scheduled since construction
-    /// or the last recycle.
+    /// or the last recycle. A [`crate::flow::FluidSim`] schedules one
+    /// event for each run of same-instant starts of flows registered one
+    /// after another, so on its calendar this counts entries, not flows.
     pub fn pushes(&self) -> u64 {
         self.pushes
     }
 
     /// Telemetry: how many events have been popped since construction or
-    /// the last recycle.
+    /// the last recycle (entries, as for [`EventQueue::pushes`]).
     pub fn pops(&self) -> u64 {
         self.pops
     }

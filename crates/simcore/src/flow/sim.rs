@@ -56,7 +56,12 @@ impl std::error::Error for StallError {}
 
 #[derive(Debug)]
 enum Event {
-    Start(FlowId),
+    /// The starts of `count` flows registered one after another from
+    /// `first`, all due at the entry's instant.
+    Start {
+        first: FlowId,
+        count: u32,
+    },
     SetFactor(ResourceId, f64),
 }
 
@@ -152,6 +157,12 @@ pub struct FluidSim<'r> {
     /// finishing them (which edits the network's active list) never
     /// iterates it. Empty between steps.
     scratch_finished: Vec<u32>,
+    /// Starts not yet in the calendar: `(instant, first flow, count)` of
+    /// flows registered one after another, all due at that instant. They
+    /// enter the calendar as one entry before any other entry is
+    /// scheduled and before the step loop reads the calendar, so it
+    /// delivers them where one entry per start would have.
+    pending_starts: Option<(SimTime, FlowId, u32)>,
     /// Solve through [`FlowNetwork::reference_recompute_rates`] instead
     /// of the incremental solver (differential tests and benches).
     use_reference_solver: bool,
@@ -207,6 +218,7 @@ impl<'r> FluidSim<'r> {
             last_loads,
             scratch_loads,
             scratch_finished,
+            pending_starts: None,
             use_reference_solver: false,
             events_processed: obs::metrics::Counter::new(),
             metrics: None,
@@ -296,7 +308,9 @@ impl<'r> FluidSim<'r> {
     /// * `sim.solves`, `sim.flows_solved`, `sim.solve_skips` — solver
     ///   work and the dirty-set hit rate numerator;
     /// * `sim.event_heap.pushes` / `sim.event_heap.pops` — calendar
-    ///   traffic;
+    ///   entries: one per scheduled factor change, and one per run of
+    ///   same-instant starts of flows registered one after another,
+    ///   however many flows it holds;
     /// * `sim.dirty_component_size` / `sim.dirty_components_per_solve`
     ///   — histograms, present only after
     ///   [`FluidSim::enable_metrics`].
@@ -367,8 +381,24 @@ impl<'r> FluidSim<'r> {
             self.now
         );
         let id = self.net.add_flow_weighted(path, bytes, tag, depth_weight);
-        self.queue.schedule(start, Event::Start(id));
+        match &mut self.pending_starts {
+            Some((at, first, count)) if *at == start => {
+                debug_assert_eq!(first.index() + *count as usize, id.index());
+                *count += 1;
+            }
+            _ => {
+                self.push_pending_starts();
+                self.pending_starts = Some((start, id, 1));
+            }
+        }
         id
+    }
+
+    /// Put the pending starts into the calendar as one entry.
+    fn push_pending_starts(&mut self) {
+        if let Some((at, first, count)) = self.pending_starts.take() {
+            self.queue.schedule(at, Event::Start { first, count });
+        }
     }
 
     /// Schedule a resource speed-factor change at a future instant — the
@@ -387,6 +417,7 @@ impl<'r> FluidSim<'r> {
             "factor change at {at} is before current time {}",
             self.now
         );
+        self.push_pending_starts();
         self.queue.schedule(at, Event::SetFactor(r, factor));
     }
 
@@ -478,12 +509,16 @@ impl<'r> FluidSim<'r> {
     /// next calendar event and the earliest completion. Ties go to the
     /// event; a completion past the clock is never due. The idle check
     /// comes before the solve: a run that ends idle does no final solve,
-    /// so its trace ends without a last round of rate samples.
+    /// so its trace ends without a last round of rate samples. Pending
+    /// starts enter the calendar only once no completion is waiting, so
+    /// the flows a caller starts between same-instant completions (a
+    /// hedged run's next chunks) share one entry.
     fn step_until(&mut self, horizon: SimTime) -> Stop {
         loop {
             if !self.ready.is_empty() {
                 return Stop::Ready;
             }
+            self.push_pending_starts();
             if self.net.active_slots().is_empty() && self.queue.is_empty() {
                 return Stop::Idle;
             }
@@ -631,23 +666,32 @@ impl<'r> FluidSim<'r> {
 
     fn process_events_at(&mut self, t: SimTime) {
         while let Some(ev) = self.queue.pop_at(t) {
-            self.events_processed.inc();
             match ev {
-                Event::Start(f) => {
+                Event::Start { first, count } => {
                     // Pending flows are never retired (only active ones
-                    // finish or are cancelled), so the record is stored.
-                    let s = self.net.slot_of(f).expect("pending flow is stored");
-                    if let Some(rec) = self.recorder.as_deref_mut() {
-                        rec.record(ObsEvent::FlowStart {
-                            at: t.as_nanos(),
-                            flow: f.index() as u32,
-                            tag: self.net.tag_at(s),
-                            bytes: self.net.remaining_at(s),
-                        });
+                    // finish or are cancelled), and none was registered
+                    // between these, so their records fill consecutive
+                    // slots: compaction keeps slot order.
+                    let s0 = self.net.slot_of(first).expect("pending flow is stored");
+                    for s in s0..s0 + count {
+                        debug_assert_eq!(
+                            self.net.id_at(s).index(),
+                            first.index() + (s - s0) as usize
+                        );
+                        self.events_processed.inc();
+                        if let Some(rec) = self.recorder.as_deref_mut() {
+                            rec.record(ObsEvent::FlowStart {
+                                at: t.as_nanos(),
+                                flow: self.net.id_at(s).index() as u32,
+                                tag: self.net.tag_at(s),
+                                bytes: self.net.remaining_at(s),
+                            });
+                        }
+                        self.net.activate_slot(s);
                     }
-                    self.net.activate_slot(s);
                 }
                 Event::SetFactor(r, factor) => {
+                    self.events_processed.inc();
                     self.net.set_factor(r, factor);
                     if let Some(rec) = self.recorder.as_deref_mut() {
                         rec.record(ObsEvent::FactorChange {
@@ -1242,6 +1286,7 @@ mod tests {
             for (i, (&(bytes, _), &r)) in flows.iter().zip(&links).enumerate() {
                 sim.start_flow_at(SimTime::ZERO, [r], bytes, i as u64);
             }
+            sim.push_pending_starts();
             sim.process_events_at(SimTime::ZERO);
             sim.ensure_rates();
             let net = sim.network();
@@ -1550,6 +1595,123 @@ mod trace_tests {
         assert_eq!(count(&traced, "sim.dirty_component_size"), 4);
         assert_eq!(count(&plain, "sim.dirty_components_per_solve"), 3);
         assert_eq!(count(&traced, "sim.dirty_components_per_solve"), 3);
+    }
+
+    /// One calendar entry per run of same-instant starts simulates what
+    /// one entry per start does. One sim schedules each round's starts
+    /// and then its factor changes (all later), so the starts share an
+    /// entry; its twin follows each start with a change, so every start
+    /// gets an entry of its own. Completions, rates, the event count and
+    /// the recorded stream must match bit for bit; only the calendar
+    /// counters may differ.
+    #[test]
+    fn batched_starts_simulate_what_one_entry_per_start_does() {
+        use crate::rng::RngFactory;
+        use rand::Rng;
+        const N_RES: usize = 5;
+        let build = || {
+            let mut net = FlowNetwork::new();
+            for i in 0..N_RES {
+                let model = if i % 2 == 0 {
+                    CapacityModel::Saturating {
+                        peak: 400.0,
+                        q_half: 1.5,
+                    }
+                } else {
+                    CapacityModel::Fixed(90.0 + 21.0 * i as f64)
+                };
+                net.add_resource(format_args!("r{i}"), model);
+            }
+            FluidSim::new(net)
+        };
+        let mut timelines = [Timeline::new(), Timeline::new()];
+        let [ta, tb] = &mut timelines;
+        let mut sims = [build(), build()];
+        sims[0].set_recorder(ta);
+        sims[1].set_recorder(tb);
+        let mut rng = RngFactory::new(0x57A7).stream("start-batching", 0);
+        let ms = |n: u64| SimDuration::from_nanos(n * 1_000_000);
+        let (mut flows, mut done) = (Vec::new(), [Vec::new(), Vec::new()]);
+        for round in 0..80u64 {
+            // Half the rounds start at the current instant, as a driver
+            // reacting to a completion does.
+            let at = sims[0].now() + ms(rng.gen_range(0..2u64) * rng.gen_range(1..300u64));
+            let n = 1 + rng.gen_range(0..6usize);
+            let starts: Vec<(Vec<ResourceId>, f64)> = (0..n)
+                .map(|_| {
+                    let first = rng.gen_range(0..N_RES);
+                    let len = 1 + rng.gen_range(0..2usize);
+                    let path = (first..N_RES.min(first + len))
+                        .map(ResourceId::from_index)
+                        .collect();
+                    (path, f64::from(rng.gen_range(1..150u32)))
+                })
+                .collect();
+            let changes: Vec<(SimTime, ResourceId, f64)> = (0..n)
+                .map(|_| {
+                    let r = ResourceId::from_index(rng.gen_range(0..N_RES));
+                    let factor = [0.3, 0.7, 1.0, 1.4][rng.gen_range(0..4usize)];
+                    (at + ms(rng.gen_range(1..400u64)), r, factor)
+                })
+                .collect();
+            for (path, bytes) in &starts {
+                flows.push(sims[0].start_flow_at(at, path, *bytes, round));
+            }
+            for &(t, r, factor) in &changes {
+                sims[0].schedule_factor_change(t, r, factor);
+            }
+            for ((path, bytes), &(t, r, factor)) in starts.iter().zip(&changes) {
+                sims[1].start_flow_at(at, path, *bytes, round);
+                sims[1].schedule_factor_change(t, r, factor);
+            }
+            let horizon = at + ms(rng.gen_range(0..500u64));
+            for (sim, done) in sims.iter_mut().zip(&mut done) {
+                while sim.run_until(horizon) {
+                    done.extend(std::iter::from_fn(|| sim.pop_ready()));
+                }
+            }
+            assert_eq!(done[0], done[1], "round {round}");
+            for &f in &flows {
+                let [a, b] = sims.each_mut().map(|sim| sim.flow_rate(f).to_bits());
+                assert_eq!(a, b, "round {round}: rate of {f:?}");
+            }
+        }
+        for (sim, done) in sims.iter_mut().zip(&mut done) {
+            done.extend(sim.run_to_completion());
+        }
+        assert_eq!(done[0], done[1]);
+        assert_eq!(done[0].len(), flows.len());
+        let regs = sims.each_ref().map(|sim| {
+            let mut reg = obs::metrics::MetricsRegistry::new();
+            sim.metrics_into(&mut reg);
+            reg
+        });
+        for name in [
+            "sim.events_processed",
+            "sim.solves",
+            "sim.flows_solved",
+            "sim.solve_skips",
+        ] {
+            assert_eq!(regs[0].counter(name), regs[1].counter(name), "{name}");
+        }
+        // Three per flow: its start, its completion and a factor change.
+        assert_eq!(
+            regs[0].counter("sim.events_processed"),
+            3 * flows.len() as u64
+        );
+        let [batched, one_by_one] = regs.each_ref().map(|r| r.counter("sim.event_heap.pushes"));
+        assert_eq!(one_by_one, 2 * flows.len() as u64);
+        assert!(
+            batched < one_by_one - flows.len() as u64 / 2,
+            "{batched} entries"
+        );
+        assert_eq!(
+            regs.each_ref().map(|r| r.counter("sim.event_heap.pops")),
+            [batched, one_by_one]
+        );
+        drop(sims);
+        assert_eq!(timelines[0].events(), timelines[1].events());
+        assert_eq!(timelines[0].count(EventKind::FlowStart), flows.len());
     }
 
     #[test]
