@@ -8,7 +8,8 @@
 //! ratio of two legs' times ([`Rounds::ratio`]), or one leg's excess over
 //! another in units of a third ([`Rounds::excess`]) — so a slow host
 //! phase hits every leg of every sample; its bound is a `const` in the
-//! bench. A [`Report`]
+//! bench. The unit leg is [`reference()`], one fixed computation the
+//! benches share that calls nothing of the simulator. A [`Report`]
 //! prints every leg's median, min and IQR beside its work count, checks
 //! the gates, writes `BENCH_<bench>.json` at the repository root as
 //! reported output (no gate reads it back) and fails the process if a
@@ -16,8 +17,10 @@
 //! `experiments` crate's `repro` binary, and perfbench's workloads time
 //! the end-to-end numbers.
 
+use std::collections::{BTreeMap, BinaryHeap};
 use std::ffi::OsString;
 use std::fmt::Display;
+use std::hint::black_box;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -79,6 +82,77 @@ pub fn cpu_seconds() -> f64 {
         || START.get_or_init(Instant::now).elapsed().as_secs_f64(),
         |(cpu, _)| cpu,
     )
+}
+
+/// The reference leg: a fixed computation of the kinds the simulator
+/// does — a small max–min filling, a binary-heap calendar and a
+/// `BTreeMap` under churn — that calls nothing of the simulator, so no
+/// change to it moves this leg's time. A gate that divides by this leg
+/// measures another leg in a unit of host speed, and reads the same
+/// whichever other leg gets cheaper. About 6 ms on a 2-vCPU x86-64 VM.
+/// Returns the operations it did.
+pub fn reference() -> u64 {
+    const PASSES: u64 = 76;
+    const RESOURCES: usize = 32;
+    const FLOWS: usize = 192;
+    // Two distinct resources a flow: 6f + 3 is never a multiple of 32.
+    let paths: Vec<[usize; 2]> = (0..FLOWS)
+        .map(|f| [f % RESOURCES, (f * 7 + 3) % RESOURCES])
+        .collect();
+    let mut ops = 0u64;
+    let mut heap = BinaryHeap::new();
+    let mut map = BTreeMap::new();
+    for pass in 0..PASSES {
+        // Progressive filling: freeze the flows of the smallest share.
+        let mut cap: Vec<f64> = (0..RESOURCES)
+            .map(|r| 100.0 + ((r as u64 * 37 + pass) % 91) as f64)
+            .collect();
+        let mut count = [0u32; RESOURCES];
+        for &r in paths.iter().flatten() {
+            count[r] += 1;
+        }
+        let mut frozen = [false; FLOWS];
+        while let Some((b, share)) = (0..RESOURCES)
+            .filter(|&r| count[r] > 0)
+            .map(|r| (r, cap[r] / f64::from(count[r])))
+            .min_by(|x, y| x.1.total_cmp(&y.1))
+        {
+            for (f, p) in paths.iter().enumerate() {
+                if !frozen[f] && p.contains(&b) {
+                    frozen[f] = true;
+                    for &r in p {
+                        cap[r] -= share;
+                        count[r] -= 1;
+                    }
+                    ops += 1;
+                }
+            }
+        }
+        black_box(&cap);
+        // A calendar: pop the earliest instant, push a later one.
+        for i in 0..FLOWS as u64 {
+            heap.push(std::cmp::Reverse((i * 7919 + pass) % 1009));
+        }
+        while let Some(std::cmp::Reverse(t)) = heap.pop() {
+            if t % 5 == 0 && t < 1000 {
+                heap.push(std::cmp::Reverse(t + 13));
+            }
+            ops += 1;
+        }
+        // Churn: insert, look up and remove keys of a sliding window.
+        for i in 0..4 * FLOWS as u64 {
+            let k = (i * 2654435761 + pass) % 4096;
+            *map.entry(k).or_insert(0u64) += i;
+            if let Some((&first, _)) = map.first_key_value() {
+                if map.len() > 256 {
+                    map.remove(&first);
+                }
+            }
+            ops += 1;
+        }
+        black_box(&map);
+    }
+    black_box(ops)
 }
 
 /// A named leg: one run of a deterministic workload, returning the work
