@@ -160,11 +160,7 @@ pub(crate) struct SolverScratch {
     live_slots: Vec<u32>,
     /// Worklist of resource indices for the dirty-component walk.
     stack: Vec<u32>,
-    /// Slots of the flows the walk collected, in walk order. While
-    /// touched resources are tracked it holds the solved flows sorted
-    /// ascending, for the sampler: after a walked solve, sorted; after a
-    /// whole-set solve, a copy of the active list, as after a tracked
-    /// reference solve.
+    /// Slots of the flows the walk collected, in walk order.
     comp_flows: Vec<u32>,
     /// Resources collected into the dirty components, in walk order.
     comp_res: Vec<u32>,
@@ -431,14 +427,6 @@ pub struct FlowNetwork {
     /// Telemetry: solves that took kept components' lists instead of
     /// walking the dirty components.
     reused_solves: u64,
-    /// When set (a recorder is attached), every recompute captures the
-    /// resources whose aggregate load may have changed, so the tracing
-    /// sampler refreshes only those instead of scanning every resource.
-    track_touched: bool,
-    /// The captured touched set (sorted ascending, deduplicated): the
-    /// dirty set at recompute entry unioned with the resources of the
-    /// re-solved components, or every resource after a reference solve.
-    touched_res: Vec<u32>,
     scratch: SolverScratch,
 }
 
@@ -916,10 +904,6 @@ impl FlowNetwork {
         self.flows.truncate(kept);
         self.path_arena.truncate(arena_len);
         self.retired = 0;
-        // The last solve's flow list names pre-compaction slots; the
-        // touched set goes with it. Kept components name resources only.
-        self.scratch.comp_flows.clear();
-        self.touched_res.clear();
     }
 
     /// Current rate of a flow in bytes/second: `0.0` while inactive,
@@ -1114,18 +1098,8 @@ impl FlowNetwork {
         {
             // Identity transformation: rates must not be touched at all,
             // so traces and downstream decisions stay byte-identical.
-            // Loads on the dirty resources may still have dropped to
-            // zero (a departing flow marks its path dirty), so the
-            // touched set is exactly the dirty set — with no component
-            // flows to re-accumulate.
             self.skips += 1;
             self.scratch.comp_sizes.clear();
-            if self.track_touched {
-                self.touched_res.clear();
-                self.touched_res.extend_from_slice(&self.dirty);
-                self.touched_res.sort_unstable();
-                self.scratch.comp_flows.clear();
-            }
             self.clear_dirty();
             return;
         }
@@ -1142,11 +1116,7 @@ impl FlowNetwork {
     /// with sharding, dirty components only, so disjoint-component
     /// workloads grow this far slower than `solves * active_flows`. A
     /// solve that reuses kept components also counts the flows of any
-    /// piece that split from a dirty one since their walk. A network
-    /// that tracks touched resources (a recorder is attached) never
-    /// reuses, so on a workload of several components this count and
-    /// [`FlowNetwork::last_component_sizes`] depend on whether it is
-    /// traced; rates and the solve and skip counts do not.
+    /// piece that split from a dirty one since their walk.
     pub fn flows_solved(&self) -> u64 {
         self.flows_solved
     }
@@ -1186,34 +1156,6 @@ impl FlowNetwork {
         &self.scratch.comp_sizes
     }
 
-    /// Capture touched-resource sets (see `touched_res`) from now on.
-    /// Turned on when a recorder is attached so the tracing sampler can
-    /// stay proportional to the dirty components.
-    pub(crate) fn track_touched(&mut self) {
-        self.track_touched = true;
-    }
-
-    /// The resources whose aggregate load may have changed in the last
-    /// recompute, sorted ascending; empty until a recompute has run
-    /// while touched sets are captured.
-    pub(crate) fn touched_resources(&self) -> &[u32] {
-        &self.touched_res
-    }
-
-    /// Mark every resource currently carrying active flows dirty, so the
-    /// next recompute re-solves (and re-samples) them. Called when a
-    /// recorder is attached mid-run: resources loaded *before* the
-    /// attach would otherwise never enter a touched set, and their
-    /// pre-existing loads would go unreported. A no-op in the usual
-    /// attach-before-start case (nothing active yet).
-    pub(crate) fn mark_active_resources_dirty(&mut self) {
-        for r in 0..self.active_count.len() {
-            if self.active_count[r] > 0 {
-                self.mark_dirty(r, DIRTY);
-            }
-        }
-    }
-
     /// Re-solve only the connected components touched by the dirty set.
     ///
     /// Collects the union of the dirty components — the components of
@@ -1245,9 +1187,7 @@ impl FlowNetwork {
     ///   one of them since, the solve joins those components' resources
     ///   instead of walking (see [`KeptComponents`]). They form a union
     ///   of whole components covering the dirty ones, pieces that split
-    ///   apart since their walk included. A network that tracks touched
-    ///   resources never reuses: its sampler needs the solved flows,
-    ///   which only a walk lists.
+    ///   apart since their walk included.
     /// * *Whole set.* When the walk meets a resource that every active
     ///   flow crosses (a shared switch), the dirty components are the
     ///   whole active set over the loaded resources. The solve then
@@ -1272,9 +1212,7 @@ impl FlowNetwork {
         scratch.comp_sizes.clear();
         scratch.comp_res_counts.clear();
         scratch.stack.clear();
-        let reused = !self.track_touched
-            && !scratch.kept.comps.is_empty()
-            && self.kept_cover_dirty(&mut scratch.kept);
+        let reused = !scratch.kept.comps.is_empty() && self.kept_cover_dirty(&mut scratch.kept);
         let whole = if reused {
             self.join_kept(&mut scratch);
             false
@@ -1307,21 +1245,6 @@ impl FlowNetwork {
                 scratch.kept.clear();
             }
         }
-        if self.track_touched {
-            // Loads can change on re-solved components and on dirty
-            // resources whose last flow just departed (not collected by
-            // the walk: they have no active flows). Everything else is
-            // provably unchanged.
-            self.touched_res.clear();
-            self.touched_res.extend_from_slice(&self.dirty);
-            if whole {
-                self.touched_res.extend_from_slice(&self.loaded);
-            } else {
-                self.touched_res.extend_from_slice(&scratch.comp_res);
-            }
-            self.touched_res.sort_unstable();
-            self.touched_res.dedup();
-        }
         self.clear_dirty();
         if whole {
             self.whole_set_solves += 1;
@@ -1334,11 +1257,6 @@ impl FlowNetwork {
             if reused {
                 self.reused_solves += 1;
                 scratch.comp_sizes.push(solved);
-            } else if self.track_touched {
-                // The sampler re-sums loads over these flows, and must
-                // add them in ascending slot order (see
-                // `loads_into_touched`).
-                scratch.comp_flows.sort_unstable();
             } else {
                 scratch.kept.keep(&comp_res, &scratch.comp_res_counts);
             }
@@ -1354,11 +1272,6 @@ impl FlowNetwork {
             for &r in &scratch.comp_res {
                 scratch.res_seen[r as usize] = false;
             }
-        }
-        if whole && self.track_touched {
-            // The tracing sampler re-reads the solved flows from here.
-            scratch.comp_flows.clear();
-            scratch.comp_flows.extend_from_slice(&self.active);
         }
         self.scratch = scratch;
     }
@@ -1608,18 +1521,15 @@ impl FlowNetwork {
     /// specification: a full progressive-filling solve that allocates its
     /// work buffers fresh and scans every stored flow record (retired
     /// records awaiting compaction are inactive and filtered out, like
-    /// any other inactive flow). The property
-    /// and differential suites (`tests/solver_properties.rs`) and the
-    /// `flow_hotpath` and `flow_scale` benches compare
-    /// [`FlowNetwork::recompute_rates`] against this on randomized
-    /// networks and event sequences; it is
-    /// compiled unconditionally so integration tests and benches outside
-    /// this crate can call it.
+    /// any other inactive flow). The property and differential suites
+    /// (`tests/solver_properties.rs`, `collection_differential.rs`)
+    /// compare [`FlowNetwork::recompute_rates`] against this on
+    /// randomized networks and event sequences, and every solve of a
+    /// driven [`super::FluidSim`] against this on a clone of its
+    /// network; it is compiled unconditionally so integration tests
+    /// outside this crate can call it.
     ///
-    /// Does not consult or clear the dirty set. While touched sets are
-    /// captured it reports every resource touched, with every active
-    /// flow re-solved, so a traced reference run samples what a traced
-    /// incremental run does.
+    /// Does not consult or clear the dirty set.
     pub fn reference_recompute_rates(&mut self) {
         let n_res = self.resources.len();
         let mut depth: Vec<f64> = vec![0.0; n_res];
@@ -1684,32 +1594,18 @@ impl FlowNetwork {
             }
             debug_assert!(froze_any, "progressive filling made no progress");
         }
-        if self.track_touched {
-            // Any load may have changed: every resource is touched, and
-            // every active flow was re-solved.
-            self.touched_res.clear();
-            self.touched_res.extend(0..n_res as u32);
-            self.scratch.comp_flows.clear();
-            self.scratch.comp_flows.extend_from_slice(&self.active);
-        }
     }
 
-    /// Fill the entries of `out` (one slot per resource) that `touched`,
-    /// the set the last recompute captured, lists with the aggregate
-    /// active-flow rate through each resource — the bulk form of
-    /// [`FlowNetwork::resource_load`] the tracing sampler reads after
-    /// every recompute. The sums re-accumulate from the flows the solve
-    /// re-solved: every flow crossing a touched resource with active
-    /// flows is one of them, and `comp_flows` is sorted ascending like
-    /// the active list, so each sum adds the same rates in the same order
-    /// as a scan of every active flow — bit-identical values. Entries
-    /// outside `touched` are left alone; their loads are provably
-    /// unchanged.
-    pub(crate) fn loads_into_touched(&self, out: &mut [f64], touched: &[u32]) {
-        for &r in touched {
-            out[r as usize] = 0.0;
-        }
-        for &s in &self.scratch.comp_flows {
+    /// Fill `out` (one entry per resource) with the aggregate
+    /// active-flow rate through each resource: the bulk form of
+    /// [`FlowNetwork::resource_load`], which the tracing sampler reads
+    /// after every recompute. One walk of the active list in ascending
+    /// slot order adds each flow's rate to the resources on its path,
+    /// so every sum adds the same rates in the same order as
+    /// `resource_load` does.
+    pub(crate) fn loads_into(&self, out: &mut [f64]) {
+        out.fill(0.0);
+        for &s in &self.active {
             let f = &self.flows[s as usize];
             let off = f.path_off as usize;
             for r in &self.path_arena[off..off + f.path_len as usize] {
@@ -1859,57 +1755,22 @@ fn purge_dead(list: &mut Vec<u32>, flows: &[Flow]) {
 /// The bottleneck among `resources`, with its share: the resource with
 /// the smallest fair share `cap.max(0) / unfrozen` among those still
 /// carrying unfrozen flows, the lowest index among equal shares — the
-/// reference's ascending scan keeps the first it meets. A resource whose
-/// share is surely above the best so far is passed over without its
-/// division (see [`skip_bound`]). `None` when no listed resource carries
-/// an unfrozen flow.
+/// reference's ascending scan keeps the first it meets — whatever the
+/// order of `resources`. `None` when no listed resource carries an
+/// unfrozen flow.
 fn find_bottleneck(resources: &[u32], cap: &[f64], unfrozen: &[u32]) -> Option<(usize, f64)> {
     let mut best: Option<(usize, f64)> = None;
-    let mut bound = f64::INFINITY;
     for &r in resources {
         let (r, u) = (r as usize, unfrozen[r as usize]);
         if u > 0 {
-            let (c, u) = (cap[r].max(0.0), f64::from(u));
-            if c > bound * u {
-                continue;
-            }
-            let share = c / u;
+            let share = cap[r].max(0.0) / f64::from(u);
             match best {
                 Some((b, s)) if s < share || (s == share && b < r) => {}
-                _ => {
-                    best = Some((r, share));
-                    bound = skip_bound(share);
-                }
+                _ => best = Some((r, share)),
             }
         }
     }
     best
-}
-
-/// What a minimum scan over quotients `c / u` (with `u > 0`) may skip
-/// given `best`, the smallest quotient so far: a candidate with
-/// `c > skip_bound(best) * u` rounds to a quotient strictly above
-/// `best`, so leaving it undivided changes neither the minimum nor how
-/// equal quotients break ties.
-///
-/// Why, with `b = skip_bound(best)`: a float above the rounded product
-/// `b * u` is above the exact product too (rounding to nearest never
-/// passes the next float), so `c / u > b` exactly, and rounding the
-/// quotient, which is monotone, gives at least the float `b`. And `b`
-/// lies strictly above a normal `best`: the widening by 2⁻⁵⁰ adds at
-/// least four units in its last place, more than its own rounding can
-/// take back. For a zero or subnormal `best` the widening can round
-/// away, and a quotient equal to `best` (say `5e-324 / 17`, which
-/// rounds to zero) would be skipped, so the bound is infinite and every
-/// candidate divides. An overflowing bound or product is infinite too.
-pub(crate) fn skip_bound(best: f64) -> f64 {
-    /// 1 + 2⁻⁵⁰.
-    const WIDEN: f64 = 1.0 + 4.0 * f64::EPSILON;
-    if best.is_normal() {
-        best * WIDEN
-    } else {
-        f64::INFINITY
-    }
 }
 
 #[cfg(test)]
@@ -2354,7 +2215,7 @@ mod tests {
         best.map(|(r, s)| (r, s.to_bits()))
     }
 
-    /// `find_bottleneck` over `order` picks the divided search's
+    /// `find_bottleneck` over `order` picks the ascending search's
     /// resource and share, bit for bit.
     fn assert_search_exact(cap: &[f64], unfrozen: &[u32], order: &[u32]) {
         let got = find_bottleneck(order, cap, unfrozen).map(|(r, s)| (r, s.to_bits()));
@@ -2366,7 +2227,7 @@ mod tests {
     }
 
     #[test]
-    fn the_filtered_bottleneck_search_picks_what_division_picks() {
+    fn the_bottleneck_search_breaks_ties_by_index_over_every_list_order() {
         let x = 7.3f64;
         let cases: [(&[f64], &[u32]); 8] = [
             // Equal shares at two indices.
@@ -2388,7 +2249,14 @@ mod tests {
             (&[1.0, 2.0, 3.0], &[0, 0, 0]),
         ];
         for (cap, unfrozen) in cases {
-            for order in [[0, 1, 2], [2, 1, 0], [1, 0, 2], [2, 0, 1]] {
+            for order in [
+                [0, 1, 2],
+                [0, 2, 1],
+                [1, 0, 2],
+                [1, 2, 0],
+                [2, 0, 1],
+                [2, 1, 0],
+            ] {
                 assert_search_exact(cap, unfrozen, &order);
             }
         }
@@ -2398,7 +2266,7 @@ mod tests {
     /// (normal, subnormal or zero), negative capacities and idle
     /// resources, listed in random order.
     #[test]
-    fn the_filtered_bottleneck_search_matches_division_on_random_near_ties() {
+    fn the_bottleneck_search_breaks_random_near_ties_by_index_in_any_list_order() {
         use rand::Rng;
         let mut rng = crate::rng::RngFactory::new(0xB0771E).stream("bottleneck", 0);
         for _ in 0..20_000 {
@@ -2537,7 +2405,6 @@ mod weight_tests {
         );
         assert_eq!(net.effective_capacity(d).to_bits(), cap(ascending));
 
-        net.track_touched();
         net.recompute_rates();
         let mut reference = net.clone();
         reference.reference_recompute_rates();
@@ -2546,9 +2413,11 @@ mod weight_tests {
         }
         assert_eq!(net.rate(flows[2]), terms[2], "the links cap the rates");
         let mut loads = vec![f64::NAN; net.resource_count()];
-        net.loads_into_touched(&mut loads, &[d.0]);
+        net.loads_into(&mut loads);
         assert_eq!(loads[d.index()].to_bits(), ascending.to_bits());
-        assert_eq!(loads[d.index()].to_bits(), net.resource_load(d).to_bits());
+        for r in (0..net.resource_count()).map(ResourceId::from_index) {
+            assert_eq!(loads[r.index()], net.resource_load(r), "{r:?}");
+        }
     }
 
     #[test]

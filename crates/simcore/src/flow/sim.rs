@@ -1,6 +1,6 @@
 //! The fluid-simulation event loop.
 
-use super::network::{skip_bound, FlowId, FlowNetwork, NetBuffers, ResourceId};
+use super::network::{FlowId, FlowNetwork, NetBuffers, ResourceId};
 use crate::events::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use obs::Event as ObsEvent;
@@ -163,9 +163,6 @@ pub struct FluidSim<'r> {
     /// scheduled and before the step loop reads the calendar, so it
     /// delivers them where one entry per start would have.
     pending_starts: Option<(SimTime, FlowId, u32)>,
-    /// Solve through [`FlowNetwork::reference_recompute_rates`] instead
-    /// of the incremental solver (differential tests and benches).
-    use_reference_solver: bool,
     /// Calendar events + completions processed so far (always counted);
     /// an [`obs::metrics::Counter`] so the same cell is harvested into a
     /// metrics registry by [`FluidSim::metrics_into`].
@@ -219,7 +216,6 @@ impl<'r> FluidSim<'r> {
             scratch_loads,
             scratch_finished,
             pending_starts: None,
-            use_reference_solver: false,
             events_processed: obs::metrics::Counter::new(),
             metrics: None,
         }
@@ -241,16 +237,6 @@ impl<'r> FluidSim<'r> {
         arena.finished = self.scratch_finished;
     }
 
-    /// Route every solve through
-    /// [`FlowNetwork::reference_recompute_rates`] instead of the
-    /// incremental solver. Results are bit-identical by construction;
-    /// the reference allocates and rescans every registered flow. Used
-    /// by the differential tests and the `flow_hotpath` and `flow_scale`
-    /// benches.
-    pub fn set_reference_solver(&mut self, reference: bool) {
-        self.use_reference_solver = reference;
-    }
-
     /// Attach an event sink for the rest of the simulation.
     ///
     /// Immediately emits one [`obs::Event::ResourceMeta`] per registered
@@ -268,11 +254,6 @@ impl<'r> FluidSim<'r> {
         }
         self.last_loads.clear();
         self.last_loads.resize(n, 0.0);
-        // Keep the sampler proportional to the dirty components: capture
-        // touched-resource sets from now on, and (for a mid-run attach)
-        // force currently loaded resources into the first one.
-        self.net.track_touched();
-        self.net.mark_active_resources_dirty();
         self.recorder = Some(recorder);
     }
 
@@ -314,13 +295,6 @@ impl<'r> FluidSim<'r> {
     /// * `sim.dirty_component_size` / `sim.dirty_components_per_solve`
     ///   — histograms, present only after
     ///   [`FluidSim::enable_metrics`].
-    ///
-    /// `sim.flows_solved` and the two histograms depend on whether a
-    /// recorder is attached: a recorded sim walks every solve's dirty
-    /// components, where an unrecorded one may reuse components an
-    /// earlier walk kept, split pieces included (see
-    /// [`FlowNetwork::flows_solved`]). Every other counter, and every
-    /// rate, is the same either way.
     ///
     /// Counters add and histograms merge, so harvesting many sims (the
     /// runner's measurement loop, a campaign's reps) into one registry
@@ -428,17 +402,13 @@ impl<'r> FluidSim<'r> {
         if !self.rates_dirty {
             return;
         }
-        if self.use_reference_solver {
-            self.net.reference_recompute_rates();
-        } else {
-            self.net.recompute_rates();
-            if let Some(m) = self.metrics.as_deref_mut() {
-                let sizes = self.net.last_component_sizes();
-                if !sizes.is_empty() {
-                    m.components_per_solve.observe(sizes.len() as f64);
-                    for &s in sizes {
-                        m.component_size.observe(f64::from(s));
-                    }
+        self.net.recompute_rates();
+        if let Some(m) = self.metrics.as_deref_mut() {
+            let sizes = self.net.last_component_sizes();
+            if !sizes.is_empty() {
+                m.components_per_solve.observe(sizes.len() as f64);
+                for &s in sizes {
+                    m.component_size.observe(f64::from(s));
                 }
             }
         }
@@ -771,14 +741,11 @@ impl<'r> FluidSim<'r> {
 
     /// After a rate recompute, emit one [`obs::Event::RateChange`] per
     /// resource whose aggregate throughput differs from the last emitted
-    /// value — the recorded series is change-only (piecewise constant).
-    ///
-    /// Every solve reports the resources whose loads it may have changed
-    /// (all of them after a reference solve); only those are refreshed
-    /// and compared, so sampling costs what the solve touched. Emission
-    /// order (ascending resource index) and every refreshed value are
-    /// bit-identical to a scan of every resource — see
-    /// `FlowNetwork::loads_into_touched`.
+    /// value, in ascending resource order — the recorded series is
+    /// change-only (piecewise constant). The loads come from the rates
+    /// the solve wrote (see `FlowNetwork::loads_into`), so the solver
+    /// does no work for the sampler. A recorder attached mid-run starts
+    /// from zero loads and so reports every loaded resource here.
     fn record_rate_samples(&mut self) {
         let Some(rec) = self.recorder.as_deref_mut() else {
             return;
@@ -787,21 +754,48 @@ impl<'r> FluidSim<'r> {
         self.scratch_loads.resize(n, 0.0);
         self.last_loads.resize(n, 0.0);
         let at = self.now.as_nanos();
-        let touched = self.net.touched_resources();
-        self.net
-            .loads_into_touched(&mut self.scratch_loads, touched);
-        for &r in touched {
-            let i = r as usize;
-            let cur = self.scratch_loads[i];
-            if cur != self.last_loads[i] {
+        self.net.loads_into(&mut self.scratch_loads);
+        for (r, (&cur, last)) in self
+            .scratch_loads
+            .iter()
+            .zip(&mut self.last_loads)
+            .enumerate()
+        {
+            if cur != *last {
                 rec.record(ObsEvent::RateChange {
                     at,
-                    resource: r,
+                    resource: r as u32,
                     bps: cur,
                 });
-                self.last_loads[i] = cur;
+                *last = cur;
             }
         }
+    }
+}
+
+/// What a minimum scan over quotients `c / u` (with `u > 0`) may skip
+/// given `best`, the smallest quotient so far: a candidate with
+/// `c > skip_bound(best) * u` rounds to a quotient strictly above
+/// `best`, so leaving it undivided changes neither the minimum nor how
+/// equal quotients break ties.
+///
+/// Why, with `b = skip_bound(best)`: a float above the rounded product
+/// `b * u` is above the exact product too (rounding to nearest never
+/// passes the next float), so `c / u > b` exactly, and rounding the
+/// quotient, which is monotone, gives at least the float `b`. And `b`
+/// lies strictly above a normal `best`: the widening by 2⁻⁵⁰ adds at
+/// least four units in its last place, more than its own rounding can
+/// take back. For a zero or subnormal `best` the widening can round
+/// away, and a quotient equal to `best` (say `5e-324 / 17`, which
+/// rounds to zero) would be skipped, so the bound is infinite and every
+/// candidate divides. An overflowing bound or product is infinite too.
+fn skip_bound(best: f64) -> f64 {
+    /// 1 + 2⁻⁵⁰.
+    const WIDEN: f64 = 1.0 + 4.0 * f64::EPSILON;
+    if best.is_normal() {
+        best * WIDEN
+    } else {
+        f64::INFINITY
     }
 }
 
@@ -1503,51 +1497,11 @@ mod trace_tests {
     }
 
     #[test]
-    fn reference_and_incremental_solves_record_the_same_stream() {
-        // Two disjoint components plus a bridging flow, a factor change
-        // and a mid-run start: the reference solve reports every
-        // resource touched, and the sampler must emit exactly what it
-        // emits after the incremental solves.
-        let record = |reference: bool| {
-            let mut timeline = Timeline::new();
-            let mut net = FlowNetwork::new();
-            let a = net.add_resource("a", CapacityModel::Fixed(100.0));
-            let b = net.add_resource("b", CapacityModel::Fixed(60.0));
-            let c = net.add_resource(
-                "c",
-                CapacityModel::Saturating {
-                    peak: 90.0,
-                    q_half: 1.5,
-                },
-            );
-            let idle = net.add_resource("idle", CapacityModel::Fixed(10.0));
-            let mut sim = FluidSim::new(net);
-            sim.set_reference_solver(reference);
-            sim.set_recorder(&mut timeline);
-            sim.start_flow_at(SimTime::ZERO, vec![a], 300.0, 0);
-            sim.start_flow_at(SimTime::ZERO, vec![b, c], 500.0, 1);
-            sim.start_flow_at(SimTime::from_secs_f64(1.0), vec![a, c], 200.0, 2);
-            sim.schedule_factor_change(SimTime::from_secs_f64(2.0), b, 0.5);
-            assert_eq!(sim.run_to_completion().len(), 3);
-            drop(sim);
-            assert!(timeline.rate_series(idle.index() as u32).is_empty());
-            timeline
-        };
-        let (incremental, reference) = (record(false), record(true));
-        assert_eq!(
-            incremental.count(EventKind::RateChange),
-            reference.count(EventKind::RateChange)
-        );
-        assert_eq!(incremental.events(), reference.events());
-    }
-
-    #[test]
-    fn a_recorder_changes_only_the_solver_work_counters() {
+    fn a_recorder_changes_no_counter() {
         // Links a and b, joined by a bridge flow that drains first; a
-        // short flow on a drains next, while b keeps its own flow. An
-        // unrecorded sim keeps the walked component {a, b} and reuses it
-        // at both departures, re-solving b's flow at the second; a
-        // recorded sim walks each time and solves a's component alone.
+        // short flow on a drains next, while b keeps its own flow. The
+        // first solve walks and keeps the component {a, b}, and both
+        // departures reuse it, traced or not.
         let run = |recorded: bool| {
             let mut timeline = Timeline::new();
             let mut net = FlowNetwork::new();
@@ -1569,32 +1523,67 @@ mod trace_tests {
                 .collect();
             let mut reg = obs::metrics::MetricsRegistry::new();
             sim.metrics_into(&mut reg);
-            (done, reg, sim.network().reused_solve_count())
+            let reused = sim.network().reused_solve_count();
+            drop(sim);
+            assert_eq!(timeline.is_empty(), !recorded);
+            (done, reg, reused)
         };
         let ((done, plain, plain_reused), (traced_done, traced, traced_reused)) =
             (run(false), run(true));
         assert_eq!(done, traced_done, "same completions, bit for bit");
-        for name in [
-            "sim.events_processed",
-            "sim.solves",
-            "sim.solve_skips",
-            "sim.event_heap.pushes",
-            "sim.event_heap.pops",
-        ] {
-            assert_eq!(plain.counter(name), traced.counter(name), "{name}");
-        }
-        assert_eq!((plain_reused, traced_reused), (2, 0));
-        // Solves of 4, 3 and 2 flows against 4, 3 and 1.
-        assert_eq!(plain.counter("sim.flows_solved"), 9);
-        assert_eq!(traced.counter("sim.flows_solved"), 8);
-        // A reused group is one component: 3 against 4 components.
-        let count = |reg: &obs::metrics::MetricsRegistry, name: &str| {
-            reg.histogram(name).map_or(0, |h| h.count())
+        assert_eq!(plain.to_json(), traced.to_json());
+        assert_eq!((plain_reused, traced_reused), (2, 2));
+        // Solves of 4, 3 and 2 flows.
+        assert_eq!(traced.counter("sim.flows_solved"), 9);
+    }
+
+    #[test]
+    fn a_recorder_attached_mid_run_reports_every_loaded_resource_at_the_next_solve() {
+        // Links a and b carry flows from t=0; c and the idle link never
+        // carry any before t=2, when a flow starts on c. A recorder
+        // attached at t=1 must report a, b and c at t=2, with the loads
+        // a recorder attached from the start holds by then, and nothing
+        // before.
+        let t = |secs: f64| SimTime::from_secs_f64(secs);
+        let mut from_start = Timeline::new();
+        let mut mid_run = Timeline::new();
+        let build = || {
+            let mut net = FlowNetwork::new();
+            let a = net.add_resource("a", CapacityModel::Fixed(100.0));
+            let b = net.add_resource("b", CapacityModel::Fixed(60.0));
+            let c = net.add_resource("c", CapacityModel::Fixed(40.0));
+            net.add_resource("idle", CapacityModel::Fixed(10.0));
+            let mut sim = FluidSim::new(net);
+            sim.start_flow_at(SimTime::ZERO, vec![a], 1000.0, 0);
+            sim.start_flow_at(SimTime::ZERO, vec![a, b], 1000.0, 1);
+            sim.start_flow_at(SimTime::ZERO, vec![b], 1000.0, 2);
+            sim.start_flow_at(t(2.0), vec![c], 1000.0, 3);
+            sim
         };
-        assert_eq!(count(&plain, "sim.dirty_component_size"), 3);
-        assert_eq!(count(&traced, "sim.dirty_component_size"), 4);
-        assert_eq!(count(&plain, "sim.dirty_components_per_solve"), 3);
-        assert_eq!(count(&traced, "sim.dirty_components_per_solve"), 3);
+        let mut sims = [build(), build()];
+        sims[0].set_recorder(&mut from_start);
+        for sim in &mut sims {
+            assert!(!sim.run_until(t(1.0)));
+        }
+        sims[1].set_recorder(&mut mid_run);
+        for sim in &mut sims {
+            assert!(!sim.run_until(t(2.0)));
+        }
+        drop(sims);
+        let at = t(2.0).as_nanos();
+        for r in 0..4u32 {
+            let held = from_start
+                .rate_series(r)
+                .into_iter()
+                .rfind(|&(when, _)| when <= at)
+                .map(|(_, bps)| bps);
+            let reported = mid_run.rate_series(r);
+            match held {
+                Some(bps) if bps != 0.0 => assert_eq!(reported, vec![(at, bps)], "resource {r}"),
+                _ => assert!(reported.is_empty(), "resource {r}: {reported:?}"),
+            }
+        }
+        assert_eq!(mid_run.count(EventKind::RateChange), 3);
     }
 
     /// One calendar entry per run of same-instant starts simulates what
