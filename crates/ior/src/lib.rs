@@ -65,7 +65,7 @@ pub use error::{ConfigError, PolicyError, RunError};
 pub use faults::{
     compound_target_states, CapacityChange, FaultResource, FaultTimeline, NoiseBaseline, Outage,
 };
-pub use plan::{write_plan, WriteFlow};
+pub use plan::{group_by_node, write_plan, WriteFlow};
 pub use protocol::{Schedule, ScheduledRun};
 pub use runner::{AppResult, AppSpec, HedgeReport, Placement, RetryPolicy, Run, RunOutcome};
 pub use simcore::flow::SimArena;

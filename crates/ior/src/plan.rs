@@ -68,6 +68,41 @@ pub fn write_plan<'a>(
     })
 }
 
+/// Merge a write plan's flows into records of identical flows, node by
+/// node: `emit` receives each record's first flow and how many flows it
+/// holds, one node's records at a time, in the order their first flows
+/// come. Flows are identical when they share node, target, bytes and
+/// weight; one node's flows must be consecutive, as [`write_plan`]
+/// issues them. `groups` is scratch for one node's records, so sizing
+/// it once (the node's processes times the widest stripe) keeps the
+/// grouping allocation-free.
+///
+/// A node's processes mostly send the same bytes to each target, and
+/// each such record simulates as one
+/// ([`FluidSim::start_flows_at`](simcore::flow::FluidSim::start_flows_at)).
+/// That is exact when every flow of the plan carries one weight (see
+/// there): each resource then adds the same weights in the same order.
+pub fn group_by_node(
+    plan: impl IntoIterator<Item = WriteFlow>,
+    groups: &mut Vec<(WriteFlow, u32)>,
+    mut emit: impl FnMut(WriteFlow, u32),
+) {
+    groups.clear();
+    for f in plan {
+        if groups.first().is_some_and(|(g, _)| g.node != f.node) {
+            groups.drain(..).for_each(|(g, n)| emit(g, n));
+        }
+        let same = |g: &WriteFlow| {
+            (g.target, g.bytes, g.weight.to_bits()) == (f.target, f.bytes, f.weight.to_bits())
+        };
+        match groups.iter_mut().find(|(g, _)| same(g)) {
+            Some((_, n)) => *n += 1,
+            None => groups.push((f, 1)),
+        }
+    }
+    groups.drain(..).for_each(|(g, n)| emit(g, n));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,6 +172,49 @@ mod tests {
         );
         assert!(flows.iter().all(|f| f.bytes == 512 * 1024));
         assert_eq!(flows.iter().map(|f| f.bytes).sum::<u64>(), 4 * MIB);
+    }
+
+    #[test]
+    fn grouping_merges_a_nodes_identical_flows_in_first_appearance_order() {
+        let compute = presets::plafrim_ethernet().compute;
+        // 2 nodes x 3 processes, one 1.5 MiB block each over a 3-target
+        // stripe with 1 MiB chunks: slot bytes depend on the offset, so
+        // a node's processes send unequal bytes to some targets.
+        let cfg = IorConfig {
+            nodes: 2,
+            ppn: 3,
+            total_bytes: 9 * MIB,
+            transfer_size: MIB / 2,
+            ..IorConfig::paper_default(2)
+        };
+        let files = [file(1, &[0, 1, 2], MIB)];
+        let plan: Vec<WriteFlow> = write_plan(&cfg, &files, &[4, 9], &compute).collect();
+        let mut groups = Vec::new();
+        let mut records = Vec::new();
+        group_by_node(plan.iter().copied(), &mut groups, |f, n| {
+            records.push((f, n))
+        });
+        assert!(groups.is_empty());
+        assert!(records.len() < plan.len(), "nothing merged");
+        // Expanding each record in place gives every flow once, node
+        // by node, each record holding only flows identical to its
+        // first.
+        let mut expanded: Vec<WriteFlow> = Vec::new();
+        for &(g, n) in &records {
+            let members: Vec<&WriteFlow> = plan
+                .iter()
+                .filter(|f| (f.node, f.target, f.bytes) == (g.node, g.target, g.bytes))
+                .collect();
+            assert_eq!(members.len(), n as usize);
+            assert_eq!(*members[0], g, "a record starts at its first flow");
+            expanded.extend(members.into_iter().copied());
+        }
+        let key = |f: &WriteFlow| (f.node, f.process, f.target);
+        let (mut a, mut b) = (expanded.clone(), plan.clone());
+        a.sort_by_key(key);
+        b.sort_by_key(key);
+        assert_eq!(a, b);
+        assert!(records.windows(2).all(|w| w[0].0.node <= w[1].0.node));
     }
 
     #[test]

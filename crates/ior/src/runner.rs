@@ -3,7 +3,10 @@
 //!
 //! One *run* = sample the run's noise, create the file(s), build the
 //! platform fabric, emit one flow per (process, target) pair, and let the
-//! fluid simulation drain them. The engine supports a single application
+//! fluid simulation drain them. A run that observes nothing per flow (no
+//! recorder, no hedging, no utilization report) starts each node's
+//! identical flows as one record ([`group_by_node`]), which simulates
+//! bit for bit as they would one by one. The engine supports a single application
 //! (paper §IV-A..C) and several concurrent ones on disjoint node sets
 //! (§IV-D).
 //!
@@ -46,7 +49,7 @@ use crate::config::{FileLayout, IorConfig};
 use crate::error::{PolicyError, RunError};
 use crate::faults::{compound_target_states, FaultTimeline};
 use crate::hedge::{Detector, CHUNKS};
-use crate::plan::{write_plan, WriteFlow};
+use crate::plan::{group_by_node, write_plan, WriteFlow};
 use crate::telemetry::UtilizationReport;
 use beegfs_core::{Allocation, BeeGfs, FaultPlan, FileHandle};
 use cluster::{ComputeSpec, Fabric, FabricNoise, FabricPaths, TargetId};
@@ -662,8 +665,12 @@ fn execute_run(
         stream_of: Vec::with_capacity(max_streams * chunks as usize),
         totals: vec![(0.0, 0); platform.total_targets()],
     };
+    // Identical flows share one record unless something reads them one
+    // by one: the trace's per-flow events and rate sums, the byte
+    // totals, or the detector's per-stream chunks.
+    let group = !hedge && !utilization && recorder.is_none();
     let rec = recorder.as_deref_mut();
-    flows.start_apps(&mut sim, &plans, &platform.compute, chunks, rec);
+    flows.start_apps(&mut sim, &plans, &platform.compute, chunks, group, rec);
 
     // --- drain and account ----------------------------------------------
     // From here the simulation emits flow/rate events itself; the
@@ -719,7 +726,7 @@ fn execute_run(
                 }
                 let s = &mut flows.streams[si];
                 (s.flow.target, s.started_s) = (to, end_s);
-                let meta = flows.issue(&mut sim, si, done.time);
+                let meta = flows.issue(&mut sim, si, done.time, 1);
                 if let Some(rec) = sim.recorder_mut() {
                     rec.record(meta);
                 }
@@ -855,7 +862,8 @@ struct AppPlan {
     start_s: f64,
 }
 
-/// One (process, target) write stream: its planned flow, now aimed at
+/// One (process, target) write stream, or one record of a node's
+/// identical streams: its planned (first) flow, now aimed at
 /// `flow.target`, written in chunks of `chunk_bytes` (one unless hedged).
 #[derive(Clone, Copy)]
 struct ChunkStream {
@@ -873,26 +881,39 @@ struct ChunkStream {
 struct Flows {
     paths: FabricPaths,
     streams: Vec<ChunkStream>,
-    /// Stream of each flow, indexed by `FlowId`: the run's fresh network
-    /// numbers its flows 0, 1, 2, … in registration order.
+    /// Stream of each flow record, indexed by `FlowId`: the run's fresh
+    /// network numbers its records 0, 1, 2, … in registration order.
     stream_of: Vec<usize>,
     totals: Vec<(f64, u64)>,
 }
 
 impl Flows {
     /// Start every application's write plan at its start instant, as
-    /// streams of `chunks` chunks each: their first chunks.
+    /// streams of `chunks` chunks each: their first chunks. With `group`
+    /// set, an application whose flows all carry one weight starts each
+    /// node's identical flows as one record, of one stream.
     fn start_apps(
         &mut self,
         sim: &mut FluidSim<'_>,
         plans: &[AppPlan],
         compute: &ComputeSpec,
         chunks: u32,
+        group: bool,
         mut recorder: Option<&mut (dyn obs::Recorder + '_)>,
     ) {
+        // One node's records at most: its processes times the widest
+        // stripe.
+        let node_flows = |p: &AppPlan| {
+            let widest = p.files.iter().map(|f| f.pattern.stripe_count);
+            p.cfg.ppn as usize * widest.max().unwrap_or(0) as usize
+        };
+        let mut groups = Vec::with_capacity(match group {
+            true => plans.iter().map(node_flows).max().unwrap_or(0),
+            false => 0,
+        });
         for (app, plan) in plans.iter().enumerate() {
             let (at, started_s) = (SimTime::from_secs_f64(plan.start_s), plan.start_s);
-            for flow in write_plan(&plan.cfg, &plan.files, &plan.nodes, compute) {
+            let mut start = |flow: WriteFlow, count: u32| {
                 let chunk_bytes = flow.bytes as f64 / f64::from(chunks);
                 self.streams.push(ChunkStream {
                     app,
@@ -901,26 +922,41 @@ impl Flows {
                     remaining: chunks,
                     started_s,
                 });
-                let meta = self.issue(sim, self.streams.len() - 1, at);
+                let meta = self.issue(sim, self.streams.len() - 1, at, count);
                 if let Some(rec) = recorder.as_deref_mut() {
                     rec.record(meta);
                 }
+            };
+            let plan_flows = write_plan(&plan.cfg, &plan.files, &plan.nodes, compute);
+            // The weight follows the stripe count of the written file.
+            let stripe = plan.files[0].pattern.stripe_count;
+            if group && plan.files.iter().all(|f| f.pattern.stripe_count == stripe) {
+                group_by_node(plan_flows, &mut groups, start);
+            } else {
+                plan_flows.for_each(|flow| start(flow, 1));
             }
         }
     }
 
-    /// Start stream `si`'s next chunk at `at`, count it against its
-    /// target, and return its identity event.
-    fn issue(&mut self, sim: &mut FluidSim<'_>, si: usize, at: SimTime) -> obs::Event {
+    /// Start stream `si`'s next chunk at `at`, as a record of `count`
+    /// identical flows, count them against their target, and return the
+    /// record's identity event.
+    fn issue(&mut self, sim: &mut FluidSim<'_>, si: usize, at: SimTime, count: u32) -> obs::Event {
         let s = &mut self.streams[si];
         s.remaining -= 1;
         let (app, flow) = (s.app, s.flow);
         let path = self.paths.write_path(flow.node, flow.target);
-        let id = sim.start_weighted_flow_at(at, path, s.chunk_bytes, app as u64, flow.weight);
+        let id = sim.start_flows_at(at, path, s.chunk_bytes, app as u64, flow.weight, count);
         debug_assert_eq!(id.index(), self.stream_of.len(), "flows number from 0");
         self.stream_of.push(si);
+        // Only unchunked streams share a record, and their bytes are
+        // whole numbers far below 2^53: the product is the exact sum of
+        // the record's flows, in any order.
         let total = &mut self.totals[flow.target.index()];
-        *total = (total.0 + s.chunk_bytes, total.1 + 1);
+        *total = (
+            total.0 + s.chunk_bytes * f64::from(count),
+            total.1 + u64::from(count),
+        );
         obs::Event::FlowMeta {
             flow: id.index() as u32,
             app: app as u32,
@@ -1534,6 +1570,160 @@ mod tests {
             u64::from(report.redirects)
         );
         assert_eq!(reg.counter("ior.hedge.samples"), report.samples);
+    }
+
+    /// A run as built, and the same run forced to one flow per record
+    /// by `.utilization()`, each on a fresh deployment from `deploy`
+    /// with one seed: both outcomes must agree bit for bit, their
+    /// metrics registries byte for byte. Returns the grouped run's
+    /// outcome, or the error both runs failed with.
+    fn grouped_matches_per_flow(
+        deploy: impl Fn() -> BeeGfs,
+        build: impl for<'f, 'r> Fn(Run<'f, 'r>) -> Run<'f, 'r>,
+        seed: u64,
+    ) -> Result<RunOutcome, RunError> {
+        let once = |per_flow: bool| {
+            let mut fs = deploy();
+            let mut reg = obs::metrics::MetricsRegistry::new();
+            let mut run = build(Run::new(&mut fs)).metrics(&mut reg);
+            if per_flow {
+                run = run.utilization();
+            }
+            let out = run.execute(&mut rng(seed)).map(|(out, _)| out);
+            (out, reg.to_json())
+        };
+        let (grouped, grouped_metrics) = once(false);
+        let (per_flow, per_flow_metrics) = once(true);
+        let (grouped, per_flow) = match (grouped, per_flow) {
+            (Ok(g), Ok(p)) => (g, p),
+            (g, p) => {
+                let (g, p) = (g.map(|_| ()), p.map(|_| ()));
+                assert_eq!(g, p, "the runs failed differently");
+                return g.map(|()| unreachable!());
+            }
+        };
+        assert_eq!(grouped.apps.len(), per_flow.apps.len());
+        for (g, p) in grouped.apps.iter().zip(&per_flow.apps) {
+            assert_eq!(g.duration_s.to_bits(), p.duration_s.to_bits());
+            let bw = |a: &AppResult| a.bandwidth.bytes_per_sec().to_bits();
+            assert_eq!(bw(g), bw(p));
+        }
+        let agg = |o: &RunOutcome| o.aggregate.bytes_per_sec().to_bits();
+        assert_eq!(agg(&grouped), agg(&per_flow));
+        assert_eq!(grouped.sim_events, per_flow.sim_events);
+        assert_eq!(grouped_metrics, per_flow_metrics);
+        Ok(grouped)
+    }
+
+    #[test]
+    fn grouped_runs_simulate_as_runs_of_one_flow_per_record() {
+        // Every stripe count of a shared file: 3, 5, 6 and 7 leave a
+        // node's processes unequal slot bytes on some targets.
+        for stripe in 1..=8 {
+            for (deploy, nodes) in [
+                (plafrim_s1 as fn(u32, ChooserKind) -> BeeGfs, 4),
+                (plafrim_s2, 3),
+            ] {
+                let cfg = IorConfig::paper_default(nodes).with_total_bytes(4 * GIB);
+                grouped_matches_per_flow(
+                    || deploy(stripe, ChooserKind::RoundRobin),
+                    |run| run.app(cfg),
+                    70 + u64::from(stripe),
+                )
+                .unwrap();
+            }
+        }
+        // One file per process.
+        let cfg = IorConfig {
+            nodes: 2,
+            ppn: 4,
+            total_bytes: GIB,
+            transfer_size: MIB,
+            layout: FileLayout::FilePerProcess,
+            mode: storage::AccessMode::Write,
+        };
+        let deploy = || plafrim_s2(3, ChooserKind::Random);
+        grouped_matches_per_flow(deploy, |run| run.app(cfg), 80).unwrap();
+        // Two concurrent apps of different stripe counts, the second
+        // starting while the first is in flight.
+        let cfg = IorConfig::paper_default(2).with_total_bytes(4 * GIB);
+        let deploy = || plafrim_s1(4, ChooserKind::RoundRobin);
+        grouped_matches_per_flow(
+            deploy,
+            |run| {
+                run.app(AppSpec::pinned(
+                    cfg,
+                    vec![TargetId(0), TargetId(5), TargetId(2)],
+                ))
+                .app(AppSpec::pinned(cfg, vec![TargetId(1), TargetId(4)]).starting_at(0.7))
+            },
+            81,
+        )
+        .unwrap();
+        // A staggered start alone, and a resumed outage.
+        let cfg = IorConfig::paper_default(4);
+        grouped_matches_per_flow(
+            deploy,
+            |run| run.app(AppSpec::new(cfg).starting_at(1.5)),
+            82,
+        )
+        .unwrap();
+        let pinned = vec![TargetId(0), TargetId(1), TargetId(4), TargetId(5)];
+        let outage = FaultPlan::new()
+            .target_offline(2.0, TargetId(1))
+            .unwrap()
+            .target_recovers(9.0, TargetId(1))
+            .unwrap();
+        grouped_matches_per_flow(
+            deploy,
+            |run| {
+                run.app(AppSpec::pinned(cfg, pinned.clone()))
+                    .faults(outage.clone())
+            },
+            83,
+        )
+        .unwrap();
+        // An outage never resolved fails the same way either way.
+        let lost = FaultPlan::new().target_offline(2.0, TargetId(4)).unwrap();
+        let err = grouped_matches_per_flow(
+            deploy,
+            |run| {
+                run.app(AppSpec::pinned(cfg, pinned.clone()))
+                    .faults(lost.clone())
+            },
+            84,
+        )
+        .unwrap_err();
+        assert!(matches!(
+            err,
+            RunError::TargetUnavailable {
+                target: TargetId(4),
+                ..
+            }
+        ));
+        // A stall the fault model does not explain lists the same flows
+        // either way, but a grouped run's records each name several.
+        let stalled = |per_flow: bool| {
+            let mut fs = plafrim_s1(4, ChooserKind::RoundRobin);
+            fs.set_target_state(TargetId(0), beegfs_core::TargetState::Degraded(1e-12))
+                .unwrap();
+            let mut run = Run::new(&mut fs).app(AppSpec::pinned(cfg, pinned.clone()));
+            if per_flow {
+                run = run.utilization();
+            }
+            match run.execute(&mut rng(85)) {
+                Err(RunError::Stalled(stall)) => stall,
+                other => panic!("expected a typed stall, got {other:?}"),
+            }
+        };
+        let (grouped, per_flow) = (stalled(false), stalled(true));
+        assert_eq!((grouped.at, &grouped.tags), (per_flow.at, &per_flow.tags));
+        assert_eq!(grouped.flows.len(), per_flow.flows.len());
+        let distinct = |ids: &[simcore::flow::FlowId]| {
+            ids.iter().collect::<std::collections::BTreeSet<_>>().len()
+        };
+        assert_eq!(distinct(&per_flow.flows), per_flow.flows.len());
+        assert!(distinct(&grouped.flows) * 4 <= grouped.flows.len());
     }
 
     #[test]

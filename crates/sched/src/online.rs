@@ -54,7 +54,10 @@
 
 use beegfs_core::{restripe_split, BeeGfs, FileHandle, TargetState};
 use cluster::{Fabric, FabricNoise, FabricPaths, Platform, TargetId};
-use ior::{compound_target_states, write_plan, FaultTimeline, IorConfig, Placement, RunError};
+use ior::{
+    compound_target_states, group_by_node, write_plan, FaultTimeline, IorConfig, Placement,
+    RunError, WriteFlow,
+};
 use serde::{Deserialize, Serialize};
 use simcore::dist::LogNormal;
 use simcore::flow::{FlowId, FluidSim};
@@ -163,6 +166,9 @@ struct LiveSim {
     /// ideal I/O time.
     shadow: FluidSim<'static>,
     shadow_paths: FabricPaths,
+    /// One node's records of identical flows, while an admission's
+    /// flows are grouped for the shadow replay.
+    shadow_groups: Vec<(WriteFlow, u32)>,
     free_nodes: BTreeSet<usize>,
     /// Windowed per-target utilization feed for
     /// [`ClusterView::busy_fraction`]: busy-seconds snapshots at the
@@ -196,6 +202,7 @@ impl LiveSim {
             paths,
             shadow: FluidSim::new(shadow_net),
             shadow_paths,
+            shadow_groups: Vec::new(),
             free_nodes: (0..max_nodes).collect(),
             busy_snapshot: vec![0.0; n_targets],
             window_start_s: 0.0,
@@ -238,6 +245,13 @@ impl LiveSim {
     /// Inject one application's flows into the live network at the
     /// current instant and replay them alone on the idle shadow fabric.
     /// Returns the live flows and the shadow's ideal I/O seconds.
+    ///
+    /// The live fabric keeps one flow per record: the feedback policy
+    /// sums an application's flow rates, and evictions and restripes
+    /// cancel single flows. The shadow observes nothing but the last
+    /// completion, so each node's identical flows replay there as one
+    /// record ([`group_by_node`]), which simulates bit for bit as they
+    /// would one by one.
     fn inject(
         &mut self,
         app: usize,
@@ -251,24 +265,29 @@ impl LiveSim {
         let plan = write_plan(cfg, std::slice::from_ref(file), nodes, &platform.compute);
         // At most one flow per (process, stripe slot).
         let mut flows = Vec::with_capacity(cfg.processes() * file.pattern.stripe_count as usize);
-        for f in plan {
-            let (bytes, target) = (f.bytes as f64, f.target);
+        let live = plan.inspect(|f| {
             let id = self.sim.start_weighted_flow_at(
                 now,
-                self.paths.write_path(f.node, target),
-                bytes,
+                self.paths.write_path(f.node, f.target),
+                f.bytes as f64,
                 tag,
                 f.weight,
             );
-            self.shadow.start_weighted_flow_at(
+            flows.push(LiveFlow {
+                id,
+                target: f.target,
+            });
+        });
+        group_by_node(live, &mut self.shadow_groups, |f, count| {
+            self.shadow.start_flows_at(
                 shadow_t0,
-                self.shadow_paths.write_path(f.node, target),
-                bytes,
+                self.shadow_paths.write_path(f.node, f.target),
+                f.bytes as f64,
                 tag,
                 f.weight,
+                count,
             );
-            flows.push(LiveFlow { id, target });
-        }
+        });
         let mut ideal_end = None;
         while let Some(c) = self.shadow.next_completion() {
             ideal_end = ideal_end.max(Some(c.time));

@@ -9,15 +9,19 @@ use std::collections::VecDeque;
 /// Bytes below which a flow counts as finished (absorbs float residue).
 const EPS_BYTES: f64 = 1e-6;
 
-/// A finished flow, reported by [`FluidSim::next_completion`].
+/// A finished flow record, reported by [`FluidSim::next_completion`]:
+/// every one of its flows finished at `time`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completion {
-    /// Which flow finished.
+    /// Which flow record finished.
     pub flow: FlowId,
     /// When it finished.
     pub time: SimTime,
     /// The caller tag attached at [`FlowNetwork::add_flow`] time.
     pub tag: u64,
+    /// How many identical flows the record stood for (see
+    /// [`FluidSim::start_flows_at`]); one for a single flow.
+    pub count: u32,
 }
 
 /// The simulation stalled: active flows exist, none of them can finish
@@ -35,7 +39,8 @@ pub struct Completion {
 pub struct StallError {
     /// Simulated instant at which progress stopped.
     pub at: SimTime,
-    /// The active flows that can no longer make progress.
+    /// The active flows that can no longer make progress, in ascending
+    /// id order: a record of several flows appears once per flow.
     pub flows: Vec<FlowId>,
     /// The caller tags of those flows, in the same order.
     pub tags: Vec<u64>,
@@ -56,11 +61,11 @@ impl std::error::Error for StallError {}
 
 #[derive(Debug)]
 enum Event {
-    /// The starts of `count` flows registered one after another from
-    /// `first`, all due at the entry's instant.
+    /// The starts of `records` flow records registered one after
+    /// another from `first`, all due at the entry's instant.
     Start {
         first: FlowId,
-        count: u32,
+        records: u32,
     },
     SetFactor(ResourceId, f64),
 }
@@ -157,11 +162,11 @@ pub struct FluidSim<'r> {
     /// finishing them (which edits the network's active list) never
     /// iterates it. Empty between steps.
     scratch_finished: Vec<u32>,
-    /// Starts not yet in the calendar: `(instant, first flow, count)` of
-    /// flows registered one after another, all due at that instant. They
-    /// enter the calendar as one entry before any other entry is
-    /// scheduled and before the step loop reads the calendar, so it
-    /// delivers them where one entry per start would have.
+    /// Starts not yet in the calendar: `(instant, first record, records)`
+    /// of flow records registered one after another, all due at that
+    /// instant. They enter the calendar as one entry before any other
+    /// entry is scheduled and before the step loop reads the calendar,
+    /// so it delivers them where one entry per start would have.
     pending_starts: Option<(SimTime, FlowId, u32)>,
     /// Calendar events + completions processed so far (always counted);
     /// an [`obs::metrics::Counter`] so the same cell is harvested into a
@@ -267,9 +272,10 @@ impl<'r> FluidSim<'r> {
     }
 
     /// Calendar events (flow starts, scheduled factor changes) plus flow
-    /// completions processed so far. Counted whether or not a recorder is
-    /// attached — it is the "how much simulation happened" metric
-    /// campaign reports aggregate.
+    /// completions and cancels processed so far, a record's start,
+    /// completion or cancel counting once per flow. Counted whether or
+    /// not a recorder is attached — it is the "how much simulation
+    /// happened" metric campaign reports aggregate.
     pub fn events_processed(&self) -> u64 {
         self.events_processed.get()
     }
@@ -349,16 +355,54 @@ impl<'r> FluidSim<'r> {
         tag: u64,
         depth_weight: f64,
     ) -> FlowId {
+        self.start_flows_at(start, path, bytes, tag, depth_weight, 1)
+    }
+
+    /// Register `count` identical flows (same path, bytes, tag and depth
+    /// weight) as one record and schedule their start.
+    ///
+    /// The record simulates exactly as `count` such flows started one
+    /// after another would: every rate, completion instant, counter,
+    /// per-resource load and byte total is bit for bit the same, while
+    /// registration, activation, the solver's freeze loop, the drain and
+    /// retirement run once for the record. Counters count flows: the
+    /// record's start and completion each add `count` events, and the
+    /// solver's flow counts and component sizes count its flows. The
+    /// returned id names the record; its [`Completion`] stands for all
+    /// of its flows, and [`FluidSim::cancel_flow`] cancels all of them.
+    /// A recorder sees one `FlowStart` and one `FlowEnd` per record.
+    ///
+    /// A caller that merges flows it would otherwise register apart
+    /// (one node's processes, whose flows to different targets
+    /// interleave) moves their terms in every per-resource sum. A depth
+    /// sum stays exact when every flow between them on that resource
+    /// carries the same weight; the recorder's rate samples and the
+    /// tracked byte totals, which add different flows' rates and bytes,
+    /// do not.
+    ///
+    /// # Panics
+    /// Panics if `start < now()` or `count` is zero.
+    pub fn start_flows_at(
+        &mut self,
+        start: SimTime,
+        path: impl AsRef<[ResourceId]>,
+        bytes: f64,
+        tag: u64,
+        depth_weight: f64,
+        count: u32,
+    ) -> FlowId {
         assert!(
             start >= self.now,
             "flow start {start} is before current time {}",
             self.now
         );
-        let id = self.net.add_flow_weighted(path, bytes, tag, depth_weight);
+        let id = self
+            .net
+            .add_record(path.as_ref(), bytes, tag, depth_weight, count);
         match &mut self.pending_starts {
-            Some((at, first, count)) if *at == start => {
-                debug_assert_eq!(first.index() + *count as usize, id.index());
-                *count += 1;
+            Some((at, first, records)) if *at == start => {
+                debug_assert_eq!(first.index() + *records as usize, id.index());
+                *records += 1;
             }
             _ => {
                 self.push_pending_starts();
@@ -370,8 +414,8 @@ impl<'r> FluidSim<'r> {
 
     /// Put the pending starts into the calendar as one entry.
     fn push_pending_starts(&mut self) {
-        if let Some((at, first, count)) = self.pending_starts.take() {
-            self.queue.schedule(at, Event::Start { first, count });
+        if let Some((at, first, records)) = self.pending_starts.take() {
+            self.queue.schedule(at, Event::Start { first, records });
         }
     }
 
@@ -461,11 +505,13 @@ impl<'r> FluidSim<'r> {
             // means an empty calendar beside active flows that cannot
             // finish. Cold path: allocating the error payload is fine.
             Stop::NothingDue => {
-                let slots = self.net.active_slots();
+                let net = &self.net;
+                let each = |s: &u32| std::iter::repeat_n(*s, net.count_at(*s) as usize);
+                let slots = || net.active_slots().iter().flat_map(each);
                 Err(StallError {
                     at: self.now,
-                    flows: slots.iter().map(|&s| self.net.id_at(s)).collect(),
-                    tags: slots.iter().map(|&s| self.net.tag_at(s)).collect(),
+                    flows: slots().map(|s| net.id_at(s)).collect(),
+                    tags: slots().map(|s| net.tag_at(s)).collect(),
                 })
             }
         }
@@ -577,12 +623,13 @@ impl<'r> FluidSim<'r> {
         self.ready.pop_front()
     }
 
-    /// Remove an *active* flow from the network mid-flight and return the
-    /// bytes it still had left. No completion is emitted and the recorder
-    /// sees no `FlowEnd` — the flow is cancelled, not finished. This is
-    /// the re-injection primitive for online fault handling: cancel the
-    /// stalled flows of an evicted target, then start replacement flows
-    /// for the remaining bytes on the new placement.
+    /// Remove an *active* flow record, all of its flows, from the network
+    /// mid-flight and return the bytes each of them still had left. No
+    /// completion is emitted and the recorder sees no `FlowEnd` — the
+    /// flow is cancelled, not finished. This is the re-injection
+    /// primitive for online fault handling: cancel the stalled flows of
+    /// an evicted target, then start replacement flows for the remaining
+    /// bytes on the new placement.
     ///
     /// The flow is retired, like a finished one: afterwards the
     /// network reports it inactive with zero rate and remaining bytes.
@@ -597,10 +644,11 @@ impl<'r> FluidSim<'r> {
             .filter(|&s| self.net.is_active_at(s))
             .unwrap_or_else(|| panic!("cancel_flow: flow {f:?} is not active"));
         let left = self.net.remaining_at(s);
+        let count = self.net.count_at(s);
         self.net.retire(s);
         self.net.compact_if_due();
         self.rates_dirty = true;
-        self.events_processed.inc();
+        self.events_processed.add(u64::from(count));
         left
     }
 
@@ -637,18 +685,18 @@ impl<'r> FluidSim<'r> {
     fn process_events_at(&mut self, t: SimTime) {
         while let Some(ev) = self.queue.pop_at(t) {
             match ev {
-                Event::Start { first, count } => {
+                Event::Start { first, records } => {
                     // Pending flows are never retired (only active ones
                     // finish or are cancelled), and none was registered
                     // between these, so their records fill consecutive
                     // slots: compaction keeps slot order.
                     let s0 = self.net.slot_of(first).expect("pending flow is stored");
-                    for s in s0..s0 + count {
+                    for s in s0..s0 + records {
                         debug_assert_eq!(
                             self.net.id_at(s).index(),
                             first.index() + (s - s0) as usize
                         );
-                        self.events_processed.inc();
+                        self.events_processed.add(u64::from(self.net.count_at(s)));
                         if let Some(rec) = self.recorder.as_deref_mut() {
                             rec.record(ObsEvent::FlowStart {
                                 at: t.as_nanos(),
@@ -724,7 +772,8 @@ impl<'r> FluidSim<'r> {
     fn complete(&mut self, s: u32) {
         let flow = self.net.id_at(s);
         let tag = self.net.tag_at(s);
-        self.events_processed.inc();
+        let count = self.net.count_at(s);
+        self.events_processed.add(u64::from(count));
         if let Some(rec) = self.recorder.as_deref_mut() {
             rec.record(ObsEvent::FlowEnd {
                 at: self.now.as_nanos(),
@@ -736,6 +785,7 @@ impl<'r> FluidSim<'r> {
             flow,
             time: self.now,
             tag,
+            count,
         });
     }
 

@@ -610,9 +610,21 @@ impl CheckedSim<'_> {
     }
 
     fn start(&mut self, at: SimTime, path: Vec<ResourceId>, bytes: f64, tag: u64, weight: f64) {
+        self.start_flows(at, path, bytes, tag, weight, 1);
+    }
+
+    /// Start a record of `count` identical flows.
+    fn start_flows(
+        &mut self,
+        at: SimTime,
+        path: Vec<ResourceId>,
+        bytes: f64,
+        tag: u64,
+        weight: f64,
+        count: u32,
+    ) -> FlowId {
         self.scheduled.insert(at);
-        self.sim
-            .start_weighted_flow_at(at, path, bytes, tag, weight);
+        self.sim.start_flows_at(at, path, bytes, tag, weight, count)
     }
 
     fn factor_change(&mut self, at: SimTime, r: ResourceId, factor: f64) {
@@ -741,6 +753,164 @@ proptest! {
     ) {
         let (done, solves) = drive_sim(&resources, &ops);
         prop_assert!(done > 1000 && solves > 1000, "{done} completions, {solves} solves");
+    }
+}
+
+/// A [`CheckedSim`] whose starts are records of several flows, beside a
+/// twin that starts each record as that many single flows in a row and
+/// cancels each of them where the record is cancelled.
+struct RecordTwins<'s> {
+    grouped: CheckedSim<'s>,
+    twin: CheckedSim<'s>,
+    /// Each record's flows in the twin.
+    members: std::collections::BTreeMap<FlowId, Vec<FlowId>>,
+}
+
+impl RecordTwins<'_> {
+    fn start(&mut self, at: SimTime, path: Vec<ResourceId>, bytes: f64, tag: u64, w: f64, n: u32) {
+        let record = self.grouped.start_flows(at, path.clone(), bytes, tag, w, n);
+        let flows = (0..n)
+            .map(|_| self.twin.start_flows(at, path.clone(), bytes, tag, w, 1))
+            .collect();
+        self.members.insert(record, flows);
+    }
+
+    fn factor_change(&mut self, at: SimTime, r: ResourceId, factor: f64) {
+        self.grouped.factor_change(at, r, factor);
+        self.twin.factor_change(at, r, factor);
+    }
+
+    /// Cancel the `k`-th active record, and each of its flows in the
+    /// twin, at the current instant.
+    fn cancel(&mut self, k: usize) {
+        let active: Vec<FlowId> = self.grouped.sim.network().active_flows().collect();
+        if active.is_empty() {
+            return;
+        }
+        let record = active[k % active.len()];
+        let left = self.grouped.sim.cancel_flow(record);
+        for &f in &self.members[&record] {
+            let twin_left = self.twin.sim.cancel_flow(f);
+            prop_assert!(left.to_bits() == twin_left.to_bits());
+        }
+    }
+
+    /// Step both sims to their next stop by `horizon` and require the
+    /// same stop: the record's completions expanded into its flows, the
+    /// clock, each record's rate on each of its flows, the solve and
+    /// event counters and the last solve's component sizes. Returns the
+    /// flows that finished, `None` once both reached `horizon`.
+    fn step(&mut self, horizon: SimTime) -> Option<usize> {
+        let (grouped, twin) = match (self.grouped.step(horizon), self.twin.step(horizon)) {
+            (Some(grouped), Some(twin)) => (grouped, twin),
+            (None, None) => return None,
+            _ => panic!("only one sim stopped before {horizon}"),
+        };
+        let expanded: Vec<(SimTime, u64)> = grouped
+            .iter()
+            .flat_map(|c| std::iter::repeat_n((c.time, c.tag), c.count as usize))
+            .collect();
+        let singles: Vec<(SimTime, u64)> = twin.iter().map(|c| (c.time, c.tag)).collect();
+        prop_assert!(
+            expanded == singles,
+            "completions differ at {}",
+            self.twin.sim.now()
+        );
+        for c in &grouped {
+            prop_assert!(c.count as usize == self.members[&c.flow].len());
+        }
+        prop_assert!(self.grouped.sim.now() == self.twin.sim.now());
+        self.compare();
+        Some(singles.len())
+    }
+
+    fn compare(&self) {
+        let (g, t) = (&self.grouped.sim, &self.twin.sim);
+        let (gn, tn) = (g.network(), t.network());
+        for record in gn.active_flows() {
+            let rate = gn.rate(record);
+            for &f in &self.members[&record] {
+                prop_assert!(
+                    rate.to_bits() == tn.rate(f).to_bits(),
+                    "at {}: record {record:?} at {rate}, its flow {f:?} at {}",
+                    g.now(),
+                    tn.rate(f)
+                );
+            }
+        }
+        let active = |n: &FlowNetwork| n.active_flows().count();
+        let grouped_flows: usize = gn.active_flows().map(|r| self.members[&r].len()).sum();
+        prop_assert!(grouped_flows == active(tn));
+        prop_assert!(g.events_processed() == t.events_processed());
+        prop_assert!(gn.solve_count() == tn.solve_count());
+        prop_assert!(gn.skip_count() == tn.skip_count());
+        prop_assert!(gn.flows_solved() == tn.flows_solved());
+        prop_assert!(gn.last_component_sizes() == tn.last_component_sizes());
+    }
+}
+
+/// A start's record size: one flow or a record of two to eight.
+fn record_count_strategy() -> impl Strategy<Value = u32> {
+    prop_oneof![Just(1u32), 2u32..=8, 2u32..=8]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Records against their flows one by one, through the event loop:
+    /// random starts of records of one to eight flows (mixed depth
+    /// weights, `Saturating` and `Fixed` resources), scheduled factor
+    /// changes including dead-then-restored resources, and cancels of
+    /// whole records. Both sims check every solve against the
+    /// reference, which expands records itself, and they must agree bit
+    /// for bit at every stop.
+    #[test]
+    fn a_record_simulates_as_its_flows_started_one_by_one(
+        resources in prop::collection::vec(resource_strategy(), 1..6),
+        ops in prop::collection::vec((sim_op_strategy(), record_count_strategy()), 150..300),
+    ) {
+        let scn = Scenario {
+            resources: resources.clone(),
+            flows: Vec::new(),
+        };
+        let (net, rids) = build(&scn);
+        let mut run = RecordTwins {
+            grouped: CheckedSim::new(net.clone()),
+            twin: CheckedSim::new(net),
+            members: Default::default(),
+        };
+        let mut done = 0;
+        for (i, (op, count)) in ops.iter().enumerate() {
+            let now = run.twin.sim.now();
+            match op {
+                SimOp::Start { delay_s, path, bytes, weight } => {
+                    let distinct: BTreeSet<usize> = path.iter().map(|&r| r % rids.len()).collect();
+                    let path = distinct.into_iter().map(|r| rids[r]).collect();
+                    let at = now + SimDuration::from_secs_f64(*delay_s);
+                    run.start(at, path, *bytes, i as u64, *weight, *count);
+                }
+                SimOp::Factor { delay_s, r, factor } => {
+                    let at = now + SimDuration::from_secs_f64(*delay_s);
+                    run.factor_change(at, rids[r % rids.len()], *factor);
+                }
+                SimOp::Cancel(k) => run.cancel(*k),
+                SimOp::Advance(dt_s) => {
+                    run.grouped.check();
+                    run.twin.check();
+                    run.compare();
+                    let horizon = now + SimDuration::from_secs_f64(*dt_s);
+                    done += std::iter::from_fn(|| run.step(horizon)).sum::<usize>();
+                }
+            }
+        }
+        run.grouped.check();
+        run.twin.check();
+        let horizon = run.twin.sim.now() + SimDuration::from_secs_f64(1e7);
+        done += std::iter::from_fn(|| run.step(horizon)).sum::<usize>();
+        let grouped_records = run.members.len();
+        let twin_flows: usize = run.members.values().map(Vec::len).sum();
+        prop_assert!(twin_flows > grouped_records, "no record held several flows");
+        prop_assert!(done > 0, "nothing finished");
     }
 }
 
